@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
-use psi_engine::{Engine, EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest};
+use psi_engine::{EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest};
 use psi_workload::{submit_batch_async, submit_batch_multi, MultiWorkload, MultiWorkloadSpec};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,22 +62,26 @@ fn bench_shared_vs_dedicated(c: &mut Criterion) {
         b.iter(|| black_box(submit_batch_multi(&shared, &traffic, 8)))
     });
 
-    // Four dedicated engines, one worker each (same total threads), each
-    // fed its own slice of the same traffic by two clients.
-    let engines: Vec<Engine> = workload
+    // Four dedicated one-tenant engines, one worker each (same total
+    // threads), each fed its own slice of the same traffic by two clients.
+    let engines: Vec<_> = workload
         .graphs
         .iter()
         .map(|g| {
-            Engine::new(
-                PsiRunner::new(Arc::clone(g), PsiConfig::gql_spa_orig_dnd()),
-                EngineConfig { workers: 1, max_concurrent_races: 1, ..tenant_config(0) },
-            )
+            let engine = MultiEngine::new(MultiEngineConfig {
+                workers: 1,
+                max_concurrent_races: 1,
+                tenant: tenant_config(0),
+            });
+            let runner = PsiRunner::new(Arc::clone(g), PsiConfig::gql_spa_orig_dnd());
+            let id = engine.register("dedicated", runner).expect("fresh registry");
+            (engine, id)
         })
         .collect();
     group.bench_function("dedicated_pools_4x1worker", |b| {
         b.iter(|| {
             std::thread::scope(|scope| {
-                for (gid, engine) in engines.iter().enumerate() {
+                for (gid, (engine, id)) in engines.iter().enumerate() {
                     let slice: Vec<_> = workload
                         .traffic
                         .iter()
@@ -93,7 +97,7 @@ fn bench_shared_vs_dedicated(c: &mut Criterion) {
                                     if idx >= slice.len() {
                                         break;
                                     }
-                                    black_box(engine.submit(slice[idx]));
+                                    black_box(engine.submit(*id, slice[idx]).expect("registered"));
                                 });
                             }
                         });

@@ -6,7 +6,7 @@
 //! measures the same headline numbers — single-engine throughput,
 //! serving latency percentiles, the cache-hit speedup, multi-graph
 //! registry throughput racing the full field, the same workload under
-//! adaptive top-K racing, the top-K escalation rate, and the ticket
+//! staged racing, the staged escalation rate, and the ticket
 //! frontend's throughput with 2 clients ≪ in-flight — writes them
 //! as flat JSON (optionally stamped with commit SHA + date), uploads
 //! the file as a workflow artifact, and fails the job if any metric regresses more
@@ -21,12 +21,11 @@
 
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
 use psi_engine::{
-    Engine, EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest, RaceStrategy, ServePath,
+    EngineConfig, GraphId, MultiEngine, MultiEngineConfig, QueryRequest, RaceStrategy, ServePath,
 };
 use psi_graph::{datasets, Graph};
 use psi_workload::{
-    submit_batch, submit_batch_async, submit_batch_multi, MultiWorkload, MultiWorkloadSpec,
-    Workloads,
+    submit_batch_async, submit_batch_multi, MultiWorkload, MultiWorkloadSpec, Workloads,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,7 +57,10 @@ use std::time::{Duration, Instant};
 ///     intra-query slicing vs classic one-slice racing, gated) plus the
 ///     informational trail columns `slices_per_query` and `steal_count`
 ///     (the adaptive scheduler's slicing selectivity and the
-///     work-stealing cursor's rebalancing activity).
+///     work-stealing cursor's rebalancing activity). `topk_qps` and
+///     `escalation_rate` keep their v2 names (the trail joins on them)
+///     and measure `RaceStrategy::Adaptive { max_slices: 1,
+///     escalate_after: 0.02 }`, the one staged strategy.
 pub const SCHEMA_VERSION: f64 = 9.0;
 
 /// The headline serving metrics CI tracks over time.
@@ -82,15 +84,16 @@ pub struct EngineBenchMetrics {
     /// already tracked by `qps` and `cache_hit_speedup`.) Higher is
     /// better.
     pub multi_qps: f64,
-    /// The same race-only workload served with adaptive top-K racing
-    /// (k=1, staged escalation) by an identical registry whose
+    /// The same race-only workload served with staged racing
+    /// (`RaceStrategy::Adaptive` with slicing off: a predictor-sized
+    /// first heat, staged escalation) by an identical registry whose
     /// predictors were pre-trained on a disjoint stream, queries/second.
     /// The headline comparison is `topk_qps` vs `multi_qps`: pruning
-    /// predictable losers frees pool slots, so top-K should meet or beat
-    /// the full field on a saturated pool. Higher is better.
+    /// predictable losers frees pool slots, so staged racing should meet
+    /// or beat the full field on a saturated pool. Higher is better.
     pub topk_qps: f64,
-    /// Fraction of the TopK engine's staged races that escalated to the
-    /// full field, in [0, 1]. Tracked for the trail; the gate direction
+    /// Fraction of the staged registry's staged races that escalated to
+    /// the full field, in [0, 1]. Tracked for the trail; the gate direction
     /// is lower-is-better but a conservative baseline keeps it from ever
     /// failing on noise (the rate is bounded by 1).
     pub escalation_rate: f64,
@@ -369,20 +372,21 @@ pub fn check_regressions(
 pub fn sample_metrics_snapshot() -> String {
     let stored = datasets::yeast_like(0.2, 42);
     let queries: Vec<Graph> = Workloads::nfv_workload(&stored, 8, 16, 7);
-    let engine = serving_engine(&stored, 4096);
+    let (engine, id) = serving_engine(&stored, 4096);
+    let traffic = routed(id, &queries);
     // Cold pass then warm pass: the snapshot shows races, cache hits
     // and stage latencies all nonzero.
-    submit_batch(&engine, &queries, 4);
-    submit_batch(&engine, &queries, 4);
+    submit_batch_multi(&engine, &traffic, 4);
+    submit_batch_multi(&engine, &traffic, 4);
     engine.exporter().render_prometheus()
 }
 
-fn serving_engine(stored: &Graph, cache_capacity: usize) -> Engine {
-    Engine::new(
-        PsiRunner::new(Arc::new(stored.clone()), PsiConfig::gql_spa_orig_dnd()),
-        EngineConfig {
-            workers: 4,
-            max_concurrent_races: 4,
+/// A one-tenant engine serving `stored` on 4 workers.
+fn serving_engine(stored: &Graph, cache_capacity: usize) -> (MultiEngine, GraphId) {
+    let multi = MultiEngine::new(MultiEngineConfig {
+        workers: 4,
+        max_concurrent_races: 4,
+        tenant: EngineConfig {
             cache_capacity,
             // The artifact isolates cache/race/pool costs; the predictor
             // fast path has its own tests.
@@ -390,7 +394,15 @@ fn serving_engine(stored: &Graph, cache_capacity: usize) -> Engine {
             default_budget: RaceBudget::decision(),
             ..EngineConfig::default()
         },
-    )
+    });
+    let runner = PsiRunner::new(Arc::new(stored.clone()), PsiConfig::gql_spa_orig_dnd());
+    let id = multi.register("yeast", runner).expect("fresh registry");
+    (multi, id)
+}
+
+/// `queries` as traffic routed to the tenant `id`.
+fn routed(id: GraphId, queries: &[Graph]) -> Vec<(GraphId, Graph)> {
+    queries.iter().map(|q| (id, q.clone())).collect()
 }
 
 /// Runs the standard measurement (a few seconds) and returns the
@@ -400,10 +412,11 @@ pub fn measure() -> EngineBenchMetrics {
     // --- Single-engine batch: cold pass then warm (cached) pass. ---
     let stored = datasets::yeast_like(0.2, 42);
     let queries: Vec<Graph> = Workloads::nfv_workload(&stored, 8, 24, 7);
-    let engine = serving_engine(&stored, 4096);
+    let (engine, id) = serving_engine(&stored, 4096);
+    let traffic = routed(id, &queries);
     let t0 = Instant::now();
-    let cold = submit_batch(&engine, &queries, 8);
-    let warm = submit_batch(&engine, &queries, 8);
+    let cold = submit_batch_multi(&engine, &traffic, 8);
+    let warm = submit_batch_multi(&engine, &traffic, 8);
     let wall = t0.elapsed().as_secs_f64();
     let served = (cold.responses.len() + warm.responses.len()) as f64;
     let qps = if wall > 0.0 { served / wall } else { 0.0 };
@@ -413,10 +426,12 @@ pub fn measure() -> EngineBenchMetrics {
 
     // --- Cache-hit speedup: one repeated query, cold vs. hit medians. ---
     let repeat = Workloads::single_query(&stored, 10, 9).expect("generable query");
-    let cold_engine = serving_engine(&stored, 0); // cache off: every submit races
-    let hit_engine = serving_engine(&stored, 4096);
-    hit_engine.submit(&repeat); // prime
-    assert_eq!(hit_engine.submit(&repeat).path, ServePath::CacheHit);
+    let (cold_engine, cold_id) = serving_engine(&stored, 0); // cache off: every submit races
+    let (hit_engine, hit_id) = serving_engine(&stored, 4096);
+    let cold_submit = || cold_engine.submit(cold_id, &repeat).expect("registered graph");
+    let hit_submit = || hit_engine.submit(hit_id, &repeat).expect("registered graph");
+    hit_submit(); // prime
+    assert_eq!(hit_submit().path, ServePath::CacheHit);
     let median = |f: &dyn Fn()| {
         let mut times: Vec<f64> = (0..31)
             .map(|_| {
@@ -429,18 +444,18 @@ pub fn measure() -> EngineBenchMetrics {
         times[times.len() / 2]
     };
     let cold_t = median(&|| {
-        std::hint::black_box(cold_engine.submit(&repeat));
+        std::hint::black_box(cold_submit());
     });
     let hit_t = median(&|| {
-        std::hint::black_box(hit_engine.submit(&repeat));
+        std::hint::black_box(hit_submit());
     });
     let cache_hit_speedup = if hit_t > 0.0 { cold_t / hit_t } else { 0.0 };
 
-    // --- Multi-graph registry racing throughput, Full vs TopK: the
+    // --- Multi-graph registry racing throughput, Full vs staged: the
     // same skewed 4-graph workload against two identical registries
     // (one shared saturated 4-worker pool each, 4-variant field, caches
     // off so every request really races) that differ only in
-    // RaceStrategy. The TopK registry's predictors are pre-trained on a
+    // RaceStrategy. The staged registry's predictors are pre-trained on a
     // disjoint per-graph query stream; the same training pass runs
     // through the Full registry so both measure equally warm. ---
     let spec =
@@ -461,7 +476,7 @@ pub fn measure() -> EngineBenchMetrics {
                 // Matching (not decision) races: enough work per entrant
                 // that pool occupancy, the thing pruning reclaims,
                 // dominates the per-query serving overhead. The
-                // wall-clock cap anchors the TopK registry's stage
+                // wall-clock cap anchors the staged registry's stage
                 // deadline (escalate_after is a fraction of it) low
                 // enough that slow staged races really escalate — a
                 // benchmark whose escalation_rate sits at 0.000 is not
@@ -493,7 +508,7 @@ pub fn measure() -> EngineBenchMetrics {
     };
     let (full_multi, full_traffic) = race_only_registry(RaceStrategy::Full, 8);
     let (topk_multi, topk_traffic) =
-        race_only_registry(RaceStrategy::TopK { k: 1, escalate_after: 0.02 }, 8);
+        race_only_registry(RaceStrategy::Adaptive { max_slices: 1, escalate_after: 0.02 }, 8);
     // --- Ticket frontend on the same race-only workload: one
     // event-loop client keeps 8 tickets in flight (admission 16) over
     // the identical saturated 4-worker pool — the same pipeline depth
@@ -758,7 +773,7 @@ pub fn measure() -> EngineBenchMetrics {
     );
 
     let escalation_rate = topk_multi.stats().escalation_rate;
-    assert!(escalation_rate > 0.0, "the top-K bench must exercise staged escalation (rate was 0)");
+    assert!(escalation_rate > 0.0, "the staged bench must exercise escalation (rate was 0)");
 
     EngineBenchMetrics {
         qps,

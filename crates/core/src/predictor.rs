@@ -147,7 +147,7 @@ impl EntrantTally {
 ///
 /// Besides the single-winner vote ([`predict_with_confidence`]
 /// (Self::predict_with_confidence)), the predictor can [`rank`](Self::rank)
-/// the *full* entrant field for a query — the input to adaptive top-K
+/// the *full* entrant field for a query — the input to staged
 /// racing, where only the leading entrants launch and the rest are held
 /// back as an escalation reserve.
 #[derive(Debug, Clone)]
@@ -341,7 +341,7 @@ impl VariantPredictor {
     /// consulted neighbours, in `[0, 1]` (0 when untrained). One
     /// nearest-neighbour scan serves both decisions an engine makes per
     /// query — whether the top choice is confident enough for the
-    /// single-variant fast path, and which entrants form a top-K heat.
+    /// single-variant fast path, and which entrants form a staged heat.
     pub fn rank_with_vote_share(
         &self,
         features: &QueryFeatures,

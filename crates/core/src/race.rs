@@ -83,7 +83,7 @@ impl RaceBudget {
         b
     }
 
-    /// The stage deadline of a staged (top-K) race: the instant, measured
+    /// The stage deadline of a staged race: the instant, measured
     /// from the race anchor `start`, at which a still-undecided pruned
     /// first heat should escalate to the full entrant field.
     ///

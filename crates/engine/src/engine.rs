@@ -1,16 +1,17 @@
-//! The query-serving engine: admission control in front of a shared
-//! worker pool, a result cache, and a predictor fast path — fronted by
-//! the unified ticket submission API ([`crate::QueryRequest`] /
-//! [`crate::Submit`] / [`crate::QueryTicket`]).
+//! One tenant's serving path: admission control in front of the shared
+//! worker pool, a result cache, and a predictor fast path — reached
+//! through [`crate::MultiEngine`] and the unified ticket submission API
+//! ([`crate::QueryRequest`] / [`crate::Submit`] / [`crate::QueryTicket`]).
 //!
 //! Serving pipeline per query:
 //!
 //! 1. **Canonicalize + cache probe** — repeated queries return the cached
 //!    definitive answer without touching the pool (an already-completed
 //!    ticket).
-//! 2. **Admission** — at most `max_concurrent_races` queries may occupy
-//!    the pool at once. Over-limit non-blocking submissions *park* in a
-//!    bounded waiting room ([`EngineConfig::waiting_room`]): the ticket
+//! 2. **Admission** — at most
+//!    [`crate::MultiEngineConfig::max_concurrent_races`] queries may
+//!    occupy the pool at once. Over-limit non-blocking submissions
+//!    *park* in a bounded waiting room ([`EngineConfig::waiting_room`]): the ticket
 //!    returns immediately and the query launches when the fair gate
 //!    grants it a slot (FIFO per priority, fed through the same grant
 //!    chain as blocking waiters; dropping the ticket frees the parked
@@ -33,27 +34,24 @@
 //!    last entrant to report finalizes the race and fulfills the ticket,
 //!    so no thread belongs to any one in-flight query.
 //!
-//! The four blocking legacy methods ([`Engine::submit`] and friends) are
-//! thin wrappers over the ticket path — `submit = submit_queued + wait` —
-//! so there is exactly one admission code path.
+//! Blocking submission is the ticket path too — `submit_request =
+//! submit_queued + wait` — so there is exactly one admission code path.
 
+use crate::admission::{Admit, DeferredInner, DeferredLaunch, OwnedPermit, TenantGate};
 use crate::cache::{
     embedding_from_canonical, embedding_to_canonical, CachedAnswer, QueryKey, ShardedCache,
 };
-use crate::flight::{prepare_and_launch, AdmittedQuery, StageTimer};
+use crate::flight::StageTimer;
 use crate::pool::WorkerPool;
 use crate::stats::{EngineStats, StatsCollector};
-use crate::submit::{CompletionSlot, Priority, QueryRequest, QueryTicket, Submit};
-use crate::telemetry::{
-    SlowQuery, Telemetry, TelemetryConfig, TraceEvent, TraceRecord, TraceSubscriber,
-};
+use crate::submit::{CompletionSlot, Priority, QueryRequest, QueryTicket};
+use crate::telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use psi_core::predictor::{EntrantTally, QueryFeatures, VariantPredictor};
 use psi_core::{Compaction, GraphUpdate, PsiRunner, RaceBudget};
-use psi_graph::Graph;
 use psi_matchers::CancelToken;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How a cache-missing, non-fast-path query races its entrant field on
@@ -63,57 +61,43 @@ pub enum RaceStrategy {
     /// Race every configured variant at once — the paper's §8 setup and
     /// the engine's default.
     Full,
-    /// Adaptive top-K racing with staged escalation: launch only the `k`
-    /// predictor-ranked leading entrants, holding the rest of the field
-    /// back as a reserve. If the pruned heat has not decided the race by
-    /// the `escalate_after` fraction of the race budget — or finishes
-    /// earlier without a conclusive result — the reserve launches on the
-    /// same pool under the same [`psi_core::RaceState`], so a late full-field
-    /// winner still cancels everyone and deadlines stay anchored at
-    /// admission. Until the predictor has seen
-    /// `predictor_min_observations` races, the full field races (the
-    /// training phase), preserving the race's worst-case insurance.
-    TopK {
-        /// Entrants in the first heat (clamped to the field size;
-        /// 0 or ≥ field size degrades to [`RaceStrategy::Full`]).
-        k: usize,
-        /// Fraction of the race budget after which an undecided pruned
-        /// heat escalates, in `[0, 1]`. Budgets without a wall-clock
-        /// timeout measure the fraction against a small fixed window.
-        escalate_after: f64,
-    },
-    /// Self-tuning scheduler deciding *both* how many entrants launch
-    /// and how many root-candidate **slices** each entrant's search is
-    /// split into ([`psi_matchers::sliced_search_view`] semantics, run
-    /// as cooperating pool tasks with work stealing). The per-query
-    /// plan ([`crate::scheduler::plan_race`]) weighs the predictor's
-    /// vote margin, the observed escalation rate, and live pool
-    /// occupancy: a heavy query on an idle pool races few entrants ×
-    /// many slices; a saturated pool degrades to many queries × one
-    /// slice each (exactly [`RaceStrategy::TopK`] behaviour). Undecided
-    /// pruned heats escalate to the full field at `escalate_after`,
-    /// like `TopK` — escalated reserves run single-slice.
+    /// Staged racing under the self-tuning scheduler
+    /// ([`crate::scheduler::plan_race`]). Per query it decides how many
+    /// predictor-ranked leading entrants launch in the first heat —
+    /// holding the rest of the field back as a reserve — and how many
+    /// root-candidate **slices** each heat entrant's search is split
+    /// into ([`psi_matchers::sliced_search_view`] semantics, run as
+    /// cooperating pool tasks with work stealing). The plan weighs the
+    /// predictor's vote margin, the observed escalation rate, and live
+    /// pool occupancy: a heavy query on an idle pool races few entrants
+    /// × many slices; a saturated pool degrades to many queries × one
+    /// slice each.
+    ///
+    /// If the pruned heat has not decided the race by the
+    /// `escalate_after` fraction of the race budget — or finishes
+    /// earlier without a conclusive result — the reserve launches
+    /// (single-slice) on the same pool under the same
+    /// [`psi_core::RaceState`], so a late full-field winner still
+    /// cancels everyone and deadlines stay anchored at admission. Until
+    /// the predictor has seen `predictor_min_observations` races, the
+    /// full field races (the training phase), preserving the race's
+    /// worst-case insurance.
     Adaptive {
         /// Upper bound on slices per entrant (1 disables slicing and
         /// leaves only the entrant-count tuning; default 4).
         max_slices: usize,
         /// Fraction of the race budget after which an undecided pruned
-        /// heat escalates, in `[0, 1]` (see [`RaceStrategy::TopK`]).
+        /// heat escalates, in `[0, 1]`. Budgets without a wall-clock
+        /// timeout measure the fraction against a small fixed window.
         escalate_after: f64,
     },
 }
 
-/// Tuning knobs for an [`Engine`].
+/// Per-tenant tuning knobs — [`crate::MultiEngineConfig::tenant`].
+/// Capacity (workers, concurrent races) is shared by every tenant and
+/// lives in [`crate::MultiEngineConfig`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads shared by all in-flight races (default: available
-    /// parallelism).
-    pub workers: usize,
-    /// Maximum races occupying the pool concurrently; further submissions
-    /// block, park in the waiting room, or bounce with
-    /// [`AdmissionError::Busy`]. Default: `workers`, so the pool always
-    /// has at least one task slot per admitted race.
-    pub max_concurrent_races: usize,
     /// Bounded waiting room for over-limit **non-blocking** submissions:
     /// up to this many parked requests queue per graph for a slot grant
     /// instead of bouncing, so short bursts absorb rather than error.
@@ -138,10 +122,8 @@ pub struct EngineConfig {
     /// above 1.0 to disable the fast path (default 0.8).
     pub predictor_confidence: f64,
     /// How cache-missing queries race their entrant field (default
-    /// [`RaceStrategy::Full`]; see [`RaceStrategy::TopK`] for adaptive
-    /// pruned racing with staged escalation and
-    /// [`RaceStrategy::Adaptive`] for the self-tuning entrants×slices
-    /// scheduler).
+    /// [`RaceStrategy::Full`]; see [`RaceStrategy::Adaptive`] for staged
+    /// racing under the self-tuning entrants×slices scheduler).
     pub race_strategy: RaceStrategy,
     /// Smallest query (in nodes) eligible for intra-query slicing under
     /// [`RaceStrategy::Adaptive`]: tiny queries finish faster than the
@@ -157,7 +139,7 @@ pub struct EngineConfig {
     /// worker pool (single-flight — at most one per tenant at a time)
     /// to fold the overlay into a fresh base graph + index and swap the
     /// epoch. `0` disables automatic compaction; explicit
-    /// [`crate::Engine::compact_now`] still works. Default 512.
+    /// [`crate::MultiEngine::compact`] still works. Default 512.
     pub compact_threshold: usize,
     /// Ψ-trace knobs: lifecycle event tracing, ring capacity, slow-query
     /// log size (see [`TelemetryConfig`]).
@@ -166,10 +148,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
         Self {
-            workers,
-            max_concurrent_races: workers,
             waiting_room: 1024,
             cache_shards: 8,
             cache_capacity: 4096,
@@ -372,181 +351,7 @@ impl EngineResponse {
     }
 }
 
-/// Where an engine gets permission to occupy the worker pool with a
-/// race. Both engines use the registry's grant-chaining fair gate
-/// (`FairCore`): the standalone [`Engine`] as a single-slot instance
-/// (priority, then FIFO), a [`crate::MultiEngine`] tenant through the
-/// shared instance arbitrating slots *across* graphs (max–min fairness
-/// first, then priority).
-pub(crate) trait AdmissionGate: Send + Sync {
-    /// Blocks until a race slot is granted; among waiters, higher
-    /// [`Priority`] is served first, FIFO within a priority.
-    fn acquire(&self, priority: Priority);
-    /// Takes a slot if one is immediately available (and nobody with a
-    /// pending grant is queued ahead). Production code uses [`Self::admit`]
-    /// (which adds the waiting room); this probe remains for capacity
-    /// tests.
-    #[cfg(test)]
-    fn try_acquire(&self) -> bool;
-    /// Returns a previously acquired slot.
-    fn release(&self);
-    /// Non-blocking admission with parking: takes a slot immediately
-    /// ([`Admit::Ready`]), parks the launch in the bounded waiting room
-    /// ([`Admit::Parked`]), or hands the launch back when the room (of
-    /// capacity `room`) is full ([`Admit::Full`]). A parked launch fires
-    /// from whichever thread frees the slot that grants it.
-    fn admit(&self, priority: Priority, launch: DeferredLaunch, room: usize) -> Admit;
-    /// Removes a parked launch by its park ticket, abandoning its query
-    /// (the ticket completes inconclusive/cancelled). `false` when the
-    /// launch already left the room — launched or gone.
-    fn cancel_parked(&self, ticket: u64) -> bool;
-    /// Requests currently parked in this gate's waiting room (all graphs
-    /// for the shared gate — the gauge the exporter reports).
-    fn waiting(&self) -> usize;
-}
-
-/// Outcome of [`AdmissionGate::admit`].
-pub(crate) enum Admit {
-    /// A slot was taken; launch now.
-    Ready(DeferredLaunch),
-    /// Parked in the waiting room; the gate owns the launch and will fire
-    /// it on grant. `ticket` cancels the parking; `depth` is the queue
-    /// position observed at park time (for the `Parked` trace event).
-    Parked { ticket: u64, depth: usize },
-    /// Waiting room full (or disabled); the launch comes back untouched
-    /// so the caller can discard it without side effects.
-    Full(DeferredLaunch),
-}
-
-/// Everything a not-yet-admitted query needs to launch later: the
-/// serving core, the raw query, the ticket plumbing, and weak handles to
-/// the pool/timer/gate (weak so a parked entry can never keep a
-/// shut-down engine alive — if the upgrade fails at launch time the
-/// query is abandoned instead).
-pub(crate) struct DeferredInner {
-    pub(crate) core: Arc<ServeCore>,
-    pub(crate) query: Graph,
-    pub(crate) query_id: u64,
-    pub(crate) budget: RaceBudget,
-    pub(crate) admitted: Instant,
-    pub(crate) keyed: Option<(QueryKey, Vec<u32>)>,
-    pub(crate) token: CancelToken,
-    pub(crate) slot: Arc<CompletionSlot>,
-    pub(crate) pool: Weak<WorkerPool>,
-    pub(crate) timer: Weak<StageTimer>,
-    pub(crate) gate: Weak<dyn AdmissionGate>,
-}
-
-/// A query's launch, deferred until admission grants a slot. Created at
-/// submission, then either launched immediately (capacity free), parked
-/// in the waiting room, or discarded (room full → typed error).
-///
-/// **Drop = abandon**: a `DeferredLaunch` dropped while still armed —
-/// parked entry cancelled, gate torn down with queries still parked,
-/// engine shut down under it — fulfills its ticket inconclusive so no
-/// waiter hangs. Only [`DeferredLaunch::discard`] suppresses that (used
-/// on the rejection path, where no ticket was ever handed out).
-pub(crate) struct DeferredLaunch {
-    inner: Option<DeferredInner>,
-}
-
-impl DeferredLaunch {
-    pub(crate) fn new(inner: DeferredInner) -> Self {
-        Self { inner: Some(inner) }
-    }
-
-    /// Takes the slot this launch was granted: counts the admission,
-    /// emits `Unparked` (when it waited) + `Admitted`, and hands the
-    /// query to the pool. Safe from any thread — including a pooled
-    /// worker releasing its own permit.
-    pub(crate) fn launch(mut self, waited: Option<Duration>) {
-        let Some(d) = self.inner.take() else { return };
-        let (Some(pool), Some(gate)) = (d.pool.upgrade(), d.gate.upgrade()) else {
-            // Engine shut down while this query was parked: re-arm so
-            // Drop abandons (fulfills the ticket inconclusive).
-            self.inner = Some(d);
-            return;
-        };
-        if let Some(waited) = waited {
-            d.core.stats.park_wait.record_duration(waited);
-            d.core.telemetry.emit(TraceEvent::Unparked {
-                query: d.query_id,
-                waited_us: waited.as_micros().min(u64::MAX as u128) as u64,
-            });
-        }
-        // The slot was taken by the gate on this launch's behalf; the
-        // permit releases it when the flight finalizes.
-        let permit = OwnedPermit::new(gate);
-        d.core.stats.queries.fetch_add(1, Ordering::Relaxed);
-        d.core.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        d.core.telemetry.emit(TraceEvent::Admitted { query: d.query_id });
-        let DeferredInner {
-            core,
-            query,
-            query_id,
-            budget,
-            admitted,
-            keyed,
-            token,
-            slot,
-            pool: pool_weak,
-            timer,
-            ..
-        } = d;
-        let setup =
-            AdmittedQuery { core, query, query_id, budget, admitted, keyed, token, slot, permit };
-        pool.submit(move || prepare_and_launch(setup, pool_weak, timer));
-    }
-
-    /// Disarms without fulfilling anything: the rejection path, where the
-    /// caller returns a typed error and no ticket exists. Must **not**
-    /// route through the Drop-abandon path — that would count an
-    /// inconclusive query that was never admitted.
-    pub(crate) fn discard(mut self) {
-        self.inner = None;
-    }
-
-    /// A launch with no payload, for exercising gate scheduling policy
-    /// in unit tests without standing up an engine. Launching or
-    /// dropping it is a no-op.
-    #[cfg(test)]
-    pub(crate) fn disarmed() -> Self {
-        Self { inner: None }
-    }
-}
-
-impl Drop for DeferredLaunch {
-    fn drop(&mut self) {
-        if let Some(d) = self.inner.take() {
-            crate::flight::abandon(
-                &d.core,
-                d.admitted,
-                &d.slot,
-                d.query_id,
-                d.token.is_cancelled(),
-            );
-        }
-    }
-}
-
-/// An owned admission slot, released on drop. Travels with the in-flight
-/// race ([`crate::flight::PendingRace`]) so the slot frees exactly when
-/// the flight finalizes — including after panics or ticket cancellation.
-pub(crate) struct OwnedPermit(Arc<dyn AdmissionGate>);
-
-impl OwnedPermit {
-    pub(crate) fn new(gate: Arc<dyn AdmissionGate>) -> Self {
-        Self(gate)
-    }
-}
-
-impl Drop for OwnedPermit {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
-/// The pool-free serving internals shared by the engine front and every
+/// The pool-free serving internals shared by its [`Tenant`] and every
 /// in-flight race task: the prepared runner, the result cache, the
 /// predictor, and the statistics collectors. Deliberately does **not**
 /// own the worker pool or stage timer — race tasks hold this `Arc`
@@ -592,13 +397,10 @@ impl ServeCore {
         variants: usize,
     ) -> Option<(Vec<usize>, f64)> {
         let fast_path = self.config.predictor_confidence <= 1.0;
-        let staged = match self.config.race_strategy {
-            RaceStrategy::TopK { k, .. } => k > 0 && k < variants,
-            // Adaptive picks its heat size *from* the ranking, so it
-            // always wants one when the predictor is trained.
-            RaceStrategy::Adaptive { .. } => variants > 1,
-            RaceStrategy::Full => false,
-        };
+        // Adaptive picks its heat size *from* the ranking, so it always
+        // wants one when the predictor is trained.
+        let staged =
+            matches!(self.config.race_strategy, RaceStrategy::Adaptive { .. }) && variants > 1;
         if !fast_path && !staged {
             return None;
         }
@@ -719,53 +521,27 @@ impl ServeCore {
     }
 }
 
-/// A long-lived, concurrency-safe query-serving engine over one prepared
-/// [`PsiRunner`]. Cheap to share: all methods take `&self`.
-///
-/// Submit through the unified [`Submit`] trait (tickets), or through the
-/// blocking convenience wrappers ([`Engine::submit`] and friends), which
-/// delegate to the same ticket path.
-pub struct Engine {
-    core: Arc<ServeCore>,
-    pool: Arc<WorkerPool>,
-    admission: Arc<dyn AdmissionGate>,
-    /// `None` for a standalone engine whose strategy can never stage —
-    /// no point keeping a deadline thread that can never fire. Tenants
-    /// of a [`crate::MultiEngine`] always share the registry's timer
-    /// (per-tenant configs may opt into staging at registration).
-    timer: Option<Arc<StageTimer>>,
+/// One registered graph of a [`crate::MultiEngine`]: its name, its
+/// serving core (runner, predictor, cache partition, stats) and its slot
+/// in the shared fair gate. The registry owns the pool and stage timer
+/// every tenant drains into and hands them to the two entry points that
+/// need them.
+pub(crate) struct Tenant {
+    pub(crate) name: String,
+    pub(crate) core: Arc<ServeCore>,
+    gate: Arc<TenantGate>,
 }
 
-impl Engine {
-    /// Builds an engine serving queries against `runner`'s stored graph
-    /// and variant configuration.
-    pub fn new(runner: PsiRunner, config: EngineConfig) -> Self {
-        let pool = Arc::new(WorkerPool::new(config.workers));
-        let admission = crate::registry::standalone_gate(config.max_concurrent_races);
-        // Only a staged strategy ever registers a deadline; Full-racing
-        // engines skip the timer thread entirely.
-        let timer = matches!(
-            config.race_strategy,
-            RaceStrategy::TopK { .. } | RaceStrategy::Adaptive { .. }
-        )
-        .then(|| Arc::new(StageTimer::new()));
-        Self::with_shared(Arc::new(runner), config, pool, admission, timer, Instant::now())
-    }
-
-    /// Builds an engine on *shared* infrastructure: the worker pool,
-    /// admission gate and stage timer are owned elsewhere (by a
-    /// [`crate::MultiEngine`] whose registered graphs all drain into one
-    /// pool). `config.workers` and `config.max_concurrent_races` are
-    /// ignored — capacity lives in the shared pool and gate. `epoch`
-    /// anchors trace-event timestamps; a registry passes its own start so
-    /// all tenants stamp against one clock and cross-graph drains
-    /// interleave correctly.
-    pub(crate) fn with_shared(
+impl Tenant {
+    /// Wires `runner` to its gate slot. `epoch` anchors trace-event
+    /// timestamps: the registry passes its own start so all tenants
+    /// stamp against one clock and cross-graph drains interleave
+    /// correctly.
+    pub(crate) fn new(
+        name: String,
         runner: Arc<PsiRunner>,
         config: EngineConfig,
-        pool: Arc<WorkerPool>,
-        admission: Arc<dyn AdmissionGate>,
-        timer: Option<Arc<StageTimer>>,
+        gate: TenantGate,
         epoch: Instant,
     ) -> Self {
         let core = Arc::new(ServeCore {
@@ -782,85 +558,21 @@ impl Engine {
             compacting: AtomicBool::new(false),
             config,
         });
-        Self { core, pool, admission, timer }
+        Self { name, core, gate: Arc::new(gate) }
     }
 
-    /// Engine with default tuning.
-    pub fn with_defaults(runner: PsiRunner) -> Self {
-        Self::new(runner, EngineConfig::default())
-    }
-
-    /// The underlying runner (stored graph, variants, matchers).
-    pub fn runner(&self) -> &Arc<PsiRunner> {
-        &self.core.runner
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.core.config
-    }
-
-    /// Current serving statistics.
-    pub fn stats(&self) -> EngineStats {
-        let mut stats = self.core.stats.snapshot();
-        // The index is built once at runner construction; its cost is a
-        // property of the registration, reported alongside the serving
-        // counters (0 for legacy scan-mode runners, which have none).
-        stats.index_build_us = self.core.runner.target_index().map_or(0, |ix| ix.build_micros());
-        // Waiting-room depth is gate state, not collector state: read it
-        // live at snapshot time, like the index cost above.
-        stats.waiting_room_depth = self.admission.waiting() as u64;
-        // The graph epoch is runner state: 0 at construction, +1 per
-        // compaction.
-        stats.epoch = self.core.runner.epoch();
-        stats
-    }
-
-    /// The live collector behind [`Engine::stats`] — lets the registry
-    /// merge latency histograms across graphs for aggregate percentiles.
-    pub(crate) fn stats_collector(&self) -> &StatsCollector {
-        &self.core.stats
-    }
-
-    /// The shared serving core — the registry's persistence paths reach
-    /// the predictor and WAL slot through it.
-    pub(crate) fn serve_core(&self) -> &Arc<ServeCore> {
-        &self.core
-    }
-
-    /// Drains and returns the buffered lifecycle trace events, merged
-    /// across ring shards into global sequence order. Empty when tracing
-    /// is disabled ([`TelemetryConfig::trace_events`]).
-    pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        self.core.telemetry.trace.as_ref().map_or_else(Vec::new, |t| t.drain())
-    }
-
-    /// Drains the trace into `subscriber` (one batch; may be empty).
-    /// Returns the number of records delivered.
-    pub fn drain_trace_into(&self, subscriber: &mut dyn TraceSubscriber) -> usize {
-        let batch = self.drain_trace();
-        subscriber.on_events(&batch);
-        batch.len()
-    }
-
-    /// Trace events dropped because a ring shard was full — nonzero means
-    /// the consumer drains too slowly for the configured
-    /// [`TelemetryConfig::trace_capacity`].
-    pub fn trace_dropped(&self) -> u64 {
-        self.core.telemetry.trace.as_ref().map_or(0, |t| t.dropped())
-    }
-
-    /// The worst-offender served queries with per-entrant timing, worst
-    /// first (bounded by [`TelemetryConfig::slow_query_capacity`]).
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.core.telemetry.slow.worst()
-    }
-
-    /// Lifetime win/loss/timeout tallies of each racing entrant, indexed
-    /// like the runner's variant list (entrants that never raced read
-    /// zero). These are the learned statistics behind top-K ranking.
-    pub fn entrant_tallies(&self) -> Vec<EntrantTally> {
-        self.core.entrant_tallies()
+    /// This tenant's serving statistics: the collector's counters plus
+    /// the live gauges read at snapshot time — the one-time index build
+    /// cost (0 for scan-mode runners, which have none), the waiting-room
+    /// depth (gate state) and the graph epoch (runner state).
+    pub(crate) fn stats(&self) -> EngineStats {
+        let runner = &self.core.runner;
+        EngineStats {
+            index_build_us: runner.target_index().map_or(0, |ix| ix.build_micros()),
+            waiting_room_depth: self.gate.waiting() as u64,
+            epoch: runner.epoch(),
+            ..self.core.stats.snapshot()
+        }
     }
 
     /// Applies one validated mutation batch to the live graph, returning
@@ -879,9 +591,13 @@ impl Engine {
     /// compaction is queued on the worker pool. Queries racing while
     /// the update lands keep their pinned pre-update view; queries
     /// admitted afterwards see the mutated graph.
-    pub fn apply_update(&self, update: &GraphUpdate) -> Result<u64, psi_core::UpdateError> {
-        self.admission.acquire(Priority::Normal);
-        let _permit = OwnedPermit::new(Arc::clone(&self.admission));
+    pub(crate) fn apply_update(
+        &self,
+        update: &GraphUpdate,
+        pool: &WorkerPool,
+    ) -> Result<u64, psi_core::UpdateError> {
+        self.gate.acquire(Priority::Normal);
+        let _permit = OwnedPermit(Arc::clone(&self.gate));
         let epoch = {
             // Hold the WAL slot across apply + append so a concurrent
             // save_graph cannot cut the log between the two (its
@@ -912,61 +628,11 @@ impl Engine {
             // The single-flight latch is taken inside the task (not
             // here), so a burst of triggering updates queues at most a
             // few no-op tasks rather than racing on the flag twice.
-            self.pool.submit(move || {
+            pool.submit(move || {
                 core.compact_single_flight();
             });
         }
         Ok(epoch)
-    }
-
-    /// Explicitly folds any pending delta overlay into a fresh base
-    /// graph + rebuilt index, swapping the tenant to a new epoch.
-    /// Returns what was compacted, or `None` when the overlay was empty
-    /// or a background compaction is already running. In-flight races
-    /// finish against their pinned pre-swap epoch; the swap never
-    /// pauses them.
-    pub fn compact_now(&self) -> Option<Compaction> {
-        self.core.compact_single_flight()
-    }
-
-    /// The live graph's current epoch: 0 at construction, +1 per
-    /// compaction.
-    pub fn epoch(&self) -> u64 {
-        self.core.runner.epoch()
-    }
-
-    /// Serves `query` under the configured default budget, blocking while
-    /// the engine is at its concurrent-race limit. Thin wrapper:
-    /// `submit_queued(request).wait()`.
-    pub fn submit(&self, query: &Graph) -> EngineResponse {
-        self.submit_request(QueryRequest::new(query.clone()))
-            .expect("blocking single-graph submit cannot fail")
-    }
-
-    /// Serves `query` under an explicit budget, blocking for admission.
-    /// Thin wrapper over the ticket path.
-    pub fn submit_with_budget(&self, query: &Graph, budget: RaceBudget) -> EngineResponse {
-        self.submit_request(QueryRequest::new(query.clone()).budget(budget))
-            .expect("blocking single-graph submit cannot fail")
-    }
-
-    /// Non-blocking variant of [`Engine::submit`]: parks in the waiting
-    /// room (or refuses with an [`AdmissionError`]) instead of blocking
-    /// when the engine is at its concurrent-race limit. (Cache hits are
-    /// always served, even at capacity.) Thin wrapper:
-    /// `submit_nonblocking(request)?.wait()`.
-    pub fn try_submit(&self, query: &Graph) -> Result<EngineResponse, SubmitError> {
-        Ok(self.submit_nonblocking(QueryRequest::new(query.clone()))?.wait())
-    }
-
-    /// Non-blocking submit with an explicit budget. Thin wrapper over
-    /// the ticket path.
-    pub fn try_submit_with_budget(
-        &self,
-        query: &Graph,
-        budget: RaceBudget,
-    ) -> Result<EngineResponse, SubmitError> {
-        Ok(self.submit_nonblocking(QueryRequest::new(query.clone()).budget(budget))?.wait())
     }
 
     /// The backoff reported with [`AdmissionError::Busy`]: the median
@@ -980,18 +646,20 @@ impl Engine {
             .clamp(Duration::from_micros(200), Duration::from_millis(100))
     }
 
-    /// The one admission path: every submission — blocking wrapper,
-    /// non-blocking ticket, single- or multi-graph — lands here.
+    /// The one admission path: every submission — blocking or
+    /// non-blocking ticket — lands here after routing.
     pub(crate) fn submit_ticket(
         &self,
         request: QueryRequest,
         block: bool,
+        pool: &Arc<WorkerPool>,
+        timer: &Arc<StageTimer>,
     ) -> Result<QueryTicket, SubmitError> {
         // Admission time anchors every deadline downstream: a query that
         // waits in line burns its own budget, not the server's.
         let admitted = Instant::now();
         let QueryRequest { query, budget, priority, deadline, graph: _, tag: _ } = request;
-        // The one budget-defaulting site for both engines.
+        // The one budget-defaulting site.
         let mut budget = budget.unwrap_or_else(|| self.core.config.default_budget.clone());
         // A request deadline folds into the race budget's wall-clock cap:
         // both are anchored at admission, so the effective timeout is
@@ -1051,17 +719,17 @@ impl Engine {
             keyed,
             token: token.clone(),
             slot: Arc::clone(&slot),
-            pool: Arc::downgrade(&self.pool),
-            timer: self.timer.as_ref().map_or_else(Weak::new, Arc::downgrade),
-            gate: Arc::downgrade(&self.admission),
+            pool: Arc::downgrade(pool),
+            timer: Arc::downgrade(timer),
+            gate: Arc::downgrade(&self.gate),
         });
 
         if block {
-            self.admission.acquire(priority);
+            self.gate.acquire(priority);
             launch.launch(None);
             return Ok(QueryTicket::pending(slot, token, query_id));
         }
-        match self.admission.admit(priority, launch, core.config.waiting_room) {
+        match self.gate.admit(priority, launch, core.config.waiting_room) {
             Admit::Ready(launch) => {
                 launch.launch(None);
                 Ok(QueryTicket::pending(slot, token, query_id))
@@ -1072,7 +740,7 @@ impl Engine {
                     query: query_id,
                     depth: depth.min(u32::MAX as usize) as u32,
                 });
-                Ok(QueryTicket::parked(slot, token, query_id, Arc::clone(&self.admission), ticket))
+                Ok(QueryTicket::parked(slot, token, query_id, Arc::clone(&self.gate), ticket))
             }
             Admit::Full(launch) => {
                 // No ticket was handed out; tear the launch down without
@@ -1087,59 +755,5 @@ impl Engine {
                 }
             }
         }
-    }
-}
-
-impl Submit for Engine {
-    fn submit_nonblocking(&self, request: QueryRequest) -> Result<QueryTicket, SubmitError> {
-        self.submit_ticket(request, false)
-    }
-
-    fn submit_queued(&self, request: QueryRequest) -> Result<QueryTicket, SubmitError> {
-        self.submit_ticket(request, true)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::standalone_gate;
-
-    // The grant-chaining policy itself (fairness, priorities,
-    // grant-vs-late-arrival races) is unit-tested on the pure FairCore
-    // state machine in `registry.rs`; these exercise the standalone
-    // single-slot instance through the AdmissionGate interface.
-
-    #[test]
-    fn blocking_acquire_admits_everyone_under_contention() {
-        use std::sync::atomic::AtomicUsize;
-        let gate = standalone_gate(2);
-        let admitted = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for i in 0..16 {
-                let (gate, admitted) = (&gate, &admitted);
-                let priority = [Priority::High, Priority::Normal, Priority::Low][i % 3];
-                scope.spawn(move || {
-                    gate.acquire(priority);
-                    admitted.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_micros(200));
-                    gate.release();
-                });
-            }
-        });
-        assert_eq!(admitted.load(Ordering::Relaxed), 16);
-        // The gate must be fully drained: capacity available again.
-        assert!(gate.try_acquire());
-        gate.release();
-    }
-
-    #[test]
-    fn try_acquire_respects_capacity() {
-        let gate = standalone_gate(1);
-        assert!(gate.try_acquire());
-        assert!(!gate.try_acquire(), "at capacity");
-        gate.release();
-        assert!(gate.try_acquire());
-        gate.release();
     }
 }

@@ -2,10 +2,10 @@
 //! state, renderable as Prometheus text or JSON.
 //!
 //! A [`MetricsExporter`] is a *snapshot*, not a live view: construct one
-//! with [`crate::Engine::exporter`] / [`crate::MultiEngine::exporter`]
-//! at scrape time, render it, drop it. Snapshotting decouples rendering
-//! from the hot path — the only cost on the serving side is the atomic
-//! loads taken while the snapshot is built.
+//! with [`crate::MultiEngine::exporter`] at scrape time, render it,
+//! drop it. Snapshotting decouples rendering from the hot path — the
+//! only cost on the serving side is the atomic loads taken while the
+//! snapshot is built.
 //!
 //! The Prometheus rendering follows the text exposition format: one
 //! `# TYPE` line per metric family, `psi_`-prefixed names, a `graph`
@@ -15,7 +15,7 @@
 //! emitted (plus `+Inf`), so the series count tracks the observed
 //! latency spread, not the 1920-bucket histogram resolution.
 
-use crate::engine::Engine;
+use crate::engine::ServeCore;
 use crate::stats::{EngineStats, HistogramSnapshot};
 use crate::telemetry::SlowQuery;
 use std::fmt::Write as _;
@@ -39,8 +39,8 @@ pub enum HistogramKind {
 /// Point-in-time observability snapshot of one graph's engine.
 #[derive(Debug, Clone)]
 pub struct GraphMetricsSnapshot {
-    /// Registered graph name; `None` for a standalone [`Engine`].
-    pub name: Option<String>,
+    /// Registered graph name.
+    pub name: String,
     /// Counter / rate snapshot.
     pub stats: EngineStats,
     /// End-to-end latency histogram over every served query.
@@ -60,18 +60,18 @@ pub struct GraphMetricsSnapshot {
 }
 
 impl GraphMetricsSnapshot {
-    fn capture(name: Option<String>, engine: &Engine) -> Self {
-        let c = engine.stats_collector();
+    pub(crate) fn capture(name: String, core: &ServeCore, stats: EngineStats) -> Self {
+        let c = &core.stats;
         Self {
             name,
-            stats: engine.stats(),
+            stats,
             latency: c.latency.snapshot(),
             queue_wait: c.queue_wait.snapshot(),
             park_wait: c.park_wait.snapshot(),
             race_stage: c.race_stage.snapshot(),
             finalize_stage: c.finalize_stage.snapshot(),
-            trace_dropped: engine.trace_dropped(),
-            slow: engine.slow_queries(),
+            trace_dropped: core.telemetry.trace.as_ref().map_or(0, |t| t.dropped()),
+            slow: core.telemetry.slow.worst(),
         }
     }
 
@@ -93,13 +93,8 @@ pub struct MetricsExporter {
 }
 
 impl MetricsExporter {
-    pub(crate) fn from_graphs(graphs: Vec<(Option<String>, &Engine)>) -> Self {
-        Self {
-            graphs: graphs
-                .into_iter()
-                .map(|(name, engine)| GraphMetricsSnapshot::capture(name, engine))
-                .collect(),
-        }
+    pub(crate) fn new(graphs: Vec<GraphMetricsSnapshot>) -> Self {
+        Self { graphs }
     }
 
     /// The per-graph snapshots, in registration order.
@@ -124,18 +119,11 @@ impl MetricsExporter {
     }
 
     fn labels(&self, graph: &GraphMetricsSnapshot, extra: &[(&str, &str)]) -> String {
-        let mut pairs: Vec<String> = Vec::new();
-        if let Some(name) = &graph.name {
-            pairs.push(format!("graph=\"{}\"", escape_label(name)));
-        }
+        let mut pairs = vec![format!("graph=\"{}\"", escape_label(&graph.name))];
         for (k, v) in extra {
             pairs.push(format!("{k}=\"{v}\""));
         }
-        if pairs.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", pairs.join(","))
-        }
+        format!("{{{}}}", pairs.join(","))
     }
 
     /// Renders the snapshot in the Prometheus text exposition format.
@@ -164,7 +152,7 @@ impl MetricsExporter {
             ),
             ("psi_parked_total", "Submissions parked in the waiting room", |s| s.parked),
             ("psi_inconclusive_total", "Races with no conclusive winner", |s| s.inconclusive),
-            ("psi_topk_races_total", "Races launched as a pruned top-K heat", |s| s.topk_races),
+            ("psi_topk_races_total", "Races launched as a pruned staged heat", |s| s.topk_races),
             ("psi_pruned_entrants_total", "Entrants never launched (pruned)", |s| {
                 s.pruned_entrants
             }),
@@ -218,7 +206,7 @@ impl MetricsExporter {
         let gauges: [GaugeFamily; 6] = [
             ("psi_uptime_seconds", "Engine uptime", |g| g.stats.uptime.as_secs_f64()),
             ("psi_cache_hit_rate", "Cache hit rate (hits / lookups)", |g| g.stats.hit_rate),
-            ("psi_escalation_rate", "Escalations per top-K race", |g| g.stats.escalation_rate),
+            ("psi_escalation_rate", "Escalations per staged race", |g| g.stats.escalation_rate),
             ("psi_index_build_us", "One-time target-index build cost", |g| {
                 g.stats.index_build_us as f64
             }),
@@ -301,12 +289,7 @@ impl MetricsExporter {
                 out.push(',');
             }
             out.push('{');
-            match &g.name {
-                Some(name) => {
-                    let _ = write!(out, "\"name\":\"{}\",", escape_json(name));
-                }
-                None => out.push_str("\"name\":null,"),
-            }
+            let _ = write!(out, "\"name\":\"{}\",", escape_json(&g.name));
             let s = &g.stats;
             let _ = write!(
                 out,
@@ -418,13 +401,6 @@ impl MetricsExporter {
         }
         out.push_str("]}");
         out
-    }
-}
-
-impl Engine {
-    /// A point-in-time [`MetricsExporter`] over this engine's metrics.
-    pub fn exporter(&self) -> MetricsExporter {
-        MetricsExporter::from_graphs(vec![(None, self)])
     }
 }
 

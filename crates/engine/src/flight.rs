@@ -29,8 +29,9 @@
 //! thread drops the last reference never joins a worker from inside a
 //! worker.
 
+use crate::admission::OwnedPermit;
 use crate::cache::{CachedAnswer, QueryKey};
-use crate::engine::{EngineResponse, OwnedPermit, RaceStrategy, ServeCore, ServePath};
+use crate::engine::{EngineResponse, RaceStrategy, ServeCore, ServePath};
 use crate::pool::WorkerPool;
 use crate::scheduler::{plan_race, RacePlan, SchedulerInputs};
 use crate::submit::CompletionSlot;
@@ -99,7 +100,7 @@ fn inconclusive_response(admitted: Instant) -> EngineResponse {
 /// Completes a ticket inconclusive without racing. `cancelled` records
 /// whether the flight died to its token (ticket drop) rather than an
 /// engine shutdown or a degenerate configuration. Crate-visible: a
-/// parked [`crate::engine::DeferredLaunch`] that dies before launching
+/// parked [`crate::admission::DeferredLaunch`] that dies before launching
 /// (cancelled in the waiting room, or the engine shut down under it)
 /// abandons through the same path.
 pub(crate) fn abandon(
@@ -318,9 +319,9 @@ pub(crate) fn run_fast_path(
 
 impl PendingRace {
     /// Launches the race: the whole entrant field at once
-    /// ([`RaceStrategy::Full`]), or a predictor-ranked top-K first heat
+    /// ([`RaceStrategy::Full`]), or the scheduler's planned first heat
     /// with the rest held back as an escalation reserve
-    /// ([`RaceStrategy::TopK`]). Returns immediately — completion is
+    /// ([`RaceStrategy::Adaptive`]). Returns immediately — completion is
     /// driven by the entrant tasks and, for staged races, `timer`.
     pub(crate) fn launch(self, pool: &Arc<WorkerPool>, timer: Option<&Arc<StageTimer>>) {
         let PendingRace {
@@ -366,28 +367,16 @@ impl PendingRace {
         // may also be present purely for the fast path under Full. Every
         // EXPLORATION_PERIODth would-be staged race runs the full field
         // instead, so contested evidence keeps flowing and a drifted
-        // ranking cannot entrench itself behind uncontested heat wins.
-        let plan = match core.config.race_strategy {
-            RaceStrategy::TopK { k, .. } if k > 0 && k < n => {
-                let (order, heat) = ranking
-                    .filter(|_| {
-                        !(core.staged_seq.fetch_add(1, Ordering::Relaxed) + 1)
-                            .is_multiple_of(EXPLORATION_PERIOD)
-                    })
-                    .map(|(order, _)| (order, k))
-                    .unwrap_or_else(|| ((0..n).collect(), n));
-                RacePlan { order, heat, slices: 1 }
-            }
-            RaceStrategy::Adaptive { max_slices, .. } => {
-                // A trained predictor's plans are subject to the same
-                // exploration cadence as TopK; a cold one already races
-                // the full field.
+        // ranking cannot entrench itself behind uncontested heat wins; a
+        // cold predictor already races the full field.
+        let (plan, escalate_after) = match core.config.race_strategy {
+            RaceStrategy::Adaptive { max_slices, escalate_after } => {
                 let exploration = ranking.is_some()
                     && (core.staged_seq.fetch_add(1, Ordering::Relaxed) + 1)
                         .is_multiple_of(EXPLORATION_PERIOD);
                 let staged_so_far = core.stats.topk_races.load(Ordering::Relaxed);
                 let escalations = core.stats.escalations.load(Ordering::Relaxed);
-                plan_race(SchedulerInputs {
+                let plan = plan_race(SchedulerInputs {
                     entrants: n,
                     ranking: ranking.filter(|_| !exploration),
                     escalation_rate: if staged_so_far == 0 {
@@ -399,9 +388,10 @@ impl PendingRace {
                     max_slices,
                     query_nodes,
                     slice_min_query_nodes: core.config.slice_min_query_nodes,
-                })
+                });
+                (plan, escalate_after)
             }
-            _ => RacePlan { order: (0..n).collect(), heat: n, slices: 1 },
+            RaceStrategy::Full => (RacePlan { order: (0..n).collect(), heat: n, slices: 1 }, 0.0),
         };
         let RacePlan { order, heat: k, slices } = plan;
         let staged = k < n;
@@ -411,11 +401,6 @@ impl PendingRace {
         if slices > 1 {
             core.stats.sliced_races.fetch_add(1, Ordering::Relaxed);
         }
-        let escalate_after = match core.config.race_strategy {
-            RaceStrategy::TopK { escalate_after, .. }
-            | RaceStrategy::Adaptive { escalate_after, .. } => escalate_after,
-            RaceStrategy::Full => 0.0,
-        };
 
         let mut entrant_slots: Vec<Option<PreparedEntrant>> =
             entrants.into_iter().map(Some).collect();

@@ -6,32 +6,31 @@
 //! T concurrent queries × V variants spawn T×V threads, oversubscribe the
 //! machine, and collapse latency. This crate is the serving layer that
 //! fixes it, shaped like the long-lived engines of production graph
-//! stores: one [`Engine`] owns the shared resources and all queries flow
-//! through it.
+//! stores: one [`MultiEngine`] owns the shared resources, serves one or
+//! many registered graphs, and all queries flow through it.
 //!
 //! * [`pool`] — a bounded [`pool::WorkerPool`] shared by every in-flight
 //!   race; variants are tasks, loser cancellation still flows through the
 //!   shared `CancelToken`, and total thread count is fixed at
 //!   construction.
 //! * [`submit`] — the unified submission API: one [`QueryRequest`]
-//!   builder instead of a blocking-call matrix, both engines behind the
-//!   [`Submit`] trait, and a non-blocking frontend —
+//!   builder, the [`Submit`] trait, and a non-blocking frontend —
 //!   `submit_nonblocking` returns a [`QueryTicket`] completion handle
 //!   right after admission (poll / wait / [`CompletionQueue`] draining;
 //!   dropping the ticket cancels the race). Races complete reactively on
 //!   pooled workers, so thousands of queries can be in flight from a few
 //!   client threads.
-//! * [`engine`] — admission control keeping in-flight work ≤
-//!   `max_concurrent_races × variants`: blocking submissions queue by
-//!   [`Priority`]; non-blocking submissions over the limit park in a
-//!   bounded per-graph **waiting room** (FIFO within priority, fed by
-//!   the same fair grant chain) and only bounce — with a typed
-//!   [`AdmissionError`] — once the room overflows; the
-//!   predictor fast path (single confident variant instead of a race,
-//!   with race fallback); deadlines anchored at admission so queueing
-//!   delay counts against the race budget; and adaptive top-K racing
-//!   ([`RaceStrategy::TopK`]) — only the predictor-ranked leading
-//!   entrants launch, with staged escalation to the full field if the
+//! * [`engine`] — one tenant's serving path: admission keeping
+//!   in-flight work ≤ `max_concurrent_races × variants` — blocking
+//!   submissions queue by [`Priority`]; non-blocking submissions over
+//!   the limit park in a bounded per-graph **waiting room** (FIFO within
+//!   priority, fed by the same fair grant chain) and only bounce — with
+//!   a typed [`AdmissionError`] — once the room overflows; the predictor
+//!   fast path (single confident variant instead of a race, with race
+//!   fallback); deadlines anchored at admission so queueing delay counts
+//!   against the race budget; and staged racing
+//!   ([`RaceStrategy::Adaptive`]) — only the scheduler's predictor-ranked
+//!   first heat launches, with escalation to the full field if the
 //!   pruned heat is inconclusive by a fraction of the race budget.
 //! * [`cache`] — query canonicalization ([`cache::QueryKey`]) feeding a
 //!   sharded LRU result cache; repeated queries skip the race entirely.
@@ -52,28 +51,30 @@
 //! * [`telemetry`] — Ψ-trace: per-query lifecycle events (admitted →
 //!   setup → heat launch → per-entrant finish → escalation → finalize)
 //!   buffered in lock-free per-shard rings, drained via
-//!   [`Engine::drain_trace`] or a [`TraceSubscriber`]; plus a
-//!   ring-buffer slow-query log with per-entrant timing.
+//!   [`MultiEngine::drain_trace`]; plus a ring-buffer slow-query log
+//!   with per-entrant timing.
 //! * [`export`] — a [`MetricsExporter`] rendering counters, histograms
 //!   and the slow-query log as Prometheus text or a JSON snapshot.
 //!
 //! ```
 //! use psi_core::{PsiRunner, RaceBudget};
-//! use psi_engine::{Engine, EngineConfig, QueryRequest, Submit};
+//! use psi_engine::{EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest, Submit};
 //! use psi_graph::graph::graph_from_parts;
 //!
+//! let engine = MultiEngine::new(MultiEngineConfig {
+//!     workers: 2,
+//!     max_concurrent_races: 2,
+//!     tenant: EngineConfig { default_budget: RaceBudget::decision(), ..EngineConfig::default() },
+//! });
 //! let stored = graph_from_parts(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-//! let engine = Engine::new(
-//!     PsiRunner::nfv_default(&stored),
-//!     EngineConfig { workers: 2, default_budget: RaceBudget::decision(), ..EngineConfig::default() },
-//! );
+//! let id = engine.register("square", PsiRunner::nfv_default(&stored)).unwrap();
 //! let query = graph_from_parts(&[0, 1], &[(0, 1)]);
 //! // Non-blocking submission: the ticket returns at admission, the race
 //! // runs on pooled workers, and `wait` collects the answer.
-//! let ticket = engine.submit_nonblocking(QueryRequest::new(query.clone())).unwrap();
+//! let ticket = engine.submit_nonblocking(QueryRequest::new(query.clone()).graph(id)).unwrap();
 //! let first = ticket.wait();
 //! assert!(first.found());
-//! let again = engine.submit_request(QueryRequest::new(query)).unwrap(); // identical query: cache
+//! let again = engine.submit(id, &query).unwrap(); // identical query: cache
 //! assert_eq!(again.path, psi_engine::ServePath::CacheHit);
 //! assert_eq!(again.num_matches(), first.num_matches());
 //! ```
@@ -109,6 +110,7 @@
 //! assert_eq!(multi.stats().queries, 2); // aggregate across graphs
 //! ```
 
+mod admission;
 pub mod cache;
 pub mod engine;
 pub mod export;
@@ -124,8 +126,8 @@ pub use cache::{
     embedding_from_canonical, embedding_to_canonical, CachedAnswer, QueryKey, ShardedCache,
 };
 pub use engine::{
-    AdmissionError, ApplyError, Engine, EngineConfig, EngineResponse, RaceStrategy, RouteError,
-    ServePath, SubmitError,
+    AdmissionError, ApplyError, EngineConfig, EngineResponse, RaceStrategy, RouteError, ServePath,
+    SubmitError,
 };
 pub use export::{GraphMetricsSnapshot, HistogramKind, MetricsExporter};
 pub use pool::WorkerPool;
@@ -136,6 +138,4 @@ pub use registry::{
 pub use scheduler::{plan_race, RacePlan, SchedulerInputs};
 pub use stats::{EngineStats, HistogramSnapshot, LatencyHistogram, StageLatencies};
 pub use submit::{CompletionQueue, Priority, QueryRequest, QueryTicket, Submit};
-pub use telemetry::{
-    EntrantTiming, SlowQuery, TelemetryConfig, TraceEvent, TraceRecord, TraceSubscriber,
-};
+pub use telemetry::{EntrantTiming, SlowQuery, TelemetryConfig, TraceEvent, TraceRecord};

@@ -16,41 +16,27 @@
 //! never collide (distinct partitions), and one graph's eviction churn
 //! can never push another graph's hot entries out (distinct capacities).
 //!
-//! **Fair admission.** A single counting gate bounds races in flight
-//! across *all* graphs. When slots are contended the gate grants the
-//! freed slot to the waiting graph with the fewest races currently in
-//! flight (max–min fairness), tie-broken by arrival order — so a tenant
-//! flooding the engine with traffic cannot starve a light tenant, yet an
-//! uncontended engine behaves exactly like per-graph FIFO.
-//!
-//! **The waiting room.** Waiters come in two kinds, sharing one queue
-//! and one fairness policy: *thread* waiters (blocking submissions,
-//! parked on a condvar until granted) and *parked* waiters (non-blocking
-//! submissions over the limit, carrying a deferred launch instead of a
-//! thread). When scheduling picks a parked waiter it takes the slot and
-//! fires the launch right there — no wakeup round-trip — while a thread
-//! waiter gets the classic grant-then-accept handshake. Only thread
-//! waiters ever hold the pending grant, so cancelling a parked entry
-//! (its ticket was dropped) can never orphan the grant chain.
+//! **Fair admission.** Slots are arbitrated across graphs by one
+//! max–min fair gate with a bounded waiting room (`admission.rs`), so a
+//! tenant flooding the engine cannot starve a light one.
 
-use crate::engine::{
-    AdmissionGate, Admit, ApplyError, DeferredLaunch, Engine, EngineConfig, EngineResponse,
-    RouteError, SubmitError,
-};
+use crate::admission::{FairAdmission, TenantGate};
+use crate::engine::{ApplyError, EngineConfig, EngineResponse, RouteError, SubmitError, Tenant};
+use crate::export::{GraphMetricsSnapshot, MetricsExporter};
 use crate::flight::StageTimer;
 use crate::pool::WorkerPool;
-use crate::stats::{EngineStats, LatencyHistogram, StageLatencies};
-use crate::submit::{Priority, QueryRequest, QueryTicket, Submit};
+use crate::stats::{EngineStats, StatsCollector};
+use crate::submit::{QueryRequest, QueryTicket, Submit};
 use crate::telemetry::{SlowQuery, TraceRecord};
-use psi_core::{Compaction, GraphUpdate, PsiConfig, PsiRunner, RaceBudget};
+use psi_core::{Compaction, GraphUpdate, PsiConfig, PsiRunner};
 use psi_graph::Graph;
 use psi_store::{read_snapshot, write_snapshot, SnapshotContents, StoreError, Wal, WalRecord};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 /// Identity of a registered graph, returned by [`MultiEngine::register`].
 /// Cheap to copy; valid only for the registry that issued it.
@@ -177,11 +163,8 @@ pub struct MultiEngineConfig {
     /// in the fair gate (or, on the non-blocking path, park in the
     /// waiting room). Default: `workers`.
     pub max_concurrent_races: usize,
-    /// Per-tenant template: cache shards/capacity, predictor knobs and
-    /// default budget for each registered graph. `tenant.workers` and
-    /// `tenant.max_concurrent_races` are ignored — capacity lives in the
-    /// shared pool and gate. Override per graph with
-    /// [`MultiEngine::register_with_config`].
+    /// Per-tenant settings: cache shards/capacity, predictor knobs, race
+    /// strategy and default budget, applied to every registered graph.
     pub tenant: EngineConfig,
 }
 
@@ -190,364 +173,6 @@ impl Default for MultiEngineConfig {
         let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
         Self { workers, max_concurrent_races: workers, tenant: EngineConfig::default() }
     }
-}
-
-/// What a queued admission is waiting *as*: a blocked thread (condvar
-/// handshake) or a parked non-blocking submission (deferred launch fired
-/// by the scheduler itself).
-enum Waiter {
-    /// A blocking submission: a thread sleeps on the gate's condvar and
-    /// must wake to `accept` its grant.
-    Thread,
-    /// A non-blocking submission over the limit: nobody is blocked; the
-    /// scheduler launches the race directly when the slot frees. Boxed:
-    /// a prepared launch is ~300 bytes and the common `Thread` variant
-    /// carries nothing.
-    Parked { since: Instant, launch: Box<DeferredLaunch> },
-}
-
-impl Waiter {
-    fn is_parked(&self) -> bool {
-        matches!(self, Waiter::Parked { .. })
-    }
-}
-
-/// One queued admission: sort key `(rank, ticket)` plus its waiter kind.
-struct WaitEntry {
-    rank: u8,
-    ticket: u64,
-    waiter: Waiter,
-}
-
-/// The scheduling core of the fair gate. Pure state machine (no blocking)
-/// so the fairness policy is unit-testable without threads.
-struct FairCore {
-    in_flight_total: usize,
-    /// Races in flight per graph slot.
-    in_flight: Vec<usize>,
-    /// Waiting entries per graph slot, sorted by `(priority rank,
-    /// ticket)` — the front entry is the graph's next candidate.
-    /// Priority reorders waiters *within* a graph; across graphs,
-    /// max–min fairness stays primary. Thread and parked waiters share
-    /// one queue so neither kind can starve the other.
-    waiters: Vec<Vec<WaitEntry>>,
-    next_ticket: u64,
-    /// The one ticket currently cleared to take a slot. Grants chain:
-    /// the grantee accepts, then scheduling runs again. **Invariant:**
-    /// only `Waiter::Thread` entries are ever granted — parked entries
-    /// are launched by `schedule` directly, so cancelling one can never
-    /// leave a dangling grant.
-    granted: Option<u64>,
-}
-
-impl FairCore {
-    fn new() -> Self {
-        Self {
-            in_flight_total: 0,
-            in_flight: Vec::new(),
-            waiters: Vec::new(),
-            next_ticket: 0,
-            granted: None,
-        }
-    }
-
-    fn add_graph(&mut self) -> usize {
-        self.in_flight.push(0);
-        self.waiters.push(Vec::new());
-        self.in_flight.len() - 1
-    }
-
-    fn take(&mut self, graph: usize) {
-        self.in_flight_total += 1;
-        self.in_flight[graph] += 1;
-    }
-
-    fn insert_entry(&mut self, graph: usize, rank: u8, waiter: Waiter) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        let queue = &mut self.waiters[graph];
-        let at = queue.partition_point(|e| (e.rank, e.ticket) <= (rank, ticket));
-        queue.insert(at, WaitEntry { rank, ticket, waiter });
-        ticket
-    }
-
-    /// Queues a blocking (thread) waiter.
-    fn enqueue(&mut self, graph: usize, rank: u8) -> u64 {
-        self.insert_entry(graph, rank, Waiter::Thread)
-    }
-
-    /// Parks a non-blocking submission. Returns its ticket and its
-    /// 1-based position among `graph`'s parked entries (the reported
-    /// waiting-room depth).
-    fn enqueue_parked(&mut self, graph: usize, rank: u8, launch: DeferredLaunch) -> (u64, usize) {
-        let waiter = Waiter::Parked { since: Instant::now(), launch: Box::new(launch) };
-        let ticket = self.insert_entry(graph, rank, waiter);
-        (ticket, self.parked(graph))
-    }
-
-    /// Parked entries queued for `graph` (the waiting-room occupancy the
-    /// per-graph bound is checked against).
-    fn parked(&self, graph: usize) -> usize {
-        self.waiters[graph].iter().filter(|e| e.waiter.is_parked()).count()
-    }
-
-    /// Parked entries across every graph.
-    fn total_parked(&self) -> usize {
-        self.waiters.iter().flatten().filter(|e| e.waiter.is_parked()).count()
-    }
-
-    /// Removes a parked entry by ticket (its [`crate::QueryTicket`] was
-    /// cancelled or dropped). Returns the launch so the caller can drop
-    /// it *outside* the lock — abandoning fulfills the completion slot,
-    /// which may run arbitrary completion-queue callbacks. Removal frees
-    /// no capacity, so no reschedule is needed.
-    fn cancel_parked(&mut self, graph: usize, ticket: u64) -> Option<DeferredLaunch> {
-        debug_assert_ne!(self.granted, Some(ticket), "parked entries are never granted");
-        let at =
-            self.waiters[graph].iter().position(|e| e.ticket == ticket && e.waiter.is_parked())?;
-        match self.waiters[graph].remove(at).waiter {
-            Waiter::Parked { launch, .. } => Some(*launch),
-            Waiter::Thread => unreachable!("position matched a parked entry"),
-        }
-    }
-
-    /// Whether a submission may bypass the queue entirely: capacity free,
-    /// nobody waiting, no grant pending.
-    fn can_fast_path(&self, max: usize) -> bool {
-        self.granted.is_none()
-            && self.in_flight_total < max
-            && self.waiters.iter().all(|q| q.is_empty())
-    }
-
-    /// Dispenses freed capacity: among graphs with waiters, the one with
-    /// the fewest races in flight wins (max–min fairness); within the
-    /// chosen load level, higher priority wins; ties go to the oldest
-    /// ticket. A winning *thread* waiter becomes the pending grant (it
-    /// must wake and `accept`); a winning *parked* waiter takes its slot
-    /// right here and its launch is returned, paired with how long it
-    /// waited — the caller fires launches **outside** the lock. The loop
-    /// keeps dispensing until capacity runs out, the queues drain, or a
-    /// thread grant (which must round-trip through its waiter) blocks
-    /// further progress.
-    fn schedule(&mut self, max: usize) -> Vec<(DeferredLaunch, Duration)> {
-        let mut launches = Vec::new();
-        while self.granted.is_none() && self.in_flight_total < max {
-            let Some(graph) = self
-                .waiters
-                .iter()
-                .enumerate()
-                .filter_map(|(g, q)| q.first().map(|e| ((self.in_flight[g], e.rank, e.ticket), g)))
-                .min_by_key(|&(key, _)| key)
-                .map(|(_, g)| g)
-            else {
-                break;
-            };
-            match self.waiters[graph][0].waiter {
-                Waiter::Thread => self.granted = Some(self.waiters[graph][0].ticket),
-                Waiter::Parked { .. } => match self.waiters[graph].remove(0).waiter {
-                    Waiter::Parked { since, launch } => {
-                        self.take(graph);
-                        launches.push((*launch, since.elapsed()));
-                    }
-                    Waiter::Thread => unreachable!("match guarded on Parked"),
-                },
-            }
-        }
-        launches
-    }
-
-    /// The grantee accepts its slot. The granted ticket is removed *by
-    /// value*, not by position: a higher-priority waiter may have
-    /// enqueued ahead of it between the grant and this accept, and a
-    /// grant, once issued, is honoured (never revoked or re-routed).
-    fn accept(&mut self, graph: usize, ticket: u64, max: usize) -> Vec<(DeferredLaunch, Duration)> {
-        debug_assert_eq!(self.granted, Some(ticket));
-        self.granted = None;
-        let at = self.waiters[graph]
-            .iter()
-            .position(|e| e.ticket == ticket)
-            .expect("granted ticket must still be queued");
-        self.waiters[graph].remove(at);
-        self.take(graph);
-        self.schedule(max)
-    }
-
-    fn release(&mut self, graph: usize, max: usize) -> Vec<(DeferredLaunch, Duration)> {
-        self.in_flight_total -= 1;
-        self.in_flight[graph] -= 1;
-        self.schedule(max)
-    }
-}
-
-/// The shared cross-graph admission gate (see module docs).
-struct FairAdmission {
-    core: Mutex<FairCore>,
-    changed: Condvar,
-    max: usize,
-}
-
-impl FairAdmission {
-    fn new(max: usize) -> Self {
-        Self { core: Mutex::new(FairCore::new()), changed: Condvar::new(), max: max.max(1) }
-    }
-
-    fn add_graph(&self) -> usize {
-        self.core.lock().expect("fair admission lock").add_graph()
-    }
-
-    /// Fires the launches a scheduling pass dispensed. Must run with the
-    /// core lock **released**: each launch submits to the worker pool,
-    /// and a cache-coalesced or instantly-failing race could re-enter
-    /// this gate (release → schedule) on the same call stack.
-    fn run_launches(launches: Vec<(DeferredLaunch, Duration)>) {
-        for (launch, waited) in launches {
-            launch.launch(Some(waited));
-        }
-    }
-
-    fn acquire(&self, graph: usize, priority: Priority) {
-        let launches;
-        {
-            let mut core = self.core.lock().expect("fair admission lock");
-            if core.can_fast_path(self.max) {
-                core.take(graph);
-                return;
-            }
-            let ticket = core.enqueue(graph, priority.rank());
-            // Defensive pass; enqueueing frees no capacity, so this
-            // never grants or launches in any reachable state.
-            let pre = core.schedule(self.max);
-            debug_assert!(pre.is_empty(), "enqueue cannot create capacity");
-            loop {
-                if core.granted == Some(ticket) {
-                    launches = core.accept(graph, ticket, self.max);
-                    break;
-                }
-                core = self.changed.wait(core).expect("fair admission lock");
-            }
-        }
-        Self::run_launches(launches);
-        // A chained grant (or freed capacity) may concern others.
-        self.changed.notify_all();
-    }
-
-    #[cfg(test)]
-    fn try_acquire(&self, graph: usize) -> bool {
-        let mut core = self.core.lock().expect("fair admission lock");
-        if core.can_fast_path(self.max) {
-            core.take(graph);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Non-blocking admission with a waiting room of `room` parked
-    /// entries per graph (see [`AdmissionGate::admit`]).
-    fn admit(
-        &self,
-        graph: usize,
-        priority: Priority,
-        launch: DeferredLaunch,
-        room: usize,
-    ) -> Admit {
-        let verdict;
-        let launches;
-        {
-            let mut core = self.core.lock().expect("fair admission lock");
-            if core.can_fast_path(self.max) {
-                core.take(graph);
-                return Admit::Ready(launch);
-            }
-            if room == 0 || core.parked(graph) >= room {
-                return Admit::Full(launch);
-            }
-            let (ticket, depth) = core.enqueue_parked(graph, priority.rank(), launch);
-            verdict = Admit::Parked { ticket, depth };
-            // Defensive pass, mirroring `acquire` (parking frees no
-            // capacity either).
-            launches = core.schedule(self.max);
-            debug_assert!(launches.is_empty(), "parking cannot create capacity");
-        }
-        Self::run_launches(launches);
-        verdict
-    }
-
-    /// Removes a parked entry (its ticket was cancelled or dropped).
-    fn cancel_parked(&self, graph: usize, ticket: u64) -> bool {
-        let launch = {
-            let mut core = self.core.lock().expect("fair admission lock");
-            core.cancel_parked(graph, ticket)
-        };
-        // Dropping the launch abandons it — the completion slot is
-        // fulfilled inconclusive — and that must happen outside the
-        // lock (completion queues run arbitrary waker callbacks).
-        launch.is_some()
-    }
-
-    fn total_parked(&self) -> usize {
-        self.core.lock().expect("fair admission lock").total_parked()
-    }
-
-    fn release(&self, graph: usize) {
-        let launches = {
-            let mut core = self.core.lock().expect("fair admission lock");
-            core.release(graph, self.max)
-        };
-        Self::run_launches(launches);
-        self.changed.notify_all();
-    }
-}
-
-/// Binds the shared fair gate to one tenant so the tenant's [`Engine`]
-/// can use it through the ordinary [`AdmissionGate`] interface.
-struct TenantGate {
-    shared: Arc<FairAdmission>,
-    graph: usize,
-}
-
-impl AdmissionGate for TenantGate {
-    fn acquire(&self, priority: Priority) {
-        self.shared.acquire(self.graph, priority);
-    }
-
-    #[cfg(test)]
-    fn try_acquire(&self) -> bool {
-        self.shared.try_acquire(self.graph)
-    }
-
-    fn admit(&self, priority: Priority, launch: DeferredLaunch, room: usize) -> Admit {
-        self.shared.admit(self.graph, priority, launch, room)
-    }
-
-    fn cancel_parked(&self, ticket: u64) -> bool {
-        self.shared.cancel_parked(self.graph, ticket)
-    }
-
-    fn waiting(&self) -> usize {
-        self.shared.total_parked()
-    }
-
-    fn release(&self) {
-        self.shared.release(self.graph);
-    }
-}
-
-/// A standalone [`Engine`]'s admission gate: the fair gate with exactly
-/// one registered slot. Max–min fairness over one graph degenerates to
-/// priority-then-FIFO, so the one grant-chaining state machine serves
-/// both engines (and is fixed and tested in one place).
-pub(crate) fn standalone_gate(max_concurrent: usize) -> Arc<dyn AdmissionGate> {
-    let shared = Arc::new(FairAdmission::new(max_concurrent));
-    let graph = shared.add_graph();
-    Arc::new(TenantGate { shared, graph })
-}
-
-/// One registered graph: its name and its serving engine (runner,
-/// predictor, cache partition, stats) wired to the shared pool and gate.
-pub(crate) struct Tenant {
-    name: String,
-    engine: Engine,
 }
 
 struct RegistryInner {
@@ -675,39 +300,19 @@ impl MultiEngine {
         name: impl Into<String>,
         runner: Arc<PsiRunner>,
     ) -> Result<GraphId, RegistryError> {
-        self.register_with_config(name, runner, self.config.tenant.clone())
-    }
-
-    /// Registers a graph with a per-tenant [`EngineConfig`] override
-    /// (cache capacity, predictor knobs, default budget). The config's
-    /// `workers` / `max_concurrent_races` are ignored — capacity lives in
-    /// the shared pool and fair gate.
-    pub fn register_with_config(
-        &self,
-        name: impl Into<String>,
-        runner: Arc<PsiRunner>,
-        tenant_config: EngineConfig,
-    ) -> Result<GraphId, RegistryError> {
         let name = name.into();
         let mut inner = self.registry.inner.write().expect("registry lock");
         if inner.by_name.contains_key(&name) {
             return Err(RegistryError::DuplicateName(name));
         }
-        let slot = self.admission.add_graph();
-        debug_assert_eq!(slot, inner.tenants.len(), "gate slots track registration order");
-        let gate = Arc::new(TenantGate { shared: Arc::clone(&self.admission), graph: slot });
-        let engine = Engine::with_shared(
-            runner,
-            tenant_config,
-            Arc::clone(&self.pool),
-            gate,
-            Some(Arc::clone(&self.timer)),
-            // All tenants stamp trace timestamps against the registry's
-            // clock, so a merged drain is ordered across graphs.
-            self.started,
-        );
-        let id = GraphId(slot);
-        inner.tenants.push(Arc::new(Tenant { name: name.clone(), engine }));
+        let gate = TenantGate::new(Arc::clone(&self.admission));
+        debug_assert_eq!(gate.graph, inner.tenants.len(), "gate slots track registration order");
+        let id = GraphId(gate.graph);
+        // All tenants stamp trace timestamps against the registry's
+        // clock, so a merged drain is ordered across graphs.
+        let tenant =
+            Tenant::new(name.clone(), runner, self.config.tenant.clone(), gate, self.started);
+        inner.tenants.push(Arc::new(tenant));
         inner.by_name.insert(name, id);
         Ok(id)
     }
@@ -734,7 +339,7 @@ impl MultiEngine {
         std::fs::create_dir_all(dir).map_err(StoreError::Io)?;
         let snapshot_path = dir.join(format!("{}.psisnap", tenant.name));
         let wal_path = snapshot_path.with_extension("psiwal");
-        let core = tenant.engine.serve_core();
+        let core = &tenant.core;
         let mut wal_guard = core.learned_wal.lock().expect("wal lock");
         // Fold any pending overlay under the WAL lock: apply_update also
         // appends under this lock, so no mutation can land between the
@@ -744,10 +349,10 @@ impl MultiEngine {
         let saved_samples = learned.samples.len() as u64;
         let contents = SnapshotContents {
             name: tenant.name.clone(),
-            variants: tenant.engine.runner().config().variants.clone(),
+            variants: core.runner.config().variants.clone(),
             learned,
         };
-        let runner = tenant.engine.runner();
+        let runner = &core.runner;
         let live_graph = runner.live_graph();
         let live_index = runner.live_index();
         let snapshot_bytes =
@@ -774,17 +379,6 @@ impl MultiEngine {
     /// attached so serving keeps appending. The first query after a cold
     /// open races with a fully trained predictor.
     pub fn load_graph(&self, snapshot_path: &Path) -> Result<LoadReport, PersistError> {
-        self.load_graph_with_config(snapshot_path, self.config.tenant.clone())
-    }
-
-    /// [`MultiEngine::load_graph`] with a per-tenant [`EngineConfig`]
-    /// override (same contract as
-    /// [`MultiEngine::register_with_config`]).
-    pub fn load_graph_with_config(
-        &self,
-        snapshot_path: &Path,
-        tenant_config: EngineConfig,
-    ) -> Result<LoadReport, PersistError> {
         let loaded = read_snapshot(snapshot_path)?;
         let name = loaded.contents.name.clone();
         let runner = PsiRunner::with_prebuilt_index(
@@ -792,11 +386,10 @@ impl MultiEngine {
             PsiConfig::new(loaded.contents.variants.clone()),
             Arc::clone(&loaded.index),
         );
-        let id = self
-            .register_with_config(name.clone(), Arc::new(runner), tenant_config)
-            .map_err(PersistError::Registry)?;
+        let id =
+            self.register_shared(name.clone(), Arc::new(runner)).map_err(PersistError::Registry)?;
         let tenant = self.registry.tenant(id).expect("tenant was just registered");
-        let core = tenant.engine.serve_core();
+        let core = &tenant.core;
         let replay_started = Instant::now();
         let (wal, records) = Wal::open(&snapshot_path.with_extension("psiwal"))?;
         let learned = &loaded.contents.learned;
@@ -826,7 +419,7 @@ impl MultiEngine {
         // so the overlay converges to the pre-crash live graph.
         let mut replayed_updates = 0u64;
         {
-            let runner = tenant.engine.runner();
+            let runner = &core.runner;
             for record in &records {
                 if let WalRecord::Update { bytes } = record {
                     let update = GraphUpdate::decode(bytes)
@@ -876,7 +469,7 @@ impl MultiEngine {
     /// The registered runner for `graph` (stored graph, variants,
     /// prepared matchers).
     pub fn runner(&self, graph: GraphId) -> Option<Arc<PsiRunner>> {
-        self.registry.tenant(graph).map(|t| Arc::clone(t.engine.runner()))
+        self.registry.tenant(graph).map(|t| Arc::clone(&t.core.runner))
     }
 
     /// Applies a batch of graph mutations to `graph`'s live view and
@@ -890,28 +483,29 @@ impl MultiEngine {
     /// pinned to the epoch they started under.
     pub fn apply_update(&self, graph: GraphId, update: &GraphUpdate) -> Result<u64, ApplyError> {
         let tenant = self.registry.tenant(graph).ok_or(RouteError::UnknownGraph)?;
-        tenant.engine.apply_update(update).map_err(ApplyError::Update)
+        tenant.apply_update(update, &self.pool).map_err(ApplyError::Update)
     }
 
     /// Folds `graph`'s pending delta overlay into a fresh base graph and
-    /// rebuilt index, installed as a new epoch (see
-    /// [`Engine::compact_now`]). `Ok(None)` when nothing was pending or
-    /// a compaction is already running.
+    /// rebuilt index, installed as a new epoch. `Ok(None)` when nothing
+    /// was pending or a compaction (background or explicit) is already
+    /// running. In-flight races finish against their pinned pre-swap
+    /// epoch; the swap never pauses them.
     pub fn compact(&self, graph: GraphId) -> Result<Option<Compaction>, RouteError> {
         let tenant = self.registry.tenant(graph).ok_or(RouteError::UnknownGraph)?;
-        Ok(tenant.engine.compact_now())
+        Ok(tenant.core.compact_single_flight())
     }
 
     /// The current epoch of one registered graph (0 until its first
     /// compaction).
     pub fn epoch(&self, graph: GraphId) -> Option<u64> {
-        self.registry.tenant(graph).map(|t| t.engine.epoch())
+        self.registry.tenant(graph).map(|t| t.core.runner.epoch())
     }
 
     /// Resolves a request's target tenant. This is the *only* routing
-    /// site: every submission — blocking wrapper or ticket — goes
-    /// through it, and budget defaulting then happens in the tenant
-    /// engine's single admission path.
+    /// site: every submission — blocking or ticket — goes through it,
+    /// and budget defaulting then happens in the tenant's single
+    /// admission path.
     fn route(&self, request: &QueryRequest) -> Result<Arc<Tenant>, RouteError> {
         let graph = request.graph.ok_or(RouteError::NoGraph)?;
         self.registry.tenant(graph).ok_or(RouteError::UnknownGraph)
@@ -924,52 +518,19 @@ impl MultiEngine {
         self.submit_request(QueryRequest::new(query.clone()).graph(graph))
     }
 
-    /// Serves `query` against `graph` under an explicit budget, blocking
-    /// for admission. Thin wrapper over the ticket path.
-    pub fn submit_with_budget(
-        &self,
-        graph: GraphId,
-        query: &Graph,
-        budget: RaceBudget,
-    ) -> Result<EngineResponse, SubmitError> {
-        self.submit_request(QueryRequest::new(query.clone()).graph(graph).budget(budget))
-    }
-
-    /// Non-blocking submit: parks in the waiting room when the shared
-    /// gate is at capacity, refuses with
-    /// [`crate::AdmissionError::QueueFull`] when the room overflows
-    /// (cache hits are always served). Thin wrapper:
-    /// `submit_nonblocking(request)?.wait()`.
-    pub fn try_submit(&self, graph: GraphId, query: &Graph) -> Result<EngineResponse, SubmitError> {
-        Ok(self.submit_nonblocking(QueryRequest::new(query.clone()).graph(graph))?.wait())
-    }
-
-    /// Non-blocking submit with an explicit budget. Thin wrapper over
-    /// the ticket path.
-    pub fn try_submit_with_budget(
-        &self,
-        graph: GraphId,
-        query: &Graph,
-        budget: RaceBudget,
-    ) -> Result<EngineResponse, SubmitError> {
-        Ok(self
-            .submit_nonblocking(QueryRequest::new(query.clone()).graph(graph).budget(budget))?
-            .wait())
-    }
-
     /// Serving statistics of one registered graph.
     pub fn graph_stats(&self, graph: GraphId) -> Option<EngineStats> {
-        self.registry.tenant(graph).map(|t| t.engine.stats())
+        self.registry.tenant(graph).map(|t| t.stats())
     }
 
     /// Per-graph learned entrant statistics: lifetime win/loss/timeout
     /// tallies of each racing variant for `graph`, indexed like its
-    /// runner's variant list. This is the evidence top-K racing ranks by.
+    /// runner's variant list. This is the evidence staged racing ranks by.
     pub fn entrant_tallies(
         &self,
         graph: GraphId,
     ) -> Option<Vec<psi_core::predictor::EntrantTally>> {
-        self.registry.tenant(graph).map(|t| t.engine.entrant_tallies())
+        self.registry.tenant(graph).map(|t| t.core.entrant_tallies())
     }
 
     /// Aggregate serving statistics across every registered graph.
@@ -978,113 +539,18 @@ impl MultiEngine {
     /// distribution, not averaged per-graph percentiles); throughput is
     /// measured against this engine's uptime.
     pub fn stats(&self) -> EngineStats {
-        let tenants = self.registry.snapshot();
-        let uptime = self.started.elapsed();
-        let mut agg = EngineStats {
-            uptime,
-            queries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            hit_rate: 0.0,
-            races: 0,
-            fast_paths: 0,
-            fast_path_fallbacks: 0,
-            cancelled_variants: 0,
-            busy_rejections: 0,
-            queue_full_rejections: 0,
-            parked: 0,
-            waiting_room_depth: self.admission.total_parked() as u64,
-            park_wait_p50: std::time::Duration::ZERO,
-            park_wait_p99: std::time::Duration::ZERO,
-            inconclusive: 0,
-            topk_races: 0,
-            pruned_entrants: 0,
-            escalations: 0,
-            escalation_rate: 0.0,
-            sliced_races: 0,
-            slices_spawned: 0,
-            slice_steals: 0,
-            index_build_us: 0,
-            edge_probes_bitset: 0,
-            edge_probes_binary: 0,
-            wal_appended: 0,
-            wal_replayed: 0,
-            updates_applied: 0,
-            compactions: 0,
-            compaction_us: 0,
-            cache_invalidations: 0,
-            epoch: 0,
-            throughput_qps: 0.0,
-            latency_p50: std::time::Duration::ZERO,
-            latency_p99: std::time::Duration::ZERO,
-            stages: StageLatencies::default(),
-        };
-        let latency = LatencyHistogram::new();
-        let queue_wait = LatencyHistogram::new();
-        let park_wait = LatencyHistogram::new();
-        let race_stage = LatencyHistogram::new();
-        let finalize_stage = LatencyHistogram::new();
-        for tenant in &tenants {
-            // Read the raw counters, not EngineStats snapshots: a
-            // snapshot would compute per-tenant percentiles this
-            // aggregate immediately discards.
-            let c = tenant.engine.stats_collector();
-            agg.queries += c.queries.load(Ordering::Relaxed);
-            agg.cache_hits += c.cache_hits.load(Ordering::Relaxed);
-            agg.cache_misses += c.cache_misses.load(Ordering::Relaxed);
-            agg.races += c.races.load(Ordering::Relaxed);
-            agg.fast_paths += c.fast_paths.load(Ordering::Relaxed);
-            agg.fast_path_fallbacks += c.fast_path_fallbacks.load(Ordering::Relaxed);
-            agg.cancelled_variants += c.cancelled_variants.load(Ordering::Relaxed);
-            agg.busy_rejections += c.busy_rejections.load(Ordering::Relaxed);
-            agg.queue_full_rejections += c.queue_full_rejections.load(Ordering::Relaxed);
-            agg.parked += c.parked.load(Ordering::Relaxed);
-            agg.inconclusive += c.inconclusive.load(Ordering::Relaxed);
-            agg.topk_races += c.topk_races.load(Ordering::Relaxed);
-            agg.pruned_entrants += c.pruned_entrants.load(Ordering::Relaxed);
-            agg.escalations += c.escalations.load(Ordering::Relaxed);
-            agg.sliced_races += c.sliced_races.load(Ordering::Relaxed);
-            agg.slices_spawned += c.slices_spawned.load(Ordering::Relaxed);
-            agg.slice_steals += c.slice_steals.load(Ordering::Relaxed);
-            agg.edge_probes_bitset += c.edge_probes_bitset.load(Ordering::Relaxed);
-            agg.edge_probes_binary += c.edge_probes_binary.load(Ordering::Relaxed);
-            agg.wal_appended += c.wal_appended.load(Ordering::Relaxed);
-            agg.wal_replayed += c.wal_replayed.load(Ordering::Relaxed);
-            agg.updates_applied += c.updates_applied.load(Ordering::Relaxed);
-            agg.compactions += c.compactions.load(Ordering::Relaxed);
-            agg.compaction_us += c.compaction_time_us.load(Ordering::Relaxed);
-            agg.cache_invalidations += c.cache_invalidations.load(Ordering::Relaxed);
+        let merged = StatsCollector::since(self.started);
+        let (mut epoch, mut index_build_us) = (0, 0);
+        for tenant in self.registry.snapshot() {
+            merged.merge_from(&tenant.core.stats);
+            let runner = &tenant.core.runner;
             // Epochs are per-graph gauges; the aggregate reports the
             // furthest-advanced tenant.
-            agg.epoch = agg.epoch.max(tenant.engine.runner().epoch());
-            agg.index_build_us +=
-                tenant.engine.runner().target_index().map_or(0, |ix| ix.build_micros());
-            latency.merge_from(&c.latency);
-            queue_wait.merge_from(&c.queue_wait);
-            park_wait.merge_from(&c.park_wait);
-            race_stage.merge_from(&c.race_stage);
-            finalize_stage.merge_from(&c.finalize_stage);
+            epoch = epoch.max(runner.epoch());
+            index_build_us += runner.target_index().map_or(0, |ix| ix.build_micros());
         }
-        agg.hit_rate = EngineStats::rate(agg.cache_hits, agg.cache_hits + agg.cache_misses);
-        agg.escalation_rate = EngineStats::rate(agg.escalations, agg.topk_races);
-        agg.throughput_qps = if uptime.as_secs_f64() > 0.0 {
-            agg.queries as f64 / uptime.as_secs_f64()
-        } else {
-            0.0
-        };
-        agg.latency_p50 = latency.percentile_duration(0.50);
-        agg.latency_p99 = latency.percentile_duration(0.99);
-        agg.park_wait_p50 = park_wait.percentile_duration(0.50);
-        agg.park_wait_p99 = park_wait.percentile_duration(0.99);
-        agg.stages = StageLatencies {
-            queue_p50: queue_wait.percentile_duration(0.50),
-            queue_p99: queue_wait.percentile_duration(0.99),
-            race_p50: race_stage.percentile_duration(0.50),
-            race_p99: race_stage.percentile_duration(0.99),
-            finalize_p50: finalize_stage.percentile_duration(0.50),
-            finalize_p99: finalize_stage.percentile_duration(0.99),
-        };
-        agg
+        let waiting_room_depth = self.admission.total_parked() as u64;
+        EngineStats { epoch, index_build_us, waiting_room_depth, ..merged.snapshot() }
     }
 
     /// Drains buffered trace events from every registered graph, tagged
@@ -1096,7 +562,9 @@ impl MultiEngine {
         let mut merged: Vec<(GraphId, TraceRecord)> = Vec::new();
         for (idx, tenant) in tenants.iter().enumerate() {
             let id = GraphId(idx);
-            merged.extend(tenant.engine.drain_trace().into_iter().map(|r| (id, r)));
+            if let Some(trace) = &tenant.core.telemetry.trace {
+                merged.extend(trace.drain().into_iter().map(|r| (id, r)));
+            }
         }
         merged.sort_by_key(|(_, r)| (r.at_us, r.seq));
         merged
@@ -1109,7 +577,7 @@ impl MultiEngine {
         let mut all: Vec<(GraphId, SlowQuery)> = Vec::new();
         for (idx, tenant) in tenants.iter().enumerate() {
             let id = GraphId(idx);
-            all.extend(tenant.engine.slow_queries().into_iter().map(|q| (id, q)));
+            all.extend(tenant.core.telemetry.slow.worst().into_iter().map(|q| (id, q)));
         }
         all.sort_by_key(|(_, q)| std::cmp::Reverse(q.elapsed_us));
         all
@@ -1118,349 +586,31 @@ impl MultiEngine {
     /// A metrics exporter over every registered graph: per-graph and
     /// aggregate counters, histograms and slow-query logs, renderable as
     /// Prometheus text or JSON.
-    pub fn exporter(&self) -> crate::export::MetricsExporter {
+    pub fn exporter(&self) -> MetricsExporter {
         let tenants = self.registry.snapshot();
-        crate::export::MetricsExporter::from_graphs(
-            tenants.iter().map(|t| (Some(t.name.clone()), &t.engine)).collect(),
+        MetricsExporter::new(
+            tenants
+                .iter()
+                .map(|t| GraphMetricsSnapshot::capture(t.name.clone(), &t.core, t.stats()))
+                .collect(),
         )
     }
 }
 
 impl Submit for MultiEngine {
     fn submit_nonblocking(&self, request: QueryRequest) -> Result<QueryTicket, SubmitError> {
-        self.route(&request)?.engine.submit_ticket(request, false)
+        self.route(&request)?.submit_ticket(request, false, &self.pool, &self.timer)
     }
 
     fn submit_queued(&self, request: QueryRequest) -> Result<QueryTicket, SubmitError> {
-        self.route(&request)?.engine.submit_ticket(request, true)
+        self.route(&request)?.submit_ticket(request, true, &self.pool, &self.timer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    // ---- FairCore policy (deterministic, no threads) ----
-
-    #[test]
-    fn fair_core_grants_light_graph_before_older_heavy_waiter() {
-        let mut core = FairCore::new();
-        let (g0, g1) = (core.add_graph(), core.add_graph());
-        let max = 2;
-        // g0 saturates both slots.
-        core.take(g0);
-        core.take(g0);
-        // g0 queues another race *before* g1's first ever arrives.
-        let t_heavy = core.enqueue(g0, Priority::Normal.rank());
-        let t_light = core.enqueue(g1, Priority::Normal.rank());
-        core.schedule(max);
-        assert_eq!(core.granted, None, "no capacity, no grant");
-        // A slot frees: the light graph (0 in flight) beats the older
-        // ticket of the heavy graph (1 still in flight).
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(t_light));
-        core.accept(g1, t_light, max);
-        // Next freed slot finally reaches the heavy graph's waiter.
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(t_heavy));
-        core.accept(g0, t_heavy, max);
-        assert_eq!(core.in_flight, vec![1, 1]);
-    }
-
-    #[test]
-    fn fair_core_ties_break_by_arrival_order() {
-        let mut core = FairCore::new();
-        let (g0, g1) = (core.add_graph(), core.add_graph());
-        let max = 1;
-        core.take(g0);
-        let first = core.enqueue(g1, Priority::Normal.rank());
-        let second = core.enqueue(g0, Priority::Normal.rank());
-        // Slot frees; both graphs are at 0 in flight — FIFO decides.
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(first));
-        core.accept(g1, first, max);
-        core.release(g1, max);
-        assert_eq!(core.granted, Some(second));
-    }
-
-    #[test]
-    fn fair_core_chains_grants_when_capacity_allows() {
-        let mut core = FairCore::new();
-        let g0 = core.add_graph();
-        let max = 2;
-        core.take(g0);
-        core.take(g0);
-        let t1 = core.enqueue(g0, Priority::Normal.rank());
-        let t2 = core.enqueue(g0, Priority::Normal.rank());
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(t1));
-        // Accepting t1 re-schedules, but capacity is full again.
-        core.accept(g0, t1, max);
-        assert_eq!(core.granted, None);
-        // Freeing another slot chains straight to t2.
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(t2));
-    }
-
-    #[test]
-    fn fast_path_requires_empty_queue_and_capacity() {
-        let mut core = FairCore::new();
-        let g0 = core.add_graph();
-        assert!(core.can_fast_path(1));
-        core.take(g0);
-        assert!(!core.can_fast_path(1), "no capacity");
-        core.enqueue(g0, Priority::Normal.rank());
-        core.release(g0, 1);
-        assert!(!core.can_fast_path(1), "grant pending for the waiter");
-    }
-
-    #[test]
-    fn late_high_priority_arrival_cannot_displace_a_pending_grant() {
-        // Regression: a High waiter that enqueues *between* a grant and
-        // its accept sorts ahead of the granted ticket in the queue.
-        // Accept must remove the granted ticket by value — removing the
-        // queue head would evict the High waiter, re-grant a departed
-        // ticket forever, and wedge the gate.
-        let mut core = FairCore::new();
-        let g0 = core.add_graph();
-        let max = 1;
-        core.take(g0);
-        let normal = core.enqueue(g0, Priority::Normal.rank());
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(normal));
-        // The grantee has not accepted yet; a High submission arrives
-        // and jumps to the front of g0's queue.
-        let high = core.enqueue(g0, Priority::High.rank());
-        core.accept(g0, normal, max);
-        assert_eq!(core.in_flight, vec![1], "the granted Normal waiter got the slot");
-        // The High waiter is intact and next in line.
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(high));
-        core.accept(g0, high, max);
-    }
-
-    #[test]
-    fn priority_reorders_within_a_graph_but_fairness_stays_primary() {
-        let mut core = FairCore::new();
-        let (g0, g1) = (core.add_graph(), core.add_graph());
-        let max = 2;
-        core.take(g0);
-        core.take(g0);
-        // Within g0: a later High waiter beats an earlier Low one.
-        let g0_low = core.enqueue(g0, Priority::Low.rank());
-        let g0_high = core.enqueue(g0, Priority::High.rank());
-        // Across graphs: g1 (0 in flight vs g0's 1 after the release
-        // below) beats g0's High waiter even at Low priority — max–min
-        // fairness is primary.
-        let g1_low = core.enqueue(g1, Priority::Low.rank());
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(g1_low), "fairness before priority");
-        core.accept(g1, g1_low, max);
-        // Both graphs now hold 1 slot; the next freed slot goes to g0's
-        // queue, reordered by priority.
-        core.release(g1, max);
-        assert_eq!(core.granted, Some(g0_high), "priority reorders g0's own queue");
-        core.accept(g0, g0_high, max);
-        core.release(g0, max);
-        assert_eq!(core.granted, Some(g0_low));
-    }
-
-    // ---- Waiting-room policy (deterministic, no threads) ----
-
-    #[test]
-    fn parked_entries_launch_priority_then_fifo_as_slots_free() {
-        let mut core = FairCore::new();
-        let g0 = core.add_graph();
-        let max = 1;
-        core.take(g0);
-        let (low, _) = core.enqueue_parked(g0, Priority::Low.rank(), DeferredLaunch::disarmed());
-        let (normal, _) =
-            core.enqueue_parked(g0, Priority::Normal.rank(), DeferredLaunch::disarmed());
-        let (high, depth) =
-            core.enqueue_parked(g0, Priority::High.rank(), DeferredLaunch::disarmed());
-        assert_eq!(depth, 3, "depth reports occupancy after parking");
-        // Each freed slot launches exactly one parked entry, in
-        // priority-then-FIFO order, without ever touching the grant.
-        for expected in [high, normal, low] {
-            let launched = core.release(g0, max);
-            assert_eq!(launched.len(), 1);
-            assert!(
-                core.waiters[g0].iter().all(|e| e.ticket != expected),
-                "ticket {expected} launches next"
-            );
-            assert_eq!(core.granted, None, "parked launches never hold the grant");
-        }
-        assert!(core.waiters[g0].is_empty());
-        assert_eq!(core.in_flight_total, 1, "the last launch holds its slot");
-    }
-
-    #[test]
-    fn thread_and_parked_waiters_share_one_queue() {
-        let mut core = FairCore::new();
-        let g0 = core.add_graph();
-        let max = 1;
-        core.take(g0);
-        let thread = core.enqueue(g0, Priority::Normal.rank());
-        let (_parked, _) =
-            core.enqueue_parked(g0, Priority::Normal.rank(), DeferredLaunch::disarmed());
-        // The older thread waiter wins the freed slot; the parked entry
-        // stays queued behind the pending grant.
-        assert!(core.release(g0, max).is_empty());
-        assert_eq!(core.granted, Some(thread));
-        // Accepting chains the schedule, but capacity is taken again.
-        assert!(core.accept(g0, thread, max).is_empty());
-        // The next freed slot reaches the parked entry directly.
-        assert_eq!(core.release(g0, max).len(), 1);
-        assert_eq!(core.granted, None);
-        assert_eq!(core.parked(g0), 0);
-    }
-
-    #[test]
-    fn cancelling_a_parked_entry_frees_room_without_touching_the_grant() {
-        let mut core = FairCore::new();
-        let g0 = core.add_graph();
-        let max = 1;
-        core.take(g0);
-        let (first, _) =
-            core.enqueue_parked(g0, Priority::Normal.rank(), DeferredLaunch::disarmed());
-        let (second, _) =
-            core.enqueue_parked(g0, Priority::Normal.rank(), DeferredLaunch::disarmed());
-        assert_eq!(core.parked(g0), 2);
-        assert!(core.cancel_parked(g0, first).is_some());
-        assert!(core.cancel_parked(g0, first).is_none(), "second cancel is a no-op");
-        assert_eq!(core.parked(g0), 1);
-        let launched = core.release(g0, max);
-        assert_eq!(launched.len(), 1);
-        assert!(core.waiters[g0].is_empty(), "the surviving entry ({second}) launched");
-        assert_eq!(core.granted, None);
-    }
-
-    mod waiting_room_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Releasing slots one at a time drains parked entries in
-            /// priority-then-FIFO order, whatever the arrival order.
-            #[test]
-            fn parked_admission_is_priority_then_fifo(
-                ranks in proptest::collection::vec(0u8..3, 1..24),
-            ) {
-                let mut core = FairCore::new();
-                let g0 = core.add_graph();
-                let max = 1;
-                core.take(g0);
-                let mut expected: Vec<(u8, u64)> = Vec::new();
-                for &rank in &ranks {
-                    let (ticket, _) =
-                        core.enqueue_parked(g0, rank, DeferredLaunch::disarmed());
-                    expected.push((rank, ticket));
-                }
-                expected.sort();
-                for &(_, ticket) in &expected {
-                    let launched = core.release(g0, max);
-                    prop_assert_eq!(launched.len(), 1);
-                    prop_assert!(
-                        core.waiters[g0].iter().all(|e| e.ticket != ticket),
-                        "ticket {} launches next", ticket
-                    );
-                    prop_assert_eq!(core.granted, None);
-                }
-                prop_assert!(core.waiters[g0].is_empty());
-            }
-
-            /// Cancelling any subset of parked entries (their tickets
-            /// were dropped) leaves the survivors draining normally and
-            /// never wedges the grant chain: a blocking waiter enqueued
-            /// afterwards is still granted exactly once, and the grant
-            /// never names a parked ticket.
-            #[test]
-            fn cancelled_parked_entries_never_poison_the_grant_chain(
-                ranks in proptest::collection::vec(0u8..3, 2..16),
-                cancel_mask in proptest::collection::vec(any::<bool>(), 16),
-            ) {
-                let mut core = FairCore::new();
-                let g0 = core.add_graph();
-                let max = 1;
-                core.take(g0);
-                let mut entries = Vec::new();
-                for &rank in &ranks {
-                    let (ticket, _) =
-                        core.enqueue_parked(g0, rank, DeferredLaunch::disarmed());
-                    entries.push(ticket);
-                }
-                let mut survivors = entries.len();
-                for (i, &ticket) in entries.iter().enumerate() {
-                    if cancel_mask[i % cancel_mask.len()] {
-                        prop_assert!(core.cancel_parked(g0, ticket).is_some());
-                        survivors -= 1;
-                    }
-                }
-                let thread = core.enqueue(g0, Priority::Normal.rank());
-                let mut launched_total = 0;
-                let mut thread_admitted = false;
-                while !core.waiters[g0].is_empty() {
-                    launched_total += core.release(g0, max).len();
-                    if core.granted == Some(thread) {
-                        prop_assert!(!thread_admitted, "granted at most once");
-                        thread_admitted = true;
-                        launched_total += core.accept(g0, thread, max).len();
-                    }
-                    prop_assert!(
-                        core.granted.is_none() || core.granted == Some(thread),
-                        "the grant may only ever name the thread waiter"
-                    );
-                }
-                prop_assert!(thread_admitted);
-                prop_assert_eq!(launched_total, survivors);
-                prop_assert_eq!(core.granted, None);
-            }
-        }
-    }
-
-    // ---- FairAdmission under real threads ----
-
-    #[test]
-    fn blocking_acquire_eventually_admits_everyone() {
-        let fair = Arc::new(FairAdmission::new(2));
-        let g0 = fair.add_graph();
-        let g1 = fair.add_graph();
-        let admitted = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for i in 0..16 {
-                let fair = Arc::clone(&fair);
-                let admitted = Arc::clone(&admitted);
-                let graph = if i % 2 == 0 { g0 } else { g1 };
-                scope.spawn(move || {
-                    fair.acquire(graph, Priority::Normal);
-                    admitted.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_micros(200));
-                    fair.release(graph);
-                });
-            }
-        });
-        assert_eq!(admitted.load(Ordering::Relaxed), 16);
-        let core = fair.core.lock().unwrap();
-        assert_eq!(core.in_flight_total, 0);
-        assert!(core.waiters.iter().all(|q| q.is_empty()));
-        assert_eq!(core.granted, None);
-    }
-
-    #[test]
-    fn try_acquire_respects_capacity_and_queue() {
-        let fair = FairAdmission::new(1);
-        let g0 = fair.add_graph();
-        let g1 = fair.add_graph();
-        assert!(fair.try_acquire(g0));
-        assert!(!fair.try_acquire(g1), "at capacity");
-        fair.release(g0);
-        assert!(fair.try_acquire(g1));
-        fair.release(g1);
-    }
+    use psi_core::RaceBudget;
 
     // ---- Registry bookkeeping (graph-free; serving paths are covered
     // by the integration tests) ----
@@ -1494,7 +644,7 @@ mod tests {
             SubmitError::Route(RouteError::UnknownGraph)
         );
         assert_eq!(
-            multi.try_submit(bogus, &q).unwrap_err(),
+            multi.submit_nonblocking(QueryRequest::new(q).graph(bogus)).unwrap_err(),
             SubmitError::Route(RouteError::UnknownGraph)
         );
         assert!(multi.graph_stats(bogus).is_none());

@@ -1,13 +1,13 @@
 //! The self-tuning race scheduler behind
 //! [`RaceStrategy::Adaptive`](crate::RaceStrategy::Adaptive).
 //!
-//! [`RaceStrategy::TopK`](crate::RaceStrategy::TopK) fixes one knob — how
-//! many entrants launch — at configuration time. But the right answer
-//! changes query by query: a confidently-predicted heavy query on an idle
-//! pool is best served by *one* entrant split into many cooperating
-//! root-candidate slices (intra-query parallelism), while a saturated
-//! pool wants the opposite — many queries in flight, one slice each, so
-//! admission throughput never starves behind any single query's fan-out.
+//! A fixed entrant count chosen at configuration time would be wrong
+//! for most queries, because the right answer changes query by query:
+//! a confidently-predicted heavy query on an idle pool is best served
+//! by *one* entrant split into many cooperating root-candidate slices
+//! (intra-query parallelism), while a saturated pool wants the
+//! opposite — many queries in flight, one slice each, so admission
+//! throughput never starves behind any single query's fan-out.
 //!
 //! [`plan_race`] decides both dimensions per query from three live
 //! signals:

@@ -315,8 +315,14 @@ pub(crate) struct StatsCollector {
 
 impl StatsCollector {
     pub fn new() -> Self {
+        Self::since(Instant::now())
+    }
+
+    /// A zeroed collector whose uptime (and so throughput) is measured
+    /// from `started`.
+    pub fn since(started: Instant) -> Self {
         Self {
-            started: Instant::now(),
+            started,
             queries: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -360,6 +366,46 @@ impl StatsCollector {
         if stats.edge_probes_binary > 0 {
             self.edge_probes_binary.fetch_add(stats.edge_probes_binary, Ordering::Relaxed);
         }
+    }
+
+    /// Adds every counter and histogram of `other` into `self` — the
+    /// `MultiEngine` aggregation primitive: a collector merged from every
+    /// tenant snapshots to the pooled statistics (summed counters,
+    /// percentiles over the pooled observations).
+    pub fn merge_from(&self, other: &StatsCollector) {
+        let add = |mine: &AtomicU64, theirs: &AtomicU64| {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        };
+        add(&self.queries, &other.queries);
+        add(&self.cache_hits, &other.cache_hits);
+        add(&self.cache_misses, &other.cache_misses);
+        add(&self.races, &other.races);
+        add(&self.fast_paths, &other.fast_paths);
+        add(&self.fast_path_fallbacks, &other.fast_path_fallbacks);
+        add(&self.cancelled_variants, &other.cancelled_variants);
+        add(&self.busy_rejections, &other.busy_rejections);
+        add(&self.queue_full_rejections, &other.queue_full_rejections);
+        add(&self.parked, &other.parked);
+        add(&self.inconclusive, &other.inconclusive);
+        add(&self.topk_races, &other.topk_races);
+        add(&self.pruned_entrants, &other.pruned_entrants);
+        add(&self.escalations, &other.escalations);
+        add(&self.sliced_races, &other.sliced_races);
+        add(&self.slices_spawned, &other.slices_spawned);
+        add(&self.slice_steals, &other.slice_steals);
+        add(&self.edge_probes_bitset, &other.edge_probes_bitset);
+        add(&self.edge_probes_binary, &other.edge_probes_binary);
+        add(&self.wal_appended, &other.wal_appended);
+        add(&self.wal_replayed, &other.wal_replayed);
+        add(&self.updates_applied, &other.updates_applied);
+        add(&self.compactions, &other.compactions);
+        add(&self.compaction_time_us, &other.compaction_time_us);
+        add(&self.cache_invalidations, &other.cache_invalidations);
+        self.latency.merge_from(&other.latency);
+        self.queue_wait.merge_from(&other.queue_wait);
+        self.park_wait.merge_from(&other.park_wait);
+        self.race_stage.merge_from(&other.race_stage);
+        self.finalize_stage.merge_from(&other.finalize_stage);
     }
 
     /// Records one served query's end-to-end latency.
@@ -479,8 +525,9 @@ pub struct EngineStats {
     pub park_wait_p99: Duration,
     /// Served queries whose answer was not definitive (race timed out).
     pub inconclusive: u64,
-    /// Races scheduled adaptively: a predictor-ranked top-K first heat
-    /// with the rest of the field held back as an escalation reserve.
+    /// Staged races: a predictor-ranked first heat with the rest of the
+    /// field held back as an escalation reserve
+    /// ([`crate::RaceStrategy::Adaptive`]).
     pub topk_races: u64,
     /// Entrants that never launched because their race's pruned heat
     /// decided the answer without them.
@@ -518,7 +565,7 @@ pub struct EngineStats {
     /// graph was loaded from disk.
     pub wal_replayed: u64,
     /// Graph-mutation batches applied to the live graph while serving
-    /// ([`crate::Engine::apply_update`] / [`crate::MultiEngine::apply_update`]).
+    /// ([`crate::MultiEngine::apply_update`]).
     pub updates_applied: u64,
     /// Delta-overlay compactions: background or explicit rebuilds that
     /// folded the overlay into a fresh base graph and index, swapping

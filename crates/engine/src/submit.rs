@@ -1,19 +1,16 @@
 //! The unified submission API: one request builder, one trait, one
 //! completion handle.
 //!
-//! The engine used to expose a 4-way matrix of blocking calls (`submit`,
-//! `submit_with_budget`, `try_submit`, `try_submit_with_budget`),
-//! duplicated again per-graph on [`crate::MultiEngine`] — eight entry
-//! points, each an OS-thread-per-query contract. This module replaces
-//! that matrix with three pieces:
+//! Every submission reaches the engine through three pieces:
 //!
 //! * [`QueryRequest`] — a builder carrying the query plus its optional
 //!   budget, target graph and [`Priority`]; the *only* way options reach
 //!   the admission path, so budget defaulting happens in exactly one
 //!   place.
-//! * [`Submit`] — the trait both [`crate::Engine`] and
-//!   [`crate::MultiEngine`] implement, so workload drivers, benches and
-//!   examples are generic over which engine serves them.
+//! * [`Submit`] — the trait [`crate::MultiEngine`] implements: the
+//!   non-blocking and queued ticket entry points plus the blocking and
+//!   completion-queue conveniences built on them, so workload drivers,
+//!   benches and the wire server share one frontend.
 //! * [`QueryTicket`] — a completion handle returned *immediately* after
 //!   admission. The race runs entirely on pooled workers; the ticket
 //!   polls, waits (with or without a timeout), or registers with a
@@ -29,7 +26,8 @@
 //! layer multiplexing thousands of clients absorbs short bursts and
 //! sheds only sustained overload.
 
-use crate::engine::{AdmissionGate, EngineResponse, SubmitError};
+use crate::admission::TenantGate;
+use crate::engine::{EngineResponse, SubmitError};
 use crate::registry::GraphId;
 use psi_core::RaceBudget;
 use psi_graph::Graph;
@@ -80,10 +78,10 @@ impl Priority {
 /// assert_eq!(request.priority_value(), Priority::High);
 /// ```
 ///
-/// A request without a budget races under the serving engine's
-/// configured default. The target graph matters only to a
-/// [`crate::MultiEngine`] (a standalone [`crate::Engine`] stores exactly
-/// one graph and ignores it).
+/// A request without a budget races under the target tenant's
+/// configured default. A [`crate::MultiEngine`] routes by the target
+/// graph; a request without one is refused with
+/// [`crate::RouteError::NoGraph`].
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     pub(crate) query: Graph,
@@ -175,8 +173,8 @@ impl QueryRequest {
     }
 }
 
-/// The unified submission interface over [`crate::Engine`] and
-/// [`crate::MultiEngine`]. All submissions — blocking or not — flow
+/// The unified submission interface of [`crate::MultiEngine`]. All
+/// submissions — blocking or not — flow
 /// through the same internal admission path; the blocking methods are
 /// `ticket + wait` by construction, so the two surfaces cannot drift.
 pub trait Submit {
@@ -205,10 +203,10 @@ pub trait Submit {
     /// Non-blocking submission pre-registered with a [`CompletionQueue`]:
     /// when the query completes, the request's [`QueryRequest::tag`]
     /// (defaulting to the engine-assigned query id) is pushed onto
-    /// `queue`. This replaces the racy attach-after-submit dance — the
-    /// registration exists before the race can possibly finish, in one
-    /// call. The returned ticket must be kept (dropping it still cancels
-    /// the query); index it by the tag in the driver's pending table.
+    /// `queue`. The registration exists before the race can possibly
+    /// finish, in one call. The returned ticket must be kept (dropping
+    /// it still cancels the query); index it by the tag in the driver's
+    /// pending table.
     fn submit_into(
         &self,
         request: QueryRequest,
@@ -289,8 +287,8 @@ impl CompletionSlot {
 /// immediately after admission; the race itself runs on the engine's
 /// pooled workers. Consume the result with [`QueryTicket::poll`] (never
 /// blocks), [`QueryTicket::wait`] / [`QueryTicket::wait_timeout`], or
-/// attach the ticket to a [`CompletionQueue`] and drain many tickets
-/// from one thread.
+/// submit through [`Submit::submit_into`] and drain many tickets from
+/// one thread via a [`CompletionQueue`].
 ///
 /// ## Consuming vs. borrowing, cancel vs. detach
 ///
@@ -322,7 +320,7 @@ pub struct QueryTicket {
     /// remove the entry on cancel/drop. Taken (at most once) by whoever
     /// cancels first; a launched query's entry is already gone and the
     /// gate call is a cheap no-op.
-    park: Mutex<Option<(Arc<dyn AdmissionGate>, u64)>>,
+    park: Mutex<Option<(Arc<TenantGate>, u64)>>,
     /// Set by [`QueryTicket::detach`]: drop without cancelling.
     detached: bool,
 }
@@ -338,7 +336,7 @@ impl QueryTicket {
         slot: Arc<CompletionSlot>,
         cancel: CancelToken,
         query_id: u64,
-        gate: Arc<dyn AdmissionGate>,
+        gate: Arc<TenantGate>,
         park_ticket: u64,
     ) -> Self {
         Self {
@@ -452,18 +450,8 @@ impl QueryTicket {
     }
 
     /// Registers this ticket with `queue`: when the query completes,
-    /// `tag` is pushed onto the queue (immediately, if it already has).
-    /// Re-attaching replaces any earlier registration.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use Submit::submit_into, which registers the queue before the race can finish"
-    )]
-    pub fn attach(&self, queue: &CompletionQueue, tag: u64) {
-        self.register_waiter(queue, tag);
-    }
-
-    /// [`QueryTicket::attach`] without the deprecation — the shared body
-    /// behind `attach` and [`Submit::submit_into`].
+    /// `tag` is pushed onto the queue (immediately, if it already has) —
+    /// the body behind [`Submit::submit_into`].
     pub(crate) fn register_waiter(&self, queue: &CompletionQueue, tag: u64) {
         let completed = {
             let mut inner = self.slot.inner.lock().expect("completion slot lock");
@@ -514,8 +502,9 @@ impl QueueInner {
     }
 }
 
-/// An epoll-style completion queue: attach any number of
-/// [`QueryTicket`]s (each with a caller-chosen `u64` tag), then drain
+/// An epoll-style completion queue: register any number of
+/// [`QueryTicket`]s with [`Submit::submit_into`] (each with a
+/// caller-chosen `u64` tag), then drain
 /// completions from one thread as they arrive — the pattern a network
 /// frontend uses to multiplex thousands of in-flight queries over a few
 /// event-loop threads.
@@ -681,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn attaching_an_already_completed_ticket_fires_immediately() {
+    fn registering_an_already_completed_ticket_fires_immediately() {
         let queue = CompletionQueue::new();
         let ticket = QueryTicket::completed(response(), 7);
         ticket.register_waiter(&queue, 42);

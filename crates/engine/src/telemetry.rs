@@ -12,8 +12,7 @@
 //! serving path: tracing is an observer, not a participant.
 //!
 //! Draining merges the shards and sorts by a global sequence number, so
-//! consumers see one totally ordered stream. The [`TraceSubscriber`]
-//! trait is the streaming hook a future network frontend implements.
+//! consumers see one totally ordered stream.
 
 use psi_core::Variant;
 use psi_matchers::StopReason;
@@ -242,19 +241,6 @@ pub struct TraceRecord {
     pub at_us: u64,
     /// The event payload.
     pub event: TraceEvent,
-}
-
-/// A consumer of drained trace streams — the hook a network frontend or
-/// log shipper implements. Batches arrive in global sequence order.
-pub trait TraceSubscriber {
-    /// Receives one drained batch (may be empty).
-    fn on_events(&mut self, events: &[TraceRecord]);
-}
-
-impl<F: FnMut(&[TraceRecord])> TraceSubscriber for F {
-    fn on_events(&mut self, events: &[TraceRecord]) {
-        self(events)
-    }
 }
 
 /// One cell of a Vyukov bounded MPMC ring: the sequence stamp arbitrates

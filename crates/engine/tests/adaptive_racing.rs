@@ -1,14 +1,18 @@
-//! Adaptive top-K racing: staged escalation preserves the full race's
-//! verdicts, pruning actually skips entrants once the predictor has
-//! evidence, and escalation respects the original admission-anchored
-//! deadline.
+//! Staged racing (`RaceStrategy::Adaptive`): staged escalation preserves
+//! the full race's verdicts, pruning actually skips entrants once the
+//! predictor has evidence, and escalation respects the original
+//! admission-anchored deadline.
 
 use proptest::prelude::*;
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
-use psi_engine::{Engine, EngineConfig, RaceStrategy, ServePath};
+use psi_engine::{
+    EngineConfig, GraphId, MultiEngine, MultiEngineConfig, RaceStrategy, ServePath, TelemetryConfig,
+};
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::Graph;
 use psi_matchers::bruteforce;
+use psi_matchers::Algorithm;
+use psi_rewrite::Rewriting;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -22,20 +26,38 @@ fn pair(seed: u64) -> (Graph, Graph) {
     (query, target)
 }
 
+/// Staged racing with slicing off: only the entrant count is tuned.
+fn staged(escalate_after: f64) -> RaceStrategy {
+    RaceStrategy::Adaptive { max_slices: 1, escalate_after }
+}
+
+/// One tenant serving `runner` over a `workers`-thread pool.
+fn serve(runner: PsiRunner, workers: usize, tenant: EngineConfig) -> (MultiEngine, GraphId) {
+    let multi =
+        MultiEngine::new(MultiEngineConfig { workers, max_concurrent_races: workers, tenant });
+    let id = multi.register("target", runner).expect("fresh registry");
+    (multi, id)
+}
+
 /// An engine whose every miss races (no cache, no fast path) under the
-/// given strategy, with the predictor training gate opened so TopK is
+/// given strategy, with the predictor training gate opened so staging is
 /// active from the first query.
-fn racing_engine(target: &Graph, strategy: RaceStrategy) -> Engine {
-    Engine::new(
-        PsiRunner::new(Arc::new(target.clone()), PsiConfig::gql_spa_orig_dnd()),
+fn racing_engine(
+    target: &Graph,
+    config: PsiConfig,
+    strategy: RaceStrategy,
+) -> (MultiEngine, GraphId) {
+    serve(
+        PsiRunner::new(Arc::new(target.clone()), config),
+        2,
         EngineConfig {
-            workers: 2,
-            max_concurrent_races: 2,
             cache_capacity: 0,
             predictor_confidence: 2.0,
             predictor_min_observations: 0,
             race_strategy: strategy,
             default_budget: RaceBudget::decision(),
+            // Room for every race of the tests below in the slow log.
+            telemetry: TelemetryConfig { slow_query_capacity: 64, ..TelemetryConfig::default() },
             ..EngineConfig::default()
         },
     )
@@ -44,46 +66,49 @@ fn racing_engine(target: &Graph, strategy: RaceStrategy) -> Engine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A TopK race with staged escalation reaches the same conclusive
+    /// A staged race with escalation reaches the same conclusive
     /// found/not-found verdict as a Full race on the same query — and
     /// both match brute-force ground truth. Escalation fractions cover
     /// immediate (0.0), mid-budget, and heat-exhaustion-only (1.0).
     #[test]
-    fn prop_topk_verdict_equals_full_race(seed in 0u64..20_000, stage in 0usize..3) {
+    fn prop_staged_verdict_equals_full_race(seed in 0u64..20_000, stage in 0usize..3) {
         let (query, target) = pair(seed);
         let truth = bruteforce::contains(&query, &target);
         let escalate_after = [0.0, 0.5, 1.0][stage];
 
-        let full = racing_engine(&target, RaceStrategy::Full);
-        let topk = racing_engine(&target, RaceStrategy::TopK { k: 1, escalate_after });
+        let field = PsiConfig::gql_spa_orig_dnd();
+        let (full, f) = racing_engine(&target, field.clone(), RaceStrategy::Full);
+        let (adaptive, a) = racing_engine(&target, field, staged(escalate_after));
 
-        let full_response = full.submit(&query);
-        let topk_response = topk.submit(&query);
+        let full_response = full.submit(f, &query).unwrap();
+        let staged_response = adaptive.submit(a, &query).unwrap();
         prop_assert!(full_response.conclusive, "tiny inputs must conclude");
-        prop_assert!(topk_response.conclusive, "staged race must also conclude");
-        prop_assert_eq!(topk_response.path, ServePath::Race);
+        prop_assert!(staged_response.conclusive, "staged race must also conclude");
+        prop_assert_eq!(staged_response.path, ServePath::Race);
         prop_assert_eq!(full_response.found(), truth);
-        prop_assert_eq!(topk_response.found(), truth);
-        let stats = topk.stats();
-        prop_assert_eq!(stats.topk_races, 1, "k=1 of 4 variants must stage the race");
-        prop_assert_eq!(stats.pruned_entrants + stats.escalations * 3, 3,
-            "either the heat decided (3 pruned) or the reserve launched");
+        prop_assert_eq!(staged_response.found(), truth);
+        let stats = adaptive.stats();
+        prop_assert_eq!(stats.topk_races, 1, "a trained-gate race of 4 variants must stage");
+        // An empty predictor votes with share 0, so the heat is half the
+        // field: 2 launch, 2 reserve.
+        prop_assert_eq!(stats.pruned_entrants + stats.escalations * 2, 2,
+            "either the heat decided (2 pruned) or the reserve launched");
     }
 }
 
 #[test]
-fn trained_topk_prunes_losing_entrants() {
+fn trained_staging_prunes_losing_entrants() {
     let (_, target) = pair(77);
-    let engine = racing_engine(&target, RaceStrategy::TopK { k: 1, escalate_after: 1.0 });
+    let (engine, id) = racing_engine(&target, PsiConfig::gql_spa_orig_dnd(), staged(1.0));
     // Serve a batch of small queries; with no race timeout the heat
-    // always concludes, so the three unlaunched variants of every staged
-    // race are pruned. Periodic exploration probes run the full field —
-    // those (and escalated races) are the contested races that feed the
-    // predictor's per-entrant tallies.
+    // always concludes, so the unlaunched variants of every staged race
+    // are pruned. Periodic exploration probes run the full field — those
+    // (and escalated races) are contested races that feed the
+    // predictor's per-entrant tallies, as do heats of two or more.
     let mut served = 0u64;
     for seed in 0..32 {
         let (query, _) = pair(3000 + seed);
-        let response = engine.submit(&query);
+        let response = engine.submit(id, &query).unwrap();
         assert!(response.conclusive);
         served += 1;
     }
@@ -93,19 +118,26 @@ fn trained_topk_prunes_losing_entrants() {
         "exploration probes must run some full-field races: {stats:?}"
     );
     assert!(stats.topk_races >= served * 3 / 4, "most races should still be staged: {stats:?}");
-    assert_eq!(
-        stats.pruned_entrants,
-        (stats.topk_races - stats.escalations) * 3,
-        "every non-escalated staged race prunes 3 of 4 entrants: {stats:?}"
-    );
-    let tallies = engine.entrant_tallies();
+    assert!(stats.pruned_entrants > 0, "decided heats must prune their reserve: {stats:?}");
+    // Per race, from the slow-query log (sized to hold all of them):
+    // an escalated race prunes nothing, a decided heat prunes its whole
+    // reserve, and a race trains the predictor iff it was contested.
+    let races: Vec<_> = engine.slow_queries().into_iter().map(|(_, q)| q).collect();
+    assert_eq!(races.len() as u64, served);
+    let pruned: u64 =
+        races.iter().map(|q| q.entrants.iter().filter(|e| e.pruned).count() as u64).sum();
+    assert_eq!(pruned, stats.pruned_entrants);
+    let contested = races
+        .iter()
+        .filter(|q| q.winner.is_some() && q.entrants.iter().filter(|e| !e.pruned).count() > 1)
+        .count() as u64;
+    let tallies = engine.entrant_tallies(id).expect("registered");
     assert_eq!(tallies.len(), 4, "one tally per configured variant");
     let wins: u64 = tallies.iter().map(|t| t.wins).sum();
-    let contested = served - stats.topk_races + stats.escalations;
     assert_eq!(
         wins, contested,
-        "only contested races (probes + escalations) credit a winner — uncontested \
-         heat wins would be self-fulfilling evidence"
+        "only contested races credit a winner — uncontested heat wins would be \
+         self-fulfilling evidence"
     );
     assert!(wins >= 1, "probes guarantee some contested evidence");
 }
@@ -142,21 +174,22 @@ fn explosive_setup() -> (Graph, Graph) {
 fn escalation_respects_the_admission_anchored_deadline() {
     let (stored, slow_query) = explosive_setup();
     let timeout = Duration::from_millis(600);
-    let engine = Engine::new(
+    // Two variants and an empty predictor: a one-entrant heat, one
+    // entrant in reserve.
+    let (engine, id) = serve(
         PsiRunner::nfv_default(&stored),
+        1,
         EngineConfig {
-            workers: 1,
-            max_concurrent_races: 1,
             cache_capacity: 0,
             predictor_confidence: 2.0,
             predictor_min_observations: 0,
-            race_strategy: RaceStrategy::TopK { k: 1, escalate_after: 0.75 },
+            race_strategy: staged(0.75),
             default_budget: RaceBudget::with_max_matches(usize::MAX).timeout(timeout),
             ..EngineConfig::default()
         },
     );
     let admitted = Instant::now();
-    let response = engine.submit(&slow_query);
+    let response = engine.submit(id, &slow_query).unwrap();
     let elapsed = admitted.elapsed();
     assert!(!response.conclusive, "no variant can finish an explosive search in time");
     let stats = engine.stats();
@@ -176,41 +209,39 @@ fn escalation_respects_the_admission_anchored_deadline() {
 }
 
 #[test]
-fn topk_falls_back_to_full_until_trained() {
+fn staging_falls_back_to_full_until_trained() {
     let (query, target) = pair(5);
-    let engine = Engine::new(
+    let (engine, id) = serve(
         PsiRunner::new(Arc::new(target.clone()), PsiConfig::gql_spa_orig_dnd()),
+        2,
         EngineConfig {
-            workers: 2,
-            max_concurrent_races: 2,
             cache_capacity: 0,
             predictor_confidence: 2.0,
             predictor_min_observations: 3,
-            race_strategy: RaceStrategy::TopK { k: 1, escalate_after: 0.5 },
+            race_strategy: staged(0.5),
             default_budget: RaceBudget::decision(),
             ..EngineConfig::default()
         },
     );
     // Below the observation floor every race runs the full field.
     for _ in 0..3 {
-        assert!(engine.submit(&query).conclusive);
+        assert!(engine.submit(id, &query).unwrap().conclusive);
     }
     let warmup = engine.stats();
     assert_eq!(warmup.topk_races, 0, "training-phase races must not be staged");
     assert_eq!(warmup.pruned_entrants, 0);
     // With the floor met, staging begins.
-    assert!(engine.submit(&query).conclusive);
+    assert!(engine.submit(id, &query).unwrap().conclusive);
     assert_eq!(engine.stats().topk_races, 1);
 }
 
 #[test]
-fn degenerate_k_runs_the_full_field() {
+fn a_one_entrant_field_runs_unstaged() {
     let (query, target) = pair(9);
-    for k in [0, 4, 9] {
-        let engine = racing_engine(&target, RaceStrategy::TopK { k, escalate_after: 0.5 });
-        assert!(engine.submit(&query).conclusive);
-        let stats = engine.stats();
-        assert_eq!(stats.topk_races, 0, "k={k} covers or voids the field: no staging");
-        assert_eq!(stats.pruned_entrants, 0);
-    }
+    let single = PsiConfig::rewritings(Algorithm::GraphQl, [Rewriting::Orig]);
+    let (engine, id) = racing_engine(&target, single, staged(0.5));
+    assert!(engine.submit(id, &query).unwrap().conclusive);
+    let stats = engine.stats();
+    assert_eq!(stats.topk_races, 0, "a single entrant leaves nothing to stage");
+    assert_eq!(stats.pruned_entrants, 0);
 }

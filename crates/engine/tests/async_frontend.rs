@@ -1,13 +1,13 @@
 //! The ticket frontend: non-blocking submission returns a completion
 //! handle, dropping it cancels the race and frees pool slots, timed-out
 //! waits don't poison the slot, completion queues drain many tickets
-//! from one thread — and the blocking legacy methods are provably the
-//! ticket path plus `wait`.
+//! from one thread — and blocking submission is provably the ticket path
+//! plus `wait`.
 
 use proptest::prelude::*;
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
 use psi_engine::{
-    AdmissionError, CompletionQueue, Engine, EngineConfig, MultiEngine, MultiEngineConfig,
+    AdmissionError, CompletionQueue, EngineConfig, GraphId, MultiEngine, MultiEngineConfig,
     QueryRequest, RaceStrategy, RouteError, ServePath, Submit, SubmitError,
 };
 use psi_graph::generate::{random_connected_graph, LabelDist};
@@ -63,8 +63,13 @@ fn explosive_setup() -> (Graph, Graph) {
     (stored, query)
 }
 
-/// An engine whose every miss races (no cache, no fast path).
-fn race_only(stored: &Graph, workers: usize, races: usize, budget: RaceBudget) -> Engine {
+/// A one-tenant engine whose every miss races (no cache, no fast path).
+fn race_only(
+    stored: &Graph,
+    workers: usize,
+    races: usize,
+    budget: RaceBudget,
+) -> (MultiEngine, GraphId) {
     race_only_with_room(stored, workers, races, budget, EngineConfig::default().waiting_room)
 }
 
@@ -76,19 +81,20 @@ fn race_only_with_room(
     races: usize,
     budget: RaceBudget,
     waiting_room: usize,
-) -> Engine {
-    Engine::new(
-        PsiRunner::nfv_default(stored),
-        EngineConfig {
-            workers,
-            max_concurrent_races: races,
+) -> (MultiEngine, GraphId) {
+    let multi = MultiEngine::new(MultiEngineConfig {
+        workers,
+        max_concurrent_races: races,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             default_budget: budget,
             waiting_room,
             ..EngineConfig::default()
         },
-    )
+    });
+    let id = multi.register("stored", PsiRunner::nfv_default(stored)).expect("fresh registry");
+    (multi, id)
 }
 
 #[test]
@@ -98,9 +104,10 @@ fn dropping_a_ticket_cancels_the_race_and_frees_the_slot() {
     // the single worker and the single admission slot essentially
     // forever, and the probe loop below would never admit. Waiting room
     // disabled so capacity exhaustion is *observable* as `Busy`.
-    let engine = race_only_with_room(&stored, 1, 1, RaceBudget::with_max_matches(usize::MAX), 0);
+    let (engine, id) =
+        race_only_with_room(&stored, 1, 1, RaceBudget::with_max_matches(usize::MAX), 0);
     let ticket = engine
-        .submit_nonblocking(QueryRequest::new(slow_query))
+        .submit_nonblocking(QueryRequest::new(slow_query).graph(id))
         .expect("idle engine admits immediately");
     // Let the race occupy the worker, then confirm the engine is full.
     std::thread::sleep(Duration::from_millis(100));
@@ -108,7 +115,7 @@ fn dropping_a_ticket_cancels_the_race_and_frees_the_slot() {
     let probe = grown_query(&stored, 3, 99);
     assert!(
         matches!(
-            engine.submit_nonblocking(QueryRequest::new(probe.clone())).unwrap_err(),
+            engine.submit_nonblocking(QueryRequest::new(probe.clone()).graph(id)).unwrap_err(),
             SubmitError::Admission(AdmissionError::Busy { .. })
         ),
         "the slow race must hold the only admission slot"
@@ -120,9 +127,8 @@ fn dropping_a_ticket_cancels_the_race_and_frees_the_slot() {
     drop(ticket);
     let deadline = Instant::now() + Duration::from_secs(10);
     let response = loop {
-        match engine
-            .submit_nonblocking(QueryRequest::new(probe.clone()).budget(RaceBudget::decision()))
-        {
+        let request = QueryRequest::new(probe.clone()).graph(id).budget(RaceBudget::decision());
+        match engine.submit_nonblocking(request) {
             Ok(t) => break t.wait(),
             Err(SubmitError::Admission(AdmissionError::Busy { .. })) => {
                 assert!(
@@ -144,11 +150,12 @@ fn dropping_a_ticket_cancels_the_race_and_frees_the_slot() {
 fn wait_timeout_expires_without_poisoning_the_ticket() {
     let (stored, slow_query) = explosive_setup();
     let race_budget = Duration::from_millis(500);
-    let engine =
+    let (engine, id) =
         race_only(&stored, 1, 1, RaceBudget::with_max_matches(usize::MAX).timeout(race_budget));
     let started = Instant::now();
-    let ticket =
-        engine.submit_nonblocking(QueryRequest::new(slow_query)).expect("idle engine admits");
+    let ticket = engine
+        .submit_nonblocking(QueryRequest::new(slow_query).graph(id))
+        .expect("idle engine admits");
     // The wait gives up long before the race budget...
     assert!(ticket.wait_timeout(Duration::from_millis(30)).is_none());
     assert!(started.elapsed() < race_budget, "wait_timeout must return before the race budget");
@@ -163,8 +170,9 @@ fn wait_timeout_expires_without_poisoning_the_ticket() {
 #[test]
 fn wait_timeout_returns_completed_answers() {
     let (query, target) = pair(17);
-    let engine = race_only(&target, 2, 2, RaceBudget::decision());
-    let ticket = engine.submit_nonblocking(QueryRequest::new(query)).expect("idle engine admits");
+    let (engine, id) = race_only(&target, 2, 2, RaceBudget::decision());
+    let ticket =
+        engine.submit_nonblocking(QueryRequest::new(query).graph(id)).expect("idle engine admits");
     let response = ticket.wait_timeout(Duration::from_secs(30)).expect("tiny race concludes");
     assert!(response.conclusive);
     assert_eq!(response.path, ServePath::Race);
@@ -177,13 +185,13 @@ fn completion_queue_drains_many_tickets_from_one_thread() {
     let stored = random_connected_graph(60, 140, &labels, &mut rng);
     // Admission far above the worker count: all 24 queries are in flight
     // at once, racing 2-at-a-time on the pool, no client thread blocked.
-    let engine = race_only(&stored, 2, 32, RaceBudget::decision());
+    let (engine, id) = race_only(&stored, 2, 32, RaceBudget::decision());
     let queue = CompletionQueue::new();
     let tickets: Vec<_> = (0..24)
         .map(|i| {
             let query = grown_query(&stored, 4, 500 + i);
             engine
-                .submit_into(QueryRequest::new(query).tag(i), &queue)
+                .submit_into(QueryRequest::new(query).graph(id).tag(i), &queue)
                 .expect("admission above the batch size")
         })
         .collect();
@@ -229,7 +237,7 @@ fn multi_engine_routes_tickets_and_reports_routing_errors() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The legacy blocking call and the ticket path agree verdict for
+    /// The blocking call and the ticket path agree verdict for
     /// verdict — they *are* the same admission code path, and this pins
     /// it: found/not-found, conclusiveness and (complete-search) match
     /// counts all coincide, under both race strategies.
@@ -237,16 +245,15 @@ proptest! {
     fn prop_blocking_submit_equals_ticket_wait(seed in 0u64..20_000, staged in 0usize..2) {
         let (query, target) = pair(seed);
         let strategy = if staged == 1 {
-            RaceStrategy::TopK { k: 1, escalate_after: 0.5 }
+            RaceStrategy::Adaptive { max_slices: 2, escalate_after: 0.5 }
         } else {
             RaceStrategy::Full
         };
         let make_engine = || {
-            Engine::new(
-                PsiRunner::new(Arc::new(target.clone()), PsiConfig::gql_spa_orig_dnd()),
-                EngineConfig {
-                    workers: 2,
-                    max_concurrent_races: 2,
+            let multi = MultiEngine::new(MultiEngineConfig {
+                workers: 2,
+                max_concurrent_races: 2,
+                tenant: EngineConfig {
                     cache_capacity: 0,
                     predictor_confidence: 2.0,
                     predictor_min_observations: 0,
@@ -256,11 +263,16 @@ proptest! {
                     default_budget: RaceBudget::with_max_matches(usize::MAX),
                     ..EngineConfig::default()
                 },
-            )
+            });
+            let runner = PsiRunner::new(Arc::new(target.clone()), PsiConfig::gql_spa_orig_dnd());
+            let id = multi.register("target", runner).expect("fresh registry");
+            (multi, id)
         };
-        let blocking = make_engine().submit(&query);
-        let ticketed = make_engine()
-            .submit_nonblocking(QueryRequest::new(query.clone()))
+        let (engine, id) = make_engine();
+        let blocking = engine.submit(id, &query).expect("registered graph");
+        let (engine, id) = make_engine();
+        let ticketed = engine
+            .submit_nonblocking(QueryRequest::new(query.clone()).graph(id))
             .expect("idle engine admits")
             .wait();
         prop_assert!(blocking.conclusive, "tiny inputs must conclude");

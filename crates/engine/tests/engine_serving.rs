@@ -4,7 +4,10 @@
 //! against the race budget.
 
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
-use psi_engine::{AdmissionError, Engine, EngineConfig, ServePath, SubmitError};
+use psi_engine::{
+    AdmissionError, EngineConfig, GraphId, MultiEngine, MultiEngineConfig, QueryRequest, ServePath,
+    Submit, SubmitError,
+};
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::graph::graph_from_parts;
 use psi_graph::Graph;
@@ -53,15 +56,24 @@ fn sorted_embeddings(mut embs: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     embs
 }
 
-/// A config with the predictor fast path disabled so every miss races.
-fn race_only(workers: usize, races: usize, budget: RaceBudget) -> EngineConfig {
-    EngineConfig {
-        workers,
-        max_concurrent_races: races,
-        predictor_confidence: 2.0,
-        default_budget: budget,
-        ..EngineConfig::default()
-    }
+/// A tenant config with the predictor fast path disabled so every miss
+/// races.
+fn race_only(budget: RaceBudget) -> EngineConfig {
+    EngineConfig { predictor_confidence: 2.0, default_budget: budget, ..EngineConfig::default() }
+}
+
+/// One tenant serving `runner`: `workers` pool threads, `races`
+/// admission slots.
+fn serve(
+    runner: PsiRunner,
+    workers: usize,
+    races: usize,
+    tenant: EngineConfig,
+) -> (MultiEngine, GraphId) {
+    let multi =
+        MultiEngine::new(MultiEngineConfig { workers, max_concurrent_races: races, tenant });
+    let id = multi.register("stored", runner).expect("fresh registry");
+    (multi, id)
 }
 
 #[test]
@@ -85,16 +97,18 @@ fn concurrent_submissions_match_serial_races() {
         .collect();
 
     // Pool (3 workers) far smaller than queries × variants (24 × 4).
-    let engine = Arc::new(Engine::new(
+    let (engine, id) = serve(
         PsiRunner::new(Arc::new(g.clone()), config),
-        EngineConfig { cache_capacity: 0, ..race_only(3, 2, budget) },
-    ));
+        3,
+        2,
+        EngineConfig { cache_capacity: 0, ..race_only(budget) },
+    );
     let responses: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .iter()
             .map(|q| {
-                let engine = Arc::clone(&engine);
-                scope.spawn(move || engine.submit(q))
+                let engine = &engine;
+                scope.spawn(move || engine.submit(id, q).unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
@@ -128,16 +142,18 @@ fn cache_hits_return_the_raced_answer() {
     let fresh = runner.race(&query, budget.clone());
     let fresh_w = fresh.winner().expect("fresh race concludes");
 
-    let engine = Engine::new(
+    let (engine, id) = serve(
         PsiRunner::new(
             Arc::new(g.clone()),
             PsiConfig::rewritings(Algorithm::GraphQl, [Rewriting::Orig, Rewriting::Ilf]),
         ),
-        race_only(2, 2, budget),
+        2,
+        2,
+        race_only(budget),
     );
-    let cold = engine.submit(&query);
+    let cold = engine.submit(id, &query).unwrap();
     assert_eq!(cold.path, ServePath::Race);
-    let warm = engine.submit(&query);
+    let warm = engine.submit(id, &query).unwrap();
     assert_eq!(warm.path, ServePath::CacheHit);
 
     // The cached answer equals both the engine's cold answer and an
@@ -162,14 +178,16 @@ fn cache_hits_return_the_raced_answer() {
 fn renumbered_query_hits_the_cache() {
     // Distinct labels let canonicalization fully normalize the numbering.
     let g = graph_from_parts(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-    let engine = Engine::new(
+    let (engine, id) = serve(
         PsiRunner::nfv_default(&g),
-        race_only(2, 2, RaceBudget::with_max_matches(usize::MAX)),
+        2,
+        2,
+        race_only(RaceBudget::with_max_matches(usize::MAX)),
     );
     let q1 = graph_from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]);
     let q2 = graph_from_parts(&[2, 1, 0], &[(2, 1), (1, 0)]); // same path, renumbered
-    let a1 = engine.submit(&q1);
-    let a2 = engine.submit(&q2);
+    let a1 = engine.submit(id, &q1).unwrap();
+    let a2 = engine.submit(id, &q2).unwrap();
     assert_eq!(a1.path, ServePath::Race);
     assert_eq!(a2.path, ServePath::CacheHit);
     assert_eq!(a1.num_matches(), a2.num_matches());
@@ -198,33 +216,36 @@ fn explosive_setup() -> (Graph, Graph) {
 }
 
 #[test]
-fn try_submit_bounces_when_at_capacity_with_no_waiting_room() {
+fn nonblocking_submit_bounces_when_at_capacity_with_no_waiting_room() {
     let (stored, slow_query) = explosive_setup();
-    let engine = Arc::new(Engine::new(
+    let (engine, id) = serve(
         PsiRunner::nfv_default(&stored),
+        1,
+        1,
         EngineConfig {
             // Restore the pre-waiting-room contract: over-limit
             // non-blocking submissions bounce instead of parking.
             waiting_room: 0,
             ..race_only(
-                1,
-                1,
                 RaceBudget::with_max_matches(usize::MAX).timeout(Duration::from_millis(600)),
             )
         },
-    ));
+    );
+    let try_submit = |q: &Graph| {
+        engine.submit_nonblocking(QueryRequest::new(q.clone()).graph(id)).map(|t| t.wait())
+    };
     std::thread::scope(|scope| {
-        let background = Arc::clone(&engine);
+        let background = &engine;
         let sq = slow_query.clone();
         scope.spawn(move || {
-            let _ = background.submit(&sq);
+            let _ = background.submit(id, &sq);
         });
         // Let the background race occupy the single admission slot, then
         // expect Busy from the non-blocking path. Probe a *different*
         // query so the cache cannot answer it.
         std::thread::sleep(Duration::from_millis(150));
         let probe = grown_query(&stored, 3, 99);
-        match engine.try_submit(&probe).unwrap_err() {
+        match try_submit(&probe).unwrap_err() {
             SubmitError::Admission(AdmissionError::Busy { retry_hint }) => {
                 // The hint is the engine's p50 latency clamped to a sane
                 // band — never zero, never unbounded.
@@ -238,7 +259,7 @@ fn try_submit_bounces_when_at_capacity_with_no_waiting_room() {
     assert_eq!(engine.stats().parked, 0, "waiting_room: 0 never parks");
     // Once drained, the same probe is served.
     let probe = grown_query(&stored, 3, 99);
-    assert!(engine.try_submit(&probe).is_ok());
+    assert!(try_submit(&probe).is_ok());
 }
 
 #[test]
@@ -246,30 +267,29 @@ fn queueing_delay_counts_against_the_budget() {
     let (stored, slow_query) = explosive_setup();
     // One worker, two admission slots: the second query is admitted
     // immediately but its tasks queue behind the slow race's tasks.
-    let engine = Arc::new(Engine::new(
+    let (engine, id) = serve(
         PsiRunner::nfv_default(&stored),
-        race_only(
-            1,
-            2,
-            RaceBudget::with_max_matches(usize::MAX).timeout(Duration::from_millis(700)),
-        ),
-    ));
+        1,
+        2,
+        race_only(RaceBudget::with_max_matches(usize::MAX).timeout(Duration::from_millis(700))),
+    );
     let trivial = grown_query(&stored, 4, 17);
+    let with_50ms_budget = || {
+        let budget = RaceBudget::decision().timeout(Duration::from_millis(50));
+        engine.submit_request(QueryRequest::new(trivial.clone()).graph(id).budget(budget)).unwrap()
+    };
     std::thread::scope(|scope| {
-        let background = Arc::clone(&engine);
+        let background = &engine;
         let sq = slow_query.clone();
         scope.spawn(move || {
-            let _ = background.submit(&sq);
+            let _ = background.submit(id, &sq);
         });
         std::thread::sleep(Duration::from_millis(100));
         // Trivial query, but its 50 ms budget expires while queued behind
         // the ~700 ms race on the single worker. Deadlines anchor at
         // admission, so it must come back inconclusive — if deadlines
         // were anchored at pool start it would trivially succeed.
-        let response = engine.submit_with_budget(
-            &trivial,
-            RaceBudget::decision().timeout(Duration::from_millis(50)),
-        );
+        let response = with_50ms_budget();
         assert!(
             !response.conclusive,
             "queued-past-deadline query must not conclude (path {:?})",
@@ -279,8 +299,7 @@ fn queueing_delay_counts_against_the_budget() {
     });
     // Served directly (idle engine), the same query with the same budget
     // succeeds comfortably.
-    let direct = engine
-        .submit_with_budget(&trivial, RaceBudget::decision().timeout(Duration::from_millis(50)));
+    let direct = with_50ms_budget();
     assert!(direct.conclusive);
 }
 
@@ -288,11 +307,11 @@ fn queueing_delay_counts_against_the_budget() {
 fn fast_path_takes_over_after_training_and_falls_back_safely() {
     let g = stored_graph(31);
     let runner = PsiRunner::new(Arc::new(g.clone()), PsiConfig::gql_spa_orig());
-    let engine = Engine::new(
+    let (engine, id) = serve(
         runner,
+        2,
+        2,
         EngineConfig {
-            workers: 2,
-            max_concurrent_races: 2,
             cache_capacity: 0, // force every submit through predict/race
             predictor_min_observations: 8,
             predictor_confidence: 0.6,
@@ -303,7 +322,7 @@ fn fast_path_takes_over_after_training_and_falls_back_safely() {
     // Training phase: all races (predictor below min observations).
     for i in 0..8 {
         let q = grown_query(&g, 4, 200 + i);
-        assert_eq!(engine.submit(&q).path, ServePath::Race);
+        assert_eq!(engine.submit(id, &q).unwrap().path, ServePath::Race);
     }
     // Serving phase: similar queries should now ride the fast path at
     // least sometimes, and answers must stay correct (these queries are
@@ -311,7 +330,7 @@ fn fast_path_takes_over_after_training_and_falls_back_safely() {
     let mut fast = 0;
     for i in 0..12 {
         let q = grown_query(&g, 4, 400 + i);
-        let r = engine.submit(&q);
+        let r = engine.submit(id, &q).unwrap();
         assert!(r.conclusive);
         assert!(r.found(), "grown query {i} must embed");
         if r.path == ServePath::FastPath {

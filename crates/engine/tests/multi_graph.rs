@@ -5,7 +5,10 @@
 //! one.
 
 use psi_core::{PsiRunner, RaceBudget};
-use psi_engine::{EngineConfig, MultiEngine, MultiEngineConfig, ServePath};
+use psi_engine::{
+    EngineConfig, EngineResponse, GraphId, MultiEngine, MultiEngineConfig, QueryRequest, ServePath,
+    Submit, SubmitError,
+};
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::graph::graph_from_parts;
 use psi_graph::Graph;
@@ -98,20 +101,11 @@ fn per_graph_eviction_leaves_other_graphs_hot_entries_alone() {
     let multi = MultiEngine::new(MultiEngineConfig {
         workers: 2,
         max_concurrent_races: 2,
-        tenant: race_only_tenant(),
+        // Tiny single-shard caches so eviction is easy to force.
+        tenant: EngineConfig { cache_shards: 1, cache_capacity: 2, ..race_only_tenant() },
     });
-    // Tiny single-shard caches so eviction is easy to force.
-    let tiny = EngineConfig { cache_shards: 1, cache_capacity: 2, ..race_only_tenant() };
-    let a = multi
-        .register_with_config(
-            "hot-tenant",
-            Arc::new(PsiRunner::nfv_default(&a_graph)),
-            tiny.clone(),
-        )
-        .unwrap();
-    let b = multi
-        .register_with_config("churny-tenant", Arc::new(PsiRunner::nfv_default(&b_graph)), tiny)
-        .unwrap();
+    let a = multi.register("hot-tenant", PsiRunner::nfv_default(&a_graph)).unwrap();
+    let b = multi.register("churny-tenant", PsiRunner::nfv_default(&b_graph)).unwrap();
 
     // Prime A's hot entry and B's first entry.
     let hot = grown_query(&a_graph, 4, 7);
@@ -138,6 +132,16 @@ fn per_graph_eviction_leaves_other_graphs_hot_entries_alone() {
         ServePath::CacheHit,
         "B's eviction churn must never evict A's hot entry"
     );
+}
+
+/// Blocking submission of `query` to `graph` under an explicit budget.
+fn submit_with_budget(
+    multi: &MultiEngine,
+    graph: GraphId,
+    query: &Graph,
+    budget: RaceBudget,
+) -> Result<EngineResponse, SubmitError> {
+    multi.submit_request(QueryRequest::new(query.clone()).graph(graph).budget(budget))
 }
 
 /// A stored-graph/query pair whose complete search is combinatorially
@@ -173,7 +177,8 @@ fn queueing_delay_counts_against_budget_across_graphs() {
     let trivial = grown_query(&light_graph, 4, 17);
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let _ = multi.submit_with_budget(
+            let _ = submit_with_budget(
+                &multi,
                 heavy,
                 &explosive,
                 RaceBudget::with_max_matches(usize::MAX).timeout(Duration::from_millis(700)),
@@ -182,13 +187,13 @@ fn queueing_delay_counts_against_budget_across_graphs() {
         std::thread::sleep(Duration::from_millis(100));
         // 50 ms budget, but the single worker is pinned by the heavy
         // graph's race for ~700 ms: the budget expires in the queue.
-        let response = multi
-            .submit_with_budget(
-                light,
-                &trivial,
-                RaceBudget::decision().timeout(Duration::from_millis(50)),
-            )
-            .unwrap();
+        let response = submit_with_budget(
+            &multi,
+            light,
+            &trivial,
+            RaceBudget::decision().timeout(Duration::from_millis(50)),
+        )
+        .unwrap();
         assert!(
             !response.conclusive,
             "light graph's queued-past-deadline query must not conclude (path {:?})",
@@ -197,13 +202,13 @@ fn queueing_delay_counts_against_budget_across_graphs() {
         assert!(!response.found());
     });
     // On an idle pool the same query and budget succeed comfortably.
-    let direct = multi
-        .submit_with_budget(
-            light,
-            &trivial,
-            RaceBudget::decision().timeout(Duration::from_millis(50)),
-        )
-        .unwrap();
+    let direct = submit_with_budget(
+        &multi,
+        light,
+        &trivial,
+        RaceBudget::decision().timeout(Duration::from_millis(50)),
+    )
+    .unwrap();
     assert!(direct.conclusive, "idle-engine control must conclude");
 }
 
@@ -228,7 +233,8 @@ fn flooding_tenant_does_not_wedge_a_light_tenant() {
             let explosive = explosive.clone();
             scope.spawn(move || {
                 for _ in 0..4 {
-                    let _ = multi.submit_with_budget(
+                    let _ = submit_with_budget(
+                        &multi,
                         heavy,
                         &explosive,
                         RaceBudget::with_max_matches(usize::MAX)

@@ -6,7 +6,8 @@
 
 use psi_core::{PsiRunner, RaceBudget};
 use psi_engine::{
-    CompletionQueue, Engine, EngineConfig, QueryRequest, RaceStrategy, Submit, TraceEvent,
+    CompletionQueue, EngineConfig, GraphId, MultiEngine, MultiEngineConfig, QueryRequest,
+    RaceStrategy, Submit, TraceEvent,
 };
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::graph::graph_from_parts;
@@ -43,12 +44,11 @@ fn grown_query(g: &Graph, nodes: usize, seed: u64) -> Graph {
 
 /// An idle-biased adaptive engine: one race at a time over many workers,
 /// so the scheduler always sees spare capacity to hand out as slices.
-fn sliced_engine(stored: &Graph) -> Engine {
-    Engine::new(
-        PsiRunner::nfv_default(stored),
-        EngineConfig {
-            workers: 8,
-            max_concurrent_races: 1,
+fn sliced_engine(stored: &Graph) -> (MultiEngine, GraphId) {
+    let multi = MultiEngine::new(MultiEngineConfig {
+        workers: 8,
+        max_concurrent_races: 1,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             predictor_min_observations: 0,
@@ -56,7 +56,9 @@ fn sliced_engine(stored: &Graph) -> Engine {
             default_budget: RaceBudget::decision(),
             ..EngineConfig::default()
         },
-    )
+    });
+    let id = multi.register("stored", PsiRunner::nfv_default(stored)).expect("fresh registry");
+    (multi, id)
 }
 
 #[test]
@@ -64,7 +66,7 @@ fn adaptive_engine_slices_big_queries_and_answers_correctly() {
     let mut rng = ChaCha8Rng::seed_from_u64(21);
     let labels = LabelDist::Uniform { num_labels: 3 }.sampler();
     let stored = random_connected_graph(80, 240, &labels, &mut rng);
-    let engine = sliced_engine(&stored);
+    let (engine, id) = sliced_engine(&stored);
 
     // Queries above `slice_min_query_nodes` (default 6) on an idle pool
     // must slice; grown queries always embed, so correctness is
@@ -72,7 +74,7 @@ fn adaptive_engine_slices_big_queries_and_answers_correctly() {
     let served = 8u64;
     for seed in 0..served {
         let query = grown_query(&stored, 8, 4000 + seed);
-        let response = engine.submit(&query);
+        let response = engine.submit(id, &query).unwrap();
         assert!(response.conclusive, "decision races on small graphs conclude");
         assert!(response.found(), "grown queries embed");
     }
@@ -89,7 +91,7 @@ fn adaptive_engine_slices_big_queries_and_answers_correctly() {
 
     // The slice lifecycle is visible in the trace: every spawned slice
     // finishes, even those cancelled by a sibling's conclusive verdict.
-    let events = engine.drain_trace();
+    let events: Vec<_> = engine.drain_trace().into_iter().map(|(_, r)| r).collect();
     let spawned =
         events.iter().filter(|r| matches!(r.event, TraceEvent::SliceSpawned { .. })).count() as u64;
     let finished =
@@ -109,10 +111,10 @@ fn small_queries_stay_unsliced() {
     let mut rng = ChaCha8Rng::seed_from_u64(33);
     let labels = LabelDist::Uniform { num_labels: 3 }.sampler();
     let stored = random_connected_graph(40, 90, &labels, &mut rng);
-    let engine = sliced_engine(&stored);
+    let (engine, id) = sliced_engine(&stored);
     for seed in 0..4 {
         let query = grown_query(&stored, 3, 7000 + seed);
-        assert!(engine.submit(&query).conclusive);
+        assert!(engine.submit(id, &query).unwrap().conclusive);
     }
     let stats = engine.stats();
     assert_eq!(stats.sliced_races, 0, "3-node queries sit below slice_min_query_nodes");
@@ -127,12 +129,12 @@ fn cancelled_sliced_race_frees_its_admission_slot() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let labels = LabelDist::Uniform { num_labels: 1 }.sampler();
     let stored = random_connected_graph(120, 1200, &labels, &mut rng);
-    let engine = sliced_engine(&stored);
+    let (engine, id) = sliced_engine(&stored);
 
     let explosive = grown_query(&stored, 10, 5);
     let held = engine
         .submit_nonblocking(
-            QueryRequest::new(explosive).budget(RaceBudget::with_max_matches(usize::MAX)),
+            QueryRequest::new(explosive).graph(id).budget(RaceBudget::with_max_matches(usize::MAX)),
         )
         .expect("idle engine admits");
     std::thread::sleep(Duration::from_millis(50));
@@ -148,7 +150,7 @@ fn cancelled_sliced_race_frees_its_admission_slot() {
     let queue = CompletionQueue::new();
     let probe = grown_query(&stored, 8, 6);
     let ticket = engine
-        .submit_into(QueryRequest::new(probe).tag(1), &queue)
+        .submit_into(QueryRequest::new(probe).graph(id).tag(1), &queue)
         .expect("waiting room absorbs the probe even while the cancel drains");
     assert!(
         queue.wait_timeout(Duration::from_secs(30)).is_some(),

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
 use psi_engine::{
-    CompletionQueue, Engine, EngineConfig, HistogramKind, HistogramSnapshot, LatencyHistogram,
+    CompletionQueue, EngineConfig, GraphId, HistogramKind, HistogramSnapshot, LatencyHistogram,
     MultiEngine, MultiEngineConfig, QueryRequest, Submit, TelemetryConfig, TraceEvent,
 };
 use psi_graph::generate::{random_connected_graph, LabelDist};
@@ -51,12 +51,11 @@ fn grown_query(g: &Graph, nodes: usize, seed: u64) -> Graph {
     graph_from_parts(&labels, &edges)
 }
 
-fn traced_engine(stored: &Graph) -> Engine {
-    Engine::new(
-        PsiRunner::new(Arc::new(stored.clone()), PsiConfig::gql_spa_orig_dnd()),
-        EngineConfig {
-            workers: 2,
-            max_concurrent_races: 4,
+fn traced_engine(stored: &Graph) -> (MultiEngine, GraphId) {
+    let multi = MultiEngine::new(MultiEngineConfig {
+        workers: 2,
+        max_concurrent_races: 4,
+        tenant: EngineConfig {
             cache_capacity: 0, // every accepted query takes the race path
             predictor_confidence: 2.0,
             default_budget: RaceBudget::decision(),
@@ -67,7 +66,10 @@ fn traced_engine(stored: &Graph) -> Engine {
             },
             ..EngineConfig::default()
         },
-    )
+    });
+    let runner = PsiRunner::new(Arc::new(stored.clone()), PsiConfig::gql_spa_orig_dnd());
+    let id = multi.register("stored", runner).expect("fresh registry");
+    (multi, id)
 }
 
 // ---- Histogram merge = pooled observations (property-based) ----
@@ -131,7 +133,7 @@ proptest! {
 #[test]
 fn trace_terminal_events_agree_with_completion_queue_under_cancel() {
     let stored = stored_graph(11);
-    let engine = traced_engine(&stored);
+    let (engine, id) = traced_engine(&stored);
     let queue = CompletionQueue::new();
 
     let mut kept = 0u64;
@@ -140,13 +142,14 @@ fn trace_terminal_events_agree_with_completion_queue_under_cancel() {
     for i in 0..24u64 {
         let query = grown_query(&stored, 4, 100 + i);
         if i % 3 == 0 {
-            let ticket = engine.submit_queued(QueryRequest::new(query)).expect("queued admission");
+            let ticket =
+                engine.submit_queued(QueryRequest::new(query).graph(id)).expect("queued admission");
             accepted.push(ticket.query_id());
             // Cancel-on-drop while the race may still be in flight.
             drop(ticket);
         } else {
             let ticket = engine
-                .submit_queued_into(QueryRequest::new(query), &queue)
+                .submit_queued_into(QueryRequest::new(query).graph(id), &queue)
                 .expect("queued admission");
             accepted.push(ticket.query_id());
             tickets.push(ticket);
@@ -164,14 +167,14 @@ fn trace_terminal_events_agree_with_completion_queue_under_cancel() {
     let mut events = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        events.extend(engine.drain_trace());
+        events.extend(engine.drain_trace().into_iter().map(|(_, r)| r));
         let terminals = events.iter().filter(|r| r.event.is_terminal()).count();
         if terminals >= accepted.len() || Instant::now() > deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(engine.trace_dropped(), 0, "ring sized for the whole test");
+    assert_eq!(engine.exporter().graphs()[0].trace_dropped, 0, "ring sized for the whole test");
 
     let mut terminal_counts: HashMap<u64, usize> = HashMap::new();
     for record in &events {

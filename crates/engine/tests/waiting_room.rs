@@ -4,7 +4,9 @@
 //! scrape.
 
 use psi_core::{PsiRunner, RaceBudget};
-use psi_engine::{CompletionQueue, Engine, EngineConfig, QueryRequest, Submit};
+use psi_engine::{
+    CompletionQueue, EngineConfig, MultiEngine, MultiEngineConfig, QueryRequest, Submit,
+};
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::graph::graph_from_parts;
 use psi_graph::Graph;
@@ -48,17 +50,17 @@ fn four_x_over_limit_burst_parks_instead_of_bouncing() {
     // 16 non-blocking submissions against 4 slots is a 4x burst.
     let races = 4;
     let burst = 4 * races;
-    let engine = Engine::new(
-        PsiRunner::nfv_default(&stored),
-        EngineConfig {
-            workers: 2,
-            max_concurrent_races: races,
+    let engine = MultiEngine::new(MultiEngineConfig {
+        workers: 2,
+        max_concurrent_races: races,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             default_budget: RaceBudget::decision(),
             ..EngineConfig::default()
         },
-    );
+    });
+    let id = engine.register("stored", PsiRunner::nfv_default(&stored)).expect("fresh registry");
 
     // Pin every slot with an explosive uncapped race first — admission
     // is synchronous, so the four permits are held the moment these
@@ -70,7 +72,9 @@ fn four_x_over_limit_burst_parks_instead_of_bouncing() {
             let query = grown_query(&stored, 10, 500 + i as u64);
             engine
                 .submit_nonblocking(
-                    QueryRequest::new(query).budget(RaceBudget::with_max_matches(usize::MAX)),
+                    QueryRequest::new(query)
+                        .graph(id)
+                        .budget(RaceBudget::with_max_matches(usize::MAX)),
                 )
                 .expect("idle engine admits the pins")
         })
@@ -81,7 +85,7 @@ fn four_x_over_limit_burst_parks_instead_of_bouncing() {
         .map(|i| {
             let query = grown_query(&stored, 4, 900 + i as u64);
             engine
-                .submit_into(QueryRequest::new(query).tag(i as u64), &queue)
+                .submit_into(QueryRequest::new(query).graph(id).tag(i as u64), &queue)
                 .expect("the waiting room absorbs the whole burst")
         })
         .collect();
@@ -127,7 +131,7 @@ fn four_x_over_limit_burst_parks_instead_of_bouncing() {
         assert!(scrape.contains(family), "scrape must expose {family}:\n{scrape}");
     }
     assert!(
-        scrape.contains("psi_waiting_room_depth 0"),
+        scrape.contains("psi_waiting_room_depth{graph=\"stored\"} 0"),
         "the drained room scrapes as depth 0:\n{scrape}"
     );
 }
@@ -139,11 +143,10 @@ fn zero_capacity_room_restores_hard_busy() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let labels = LabelDist::Uniform { num_labels: 1 }.sampler();
     let stored = random_connected_graph(120, 1200, &labels, &mut rng);
-    let engine = Engine::new(
-        PsiRunner::nfv_default(&stored),
-        EngineConfig {
-            workers: 1,
-            max_concurrent_races: 1,
+    let engine = MultiEngine::new(MultiEngineConfig {
+        workers: 1,
+        max_concurrent_races: 1,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             // Uncapped complete search: the race cannot conclude before
@@ -152,15 +155,17 @@ fn zero_capacity_room_restores_hard_busy() {
             waiting_room: 0,
             ..EngineConfig::default()
         },
-    );
+    });
+    let id = engine.register("stored", PsiRunner::nfv_default(&stored)).expect("fresh registry");
     // An explosive query pins the only slot; with no room, the next
     // submission must bounce.
     let slow = grown_query(&stored, 10, 5);
-    let held = engine.submit_nonblocking(QueryRequest::new(slow)).expect("idle engine admits");
+    let held =
+        engine.submit_nonblocking(QueryRequest::new(slow).graph(id)).expect("idle engine admits");
     std::thread::sleep(std::time::Duration::from_millis(100));
     assert!(!held.is_complete(), "explosive search cannot conclude this fast");
     let probe = grown_query(&stored, 4, 6);
-    let refused = engine.submit_nonblocking(QueryRequest::new(probe));
+    let refused = engine.submit_nonblocking(QueryRequest::new(probe).graph(id));
     assert!(refused.is_err(), "no room, no parking: saturated engine refuses");
     assert_eq!(engine.stats().parked, 0);
     assert!(engine.stats().busy_rejections >= 1);

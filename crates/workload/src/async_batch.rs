@@ -1,7 +1,7 @@
 //! Ticket-driven batch submission: many queries in flight from few
 //! client threads.
 //!
-//! [`crate::submit_batch`] models classic thread-per-request clients —
+//! [`crate::submit_batch_multi`] models classic thread-per-request clients —
 //! each client thread parks inside one blocking call at a time, so
 //! in-flight queries ≤ client threads. [`submit_batch_async`] models an
 //! event-loop frontend instead: each client keeps a *window* of
@@ -15,9 +15,8 @@
 //! the driver reacts by draining a completion and retrying — exactly
 //! the loop a real server runs.
 //!
-//! Works against either engine through the [`Submit`] trait: route
-//! multi-graph traffic by building requests with
-//! [`psi_engine::QueryRequest::graph`].
+//! Works through the [`Submit`] trait: route each request by building
+//! it with [`psi_engine::QueryRequest::graph`].
 
 use crate::metrics::SummaryStats;
 use psi_engine::{
@@ -194,7 +193,7 @@ mod tests {
     use super::*;
     use crate::query_gen::Workloads;
     use psi_core::{PsiRunner, RaceBudget};
-    use psi_engine::{Engine, EngineConfig, GraphId, MultiEngine, MultiEngineConfig};
+    use psi_engine::{EngineConfig, GraphId, MultiEngine, MultiEngineConfig};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::Graph;
     use rand::SeedableRng;
@@ -210,13 +209,12 @@ mod tests {
         assert!(queries.len() >= 32, "workload large enough to saturate the window");
 
         let workers = 2;
-        let engine = Engine::new(
-            PsiRunner::nfv_default(&stored),
-            EngineConfig {
-                workers,
-                // Admission far above the pool: in-flight queries are
-                // bounded by tickets, not threads.
-                max_concurrent_races: 32,
+        let engine = MultiEngine::new(MultiEngineConfig {
+            workers,
+            // Admission far above the pool: in-flight queries are
+            // bounded by tickets, not threads.
+            max_concurrent_races: 32,
+            tenant: EngineConfig {
                 cache_capacity: 0, // every request really races
                 predictor_confidence: 2.0,
                 // Complete searches keep each race busy long enough for
@@ -224,9 +222,10 @@ mod tests {
                 default_budget: RaceBudget::with_max_matches(usize::MAX),
                 ..EngineConfig::default()
             },
-        );
+        });
+        let id = engine.register("stored", PsiRunner::nfv_default(&stored)).expect("fresh");
         let requests: Vec<QueryRequest> =
-            queries.iter().map(|q| QueryRequest::new(q.clone())).collect();
+            queries.iter().map(|q| QueryRequest::new(q.clone()).graph(id)).collect();
         let report = submit_batch_async(&engine, &requests, 2, 16);
         assert_eq!(report.responses.len(), queries.len());
         assert!(report.responses.iter().all(|r| r.conclusive));

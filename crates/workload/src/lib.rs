@@ -16,11 +16,8 @@
 //!   paper's conventions (killed queries count at the cap; queries unhelped
 //!   by every variant are excluded).
 //! * [`runner`] — capped execution helpers producing per-query records.
-//! * [`batch`] — batch submission of a whole workload through a
-//!   [`psi_engine::Engine`] from concurrent client threads, with
-//!   aggregate serving metrics.
-//! * [`async_batch`] — ticket-driven batch submission through either
-//!   engine's [`psi_engine::Submit`] frontend: a few event-loop client
+//! * [`async_batch`] — ticket-driven batch submission through the
+//!   [`psi_engine::Submit`] frontend: a few event-loop client
 //!   threads keep windows of in-flight [`psi_engine::QueryTicket`]s
 //!   open and drain a [`psi_engine::CompletionQueue`], reporting the
 //!   in-flight high-water mark.
@@ -36,7 +33,7 @@
 //!   keeps reading through the delta overlay, feeding the CI bench
 //!   artifact's `ingest_qps` trail.
 //! * [`strategy`] — saturated-pool comparison of race strategies
-//!   (full-field vs adaptive top-K with staged escalation), feeding the
+//!   (full-field vs staged racing with escalation), feeding the
 //!   CI bench artifact's `topk_qps` trail.
 //! * [`index_cmp`] — saturated-pool comparison of the shared per-graph
 //!   `TargetIndex` against the legacy scan paths, feeding the CI bench
@@ -50,7 +47,6 @@
 //!   artifact's `telemetry_overhead` trail.
 
 pub mod async_batch;
-pub mod batch;
 pub mod classify;
 pub mod index_cmp;
 pub mod metrics;
@@ -64,7 +60,6 @@ pub mod strategy;
 pub mod streaming;
 
 pub use async_batch::{submit_batch_async, AsyncBatchReport};
-pub use batch::{submit_batch, BatchReport};
 pub use classify::{CapConfig, Class, ClassBreakdown};
 pub use index_cmp::{compare_index_modes, IndexCmpSpec, IndexComparison};
 pub use metrics::{qla, speedup_star, wla, SummaryStats};

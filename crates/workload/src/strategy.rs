@@ -1,36 +1,36 @@
 //! Saturated-pool comparison of race strategies: the same workload,
 //! replayed as concurrent traffic against two engines that differ only
-//! in [`RaceStrategy`] — the full-field race versus adaptive top-K with
-//! staged escalation.
+//! in [`RaceStrategy`] — the full-field race versus staged racing
+//! ([`RaceStrategy::Adaptive`]) with escalation.
 //!
 //! On a saturated pool the full field pays for its insurance twice: the
 //! losing variants of every race occupy workers that could be running
 //! *other* queries' winners. Pruning predictable losers frees those
-//! slots, so top-K throughput should meet or beat race-all throughput
+//! slots, so staged throughput should meet or beat race-all throughput
 //! once the predictor is trained — which is exactly what the CI bench
 //! artifact tracks over time ([`psi_bench`]'s `topk_qps` metric).
 
-use crate::batch::submit_batch;
+use crate::multi::submit_batch_multi;
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
-use psi_engine::{Engine, EngineConfig, RaceStrategy};
+use psi_engine::{EngineConfig, GraphId, MultiEngine, MultiEngineConfig, RaceStrategy};
 use psi_graph::Graph;
 use std::sync::Arc;
 
-/// Outcome of one Full-vs-TopK saturated-pool measurement.
+/// Outcome of one Full-vs-staged saturated-pool measurement.
 #[derive(Debug, Clone)]
 pub struct StrategyComparison {
     /// Throughput racing the full entrant field, queries/second.
     pub full_qps: f64,
-    /// Throughput with adaptive top-K racing, queries/second.
+    /// Throughput with staged racing, queries/second.
     pub topk_qps: f64,
     /// `topk_qps / full_qps` (0 when the full run measured 0 qps).
     pub speedup: f64,
-    /// Fraction of the TopK engine's staged races that escalated to the
-    /// full field — low means the predictor's pruning held.
+    /// Fraction of the staged engine's staged races that escalated to
+    /// the full field — low means the predictor's pruning held.
     pub escalation_rate: f64,
-    /// Entrants the TopK engine never launched thanks to pruning.
+    /// Entrants the staged engine never launched thanks to pruning.
     pub pruned_entrants: u64,
-    /// Races the TopK engine actually staged (its training-phase races
+    /// Races the staged engine actually staged (its training-phase races
     /// run the full field and are not counted here).
     pub topk_races: u64,
 }
@@ -40,7 +40,7 @@ pub struct StrategyComparison {
 pub struct StrategySpec {
     /// The variant field both engines race.
     pub config: PsiConfig,
-    /// The TopK strategy under test (the reference engine always runs
+    /// The staged strategy under test (the reference engine always runs
     /// [`RaceStrategy::Full`]).
     pub strategy: RaceStrategy,
     /// Pool workers per engine; `clients` should exceed this so the pool
@@ -50,8 +50,8 @@ pub struct StrategySpec {
     pub clients: usize,
     /// Race budget applied to every query.
     pub budget: RaceBudget,
-    /// Races the predictor must observe before top-K pruning activates;
-    /// the training workload should cover this.
+    /// Races the predictor must observe before staged pruning
+    /// activates; the training workload should cover this.
     pub min_observations: usize,
 }
 
@@ -59,7 +59,7 @@ impl Default for StrategySpec {
     fn default() -> Self {
         Self {
             config: PsiConfig::gql_spa_orig_dnd(),
-            strategy: RaceStrategy::TopK { k: 1, escalate_after: 0.5 },
+            strategy: RaceStrategy::Adaptive { max_slices: 1, escalate_after: 0.02 },
             workers: 4,
             clients: 8,
             budget: RaceBudget::decision(),
@@ -68,16 +68,20 @@ impl Default for StrategySpec {
     }
 }
 
-fn racing_engine(stored: &Arc<Graph>, spec: &StrategySpec, strategy: RaceStrategy) -> Engine {
-    Engine::new(
-        PsiRunner::new(Arc::clone(stored), spec.config.clone()),
-        EngineConfig {
-            workers: spec.workers,
-            // Admission must not cap the benefit under test: pruning
-            // frees pool slots precisely so that *more* races can be in
-            // flight, so both engines admit up to every client at once
-            // (the pool itself stays the bottleneck).
-            max_concurrent_races: spec.workers.max(spec.clients),
+/// A one-tenant engine serving `stored` under `strategy`.
+fn racing_engine(
+    stored: &Arc<Graph>,
+    spec: &StrategySpec,
+    strategy: RaceStrategy,
+) -> (MultiEngine, GraphId) {
+    let multi = MultiEngine::new(MultiEngineConfig {
+        workers: spec.workers,
+        // Admission must not cap the benefit under test: pruning frees
+        // pool slots precisely so that *more* races can be in flight, so
+        // both engines admit up to every client at once (the pool itself
+        // stays the bottleneck).
+        max_concurrent_races: spec.workers.max(spec.clients),
+        tenant: EngineConfig {
             // Isolate the racing path: no result cache, no fast path —
             // every submission really races under the strategy.
             cache_capacity: 0,
@@ -87,14 +91,18 @@ fn racing_engine(stored: &Arc<Graph>, spec: &StrategySpec, strategy: RaceStrateg
             default_budget: spec.budget.clone(),
             ..EngineConfig::default()
         },
-    )
+    });
+    let id = multi
+        .register("stored", PsiRunner::new(Arc::clone(stored), spec.config.clone()))
+        .expect("fresh registry");
+    (multi, id)
 }
 
 /// Measures saturated-pool throughput of `queries` against `stored`
 /// under the full-field race and under `spec.strategy`, returning both
-/// qps numbers and the TopK engine's pruning statistics.
+/// qps numbers and the staged engine's pruning statistics.
 ///
-/// The TopK engine's predictor is first trained on `training` (raced
+/// The staged engine's predictor is first trained on `training` (raced
 /// full-field until `spec.min_observations` races accumulate); the
 /// measured passes then replay `queries` from `spec.clients` concurrent
 /// clients against each engine in turn.
@@ -104,14 +112,17 @@ pub fn compare_race_strategies(
     queries: &[Graph],
     spec: &StrategySpec,
 ) -> StrategyComparison {
-    let full = racing_engine(stored, spec, RaceStrategy::Full);
-    let topk = racing_engine(stored, spec, spec.strategy);
-    // Train the TopK engine's predictor (and warm both pools evenly).
-    submit_batch(&topk, training, spec.clients);
-    submit_batch(&full, training, spec.clients);
+    let (full, full_id) = racing_engine(stored, spec, RaceStrategy::Full);
+    let (topk, topk_id) = racing_engine(stored, spec, spec.strategy);
+    let traffic = |id: GraphId, qs: &[Graph]| -> Vec<(GraphId, Graph)> {
+        qs.iter().map(|q| (id, q.clone())).collect()
+    };
+    // Train the staged engine's predictor (and warm both pools evenly).
+    submit_batch_multi(&topk, &traffic(topk_id, training), spec.clients);
+    submit_batch_multi(&full, &traffic(full_id, training), spec.clients);
 
-    let full_report = submit_batch(&full, queries, spec.clients);
-    let topk_report = submit_batch(&topk, queries, spec.clients);
+    let full_report = submit_batch_multi(&full, &traffic(full_id, queries), spec.clients);
+    let topk_report = submit_batch_multi(&topk, &traffic(topk_id, queries), spec.clients);
 
     let stats = topk.stats();
     StrategyComparison {

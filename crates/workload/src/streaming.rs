@@ -239,7 +239,14 @@ pub fn run_streaming_ingest(
 
     // Fold whatever overlay the threshold compactions left behind, so
     // the report's epoch/compaction numbers describe a quiesced graph.
-    let _ = multi.compact(graph).expect("graph is registered");
+    // A background compaction still holding the single-flight latch
+    // makes the explicit fold a no-op, so retry until the overlay is
+    // empty — reading the epoch before that fold installs would report
+    // a graph that never swapped.
+    let runner = multi.runner(graph).expect("graph is registered");
+    while multi.compact(graph).expect("graph is registered").is_none() && runner.pending_ops() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let stats = multi.graph_stats(graph).expect("graph is registered");
 
     let latencies = latencies.into_inner().expect("latency lock");

@@ -1,7 +1,8 @@
-//! Adaptive top-K racing on a saturated pool: the predictor ranks the
-//! entrant field per query, only the top-ranked entrant launches, and
-//! the rest of the field stays in reserve — escalating in stages only
-//! if the pruned heat can't decide the race. Pruned losers never occupy
+//! Staged racing on a saturated pool: the predictor ranks the entrant
+//! field per query, the scheduler launches only a heat of the
+//! top-ranked entrants — sized by how confident the ranking is — and
+//! the rest of the field stays in reserve, escalating only if the
+//! pruned heat can't decide the race. Pruned losers never occupy
 //! workers, so the same pool serves more queries per second than racing
 //! the whole field.
 //!
@@ -9,7 +10,6 @@
 //! cargo run --release --example adaptive_racing
 //! ```
 
-use psi::engine::{Engine, EngineConfig, RaceStrategy};
 use psi::prelude::*;
 use psi::workload::{compare_race_strategies, StrategySpec};
 use psi_core::PsiConfig;
@@ -38,10 +38,12 @@ fn main() {
     );
 
     // Head-to-head: identical engines (no cache, no fast path — every
-    // query really races) differing only in RaceStrategy.
+    // query really races) differing only in RaceStrategy. Slicing off:
+    // on a saturated pool the scheduler tunes only the heat size.
+    let staged = RaceStrategy::Adaptive { max_slices: 1, escalate_after: 0.02 };
     let spec = StrategySpec {
         config: config.clone(),
-        strategy: RaceStrategy::TopK { k: 1, escalate_after: 0.5 },
+        strategy: staged,
         workers: 4,
         clients: 8,
         budget: RaceBudget::with_max_matches(64),
@@ -50,7 +52,7 @@ fn main() {
     let cmp = compare_race_strategies(&stored, &training, &queries, &spec);
     println!("saturated-pool throughput:");
     println!("  race-all (Full)   {:>8.0} queries/s", cmp.full_qps);
-    println!("  top-1 + escalate  {:>8.0} queries/s  ({:.2}x)", cmp.topk_qps, cmp.speedup);
+    println!("  staged + escalate {:>8.0} queries/s  ({:.2}x)", cmp.topk_qps, cmp.speedup);
     println!(
         "  staged races: {} — {} entrants pruned, {:.1}% escalated\n",
         cmp.topk_races,
@@ -60,26 +62,28 @@ fn main() {
 
     // The same strategy inside one long-lived engine, to show the
     // learned per-entrant statistics behind the ranking.
-    let engine = Engine::new(
-        PsiRunner::new(Arc::clone(&stored), config.clone()),
-        EngineConfig {
-            workers: 4,
-            max_concurrent_races: 4,
+    let engine = MultiEngine::new(MultiEngineConfig {
+        workers: 4,
+        max_concurrent_races: 4,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             predictor_min_observations: 16,
-            race_strategy: RaceStrategy::TopK { k: 1, escalate_after: 0.5 },
+            race_strategy: staged,
             default_budget: RaceBudget::with_max_matches(64),
             ..EngineConfig::default()
         },
-    );
+    });
+    let yeast = engine
+        .register("yeast", PsiRunner::new(Arc::clone(&stored), config.clone()))
+        .expect("fresh engine");
     for q in training.iter().chain(&queries) {
-        engine.submit(q);
+        engine.submit(yeast, q).expect("registered graph");
     }
     let stats = engine.stats();
-    println!("long-lived TopK engine after {} queries:", stats.queries);
+    println!("long-lived staged engine after {} queries:", stats.queries);
     println!(
-        "  races          {} total, {} staged top-K, {} escalations ({:.1}%)",
+        "  races          {} total, {} staged, {} escalations ({:.1}%)",
         stats.races,
         stats.topk_races,
         stats.escalations,
@@ -90,7 +94,8 @@ fn main() {
         stats.pruned_entrants, stats.cancelled_variants
     );
     println!("\nlearned entrant record (wins / losses / timeouts):");
-    for (variant, tally) in config.variants.iter().zip(engine.entrant_tallies()) {
+    let tallies = engine.entrant_tallies(yeast).expect("registered graph");
+    for (variant, tally) in config.variants.iter().zip(tallies) {
         println!(
             "  {variant:<12} {:>4} / {:>4} / {:>4}   win rate {:>5.1}%",
             tally.wins,

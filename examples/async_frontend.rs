@@ -30,11 +30,8 @@ fn main() {
 
     // 1000 distinct queries — no repeats, so every one really occupies
     // an admission slot (cache hits would complete at submission).
-    let requests: Vec<QueryRequest> = Workloads::nfv_workload(&stored, 8, 1000, 2026)
-        .into_iter()
-        .map(QueryRequest::new)
-        .collect();
-    let total = requests.len();
+    let queries = Workloads::nfv_workload(&stored, 8, 1000, 2026);
+    let total = queries.len();
 
     // 4 workers serve everything; admission is deliberately opened wide
     // so this demo never sheds load — in-flight queries are bounded by
@@ -42,15 +39,14 @@ fn main() {
     // size `max_concurrent_races` to its latency budget and handle
     // `SubmitError::Admission` (see `psi_workload::submit_batch_async`).
     let workers = 4;
-    let engine = Arc::new(Engine::new(
-        PsiRunner::nfv_default(&stored),
-        EngineConfig {
-            workers,
-            max_concurrent_races: 1024,
-            default_budget: RaceBudget::decision(),
-            ..EngineConfig::default()
-        },
-    ));
+    let engine = Arc::new(MultiEngine::new(MultiEngineConfig {
+        workers,
+        max_concurrent_races: 1024,
+        tenant: EngineConfig { default_budget: RaceBudget::decision(), ..EngineConfig::default() },
+    }));
+    let yeast = engine.register("yeast", PsiRunner::nfv_default(&stored)).expect("fresh engine");
+    let requests: Vec<QueryRequest> =
+        queries.into_iter().map(|q| QueryRequest::new(q).graph(yeast)).collect();
     println!("engine: {workers} workers, {total} queries inbound from 2 client threads\n");
 
     let cursor = AtomicUsize::new(0);

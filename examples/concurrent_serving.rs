@@ -7,7 +7,7 @@
 //! cargo run --release --example concurrent_serving
 //! ```
 
-use psi::engine::{Engine, EngineConfig, ServePath};
+use psi::engine::ServePath;
 use psi::prelude::*;
 use psi_core::PsiConfig;
 use std::sync::Arc;
@@ -39,17 +39,19 @@ fn main() {
     // The engine: 4 pooled workers serve 120 queries × 4 variants = 480
     // racing tasks — the one-shot library path would have spawned up to
     // 480 threads; the engine never exceeds its fixed pool.
-    let engine = Arc::new(Engine::new(
-        PsiRunner::new(Arc::new(stored.clone()), config),
-        EngineConfig {
-            workers: 4,
-            max_concurrent_races: 4,
+    let engine = MultiEngine::new(MultiEngineConfig {
+        workers: 4,
+        max_concurrent_races: 4,
+        tenant: EngineConfig {
             predictor_min_observations: 24,
             predictor_confidence: 0.7,
             default_budget: RaceBudget::decision(),
             ..EngineConfig::default()
         },
-    ));
+    });
+    let yeast = engine
+        .register("yeast", PsiRunner::new(Arc::new(stored.clone()), config))
+        .expect("fresh engine");
     println!(
         "engine: {} workers, {} concurrent races max, {} queries inbound\n",
         4,
@@ -59,10 +61,11 @@ fn main() {
 
     // 8 client threads hammer the engine concurrently.
     let t0 = Instant::now();
-    let report = psi::workload::submit_batch(&engine, &queries, 8);
+    let traffic: Vec<_> = queries.iter().map(|q| (yeast, q.clone())).collect();
+    let report = psi::workload::submit_batch_multi(&engine, &traffic, 8);
     let wall = t0.elapsed();
 
-    let found = report.responses.iter().filter(|r| r.found()).count();
+    let found = report.responses.iter().filter(|(_, r)| r.found()).count();
     println!(
         "served {} queries in {:.1} ms ({:.0} queries/s)",
         report.responses.len(),
@@ -99,7 +102,7 @@ fn main() {
     // hits complete the ticket at submission; no race, no waiting).
     let hot = &queries[0];
     let ticket = engine
-        .submit_nonblocking(QueryRequest::new(hot.clone()))
+        .submit_nonblocking(QueryRequest::new(hot.clone()).graph(yeast))
         .expect("cache hits are served even at capacity");
     assert!(ticket.is_complete(), "a cache hit completes its ticket immediately");
     let hot_response = ticket.wait();

@@ -50,10 +50,9 @@ fn main() {
     // fast path, so every query runs the full entrant field and the
     // trace shows complete races.
     let runner = PsiRunner::new(Arc::new(stored.clone()), PsiConfig::gql_spa_orig_dnd());
-    let engine = Engine::new(
-        runner,
-        EngineConfig {
-            workers: 4,
+    let engine = MultiEngine::new(MultiEngineConfig {
+        workers: 4,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             default_budget: RaceBudget::matching().timeout(Duration::from_millis(200)),
@@ -64,17 +63,19 @@ fn main() {
             },
             ..EngineConfig::default()
         },
-    );
+        ..MultiEngineConfig::default()
+    });
+    let human = engine.register("human", runner).expect("fresh engine");
 
     let queries = Workloads::nfv_workload(&stored, 20, 20, 5);
     println!("workload: {} queries of 20 edges, 200ms race timeout\n", queries.len());
     for q in &queries {
-        engine.submit(q);
+        engine.submit(human, q).expect("registered graph");
     }
 
     // The trace stream: one Admitted and one terminal event per query,
     // with every entrant report in between.
-    let events = engine.drain_trace();
+    let events: Vec<TraceRecord> = engine.drain_trace().into_iter().map(|(_, r)| r).collect();
     let entrant_reports =
         events.iter().filter(|r| matches!(r.event, TraceEvent::EntrantFinished { .. })).count();
     println!(
@@ -82,7 +83,7 @@ fn main() {
         events.len(),
         entrant_reports,
         events.iter().filter(|r| r.event.is_terminal()).count(),
-        engine.trace_dropped()
+        engine.exporter().graphs()[0].trace_dropped
     );
 
     // Observation 1: the tail dwarfs the median. Histogram percentiles
@@ -140,7 +141,7 @@ fn main() {
     // the fastest entrant is the winner, the slowest is the straggler
     // racing rescued the query from (its wall truncated at cancellation).
     println!("slow-query log, worst first (per-entrant timing):");
-    for sq in engine.slow_queries() {
+    for (_, sq) in engine.slow_queries() {
         let ran: Vec<&EntrantTiming> =
             sq.entrants.iter().filter(|e| !e.pruned && e.wall_us > 0).collect();
         let winner = sq.winner.map_or("none".to_string(), |w| w.to_string());
@@ -177,11 +178,10 @@ fn main() {
     // space into cooperating work-stealing slices whenever the pool has
     // spare workers (idle-biased here: one race at a time over 4
     // workers). The trace attributes every straggler to its slices.
-    let sliced = Engine::new(
-        PsiRunner::new(Arc::new(stored), PsiConfig::gql_spa_orig_dnd()),
-        EngineConfig {
-            workers: 4,
-            max_concurrent_races: 1,
+    let sliced = MultiEngine::new(MultiEngineConfig {
+        workers: 4,
+        max_concurrent_races: 1,
+        tenant: EngineConfig {
             cache_capacity: 0,
             predictor_confidence: 2.0,
             // Let the scheduler plan from the first query: this act is
@@ -196,9 +196,12 @@ fn main() {
             },
             ..EngineConfig::default()
         },
-    );
+    });
+    let human = sliced
+        .register("human", PsiRunner::new(Arc::new(stored), PsiConfig::gql_spa_orig_dnd()))
+        .expect("fresh engine");
     for q in &queries {
-        sliced.submit(q);
+        sliced.submit(human, q).expect("registered graph");
     }
     let stats = sliced.stats();
     println!(
@@ -212,9 +215,9 @@ fn main() {
     // slow query is the work-stealing cursor rebalancing: the slice that
     // hit the hard region claimed fewer ranges while its siblings ate
     // the rest of the domain.
-    let events = sliced.drain_trace();
+    let events: Vec<TraceRecord> = sliced.drain_trace().into_iter().map(|(_, r)| r).collect();
     println!("slow queries attributed to slices (entrant/slice: chunks claimed, wall):");
-    for sq in sliced.slow_queries() {
+    for (_, sq) in sliced.slow_queries() {
         let winner = sq.winner.map_or("none".to_string(), |w| w.to_string());
         println!("  query {:>3}: {:>8} µs  winner {winner}", sq.query, sq.elapsed_us);
         let mut slices: Vec<(u32, u32, u32, u64)> = events

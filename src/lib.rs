@@ -40,8 +40,7 @@
 //!   instead of bouncing), and the blocking [`net::PsiClient`];
 //! * [`workload`] — query-workload generation and the paper's metric
 //!   machinery (easy/2″–600″/hard classes, WLA/QLA, (max/min), speedup★),
-//!   plus batch submission of whole (single- or multi-graph) workloads
-//!   through an engine.
+//!   plus batch submission of whole workloads through an engine.
 //!
 //! ## Quickstart: one query
 //!
@@ -61,29 +60,28 @@
 //! ## Quickstart: serving concurrent traffic
 //!
 //! One-shot races spawn threads per query — fine for experiments, wrong
-//! for a server. The engine owns a fixed worker pool, admission queue
-//! and result cache; submissions go through the [`engine::Submit`]
-//! frontend as [`engine::QueryRequest`]s, and the non-blocking path
-//! hands back a ticket at admission (no thread parks per query):
+//! for a server. The engine ([`engine::MultiEngine`]) owns a fixed
+//! worker pool, admission queue and result cache; submissions go
+//! through the [`engine::Submit`] frontend as [`engine::QueryRequest`]s
+//! routed to a registered graph, and the non-blocking path hands back a
+//! ticket at admission (no thread parks per query):
 //!
 //! ```
 //! use psi::prelude::*;
 //!
 //! let stored = psi::graph::datasets::yeast_like(0.05, 42);
-//! let engine = Engine::new(
-//!     PsiRunner::nfv_default(&stored),
-//!     EngineConfig {
-//!         workers: 2,
-//!         default_budget: RaceBudget::decision(),
-//!         ..EngineConfig::default()
-//!     },
-//! );
+//! let engine = MultiEngine::new(MultiEngineConfig {
+//!     workers: 2,
+//!     tenant: EngineConfig { default_budget: RaceBudget::decision(), ..EngineConfig::default() },
+//!     ..MultiEngineConfig::default()
+//! });
+//! let yeast = engine.register("yeast", PsiRunner::nfv_default(&stored)).unwrap();
 //! let query = Workloads::single_query(&stored, 8, 7).expect("query");
 //! // Non-blocking: a ticket at admission, the race on the pool.
-//! let ticket = engine.submit_nonblocking(QueryRequest::new(query.clone())).unwrap();
+//! let ticket = engine.submit_nonblocking(QueryRequest::new(query.clone()).graph(yeast)).unwrap();
 //! let cold = ticket.wait();
 //! // Blocking convenience (= submit_queued + wait); identical query: cache hit.
-//! let warm = engine.submit_request(QueryRequest::new(query)).unwrap();
+//! let warm = engine.submit(yeast, &query).unwrap();
 //! assert_eq!(cold.found(), warm.found());
 //! assert!(engine.stats().cache_hits >= 1);
 //! ```
@@ -260,23 +258,25 @@
 //! use psi::prelude::*;
 //!
 //! let stored = psi::graph::datasets::yeast_like(0.05, 42);
-//! let engine = Engine::new(
-//!     PsiRunner::nfv_default(&stored),
-//!     EngineConfig { workers: 2, default_budget: RaceBudget::decision(),
-//!                    ..EngineConfig::default() },
-//! );
+//! let engine = MultiEngine::new(MultiEngineConfig {
+//!     workers: 2,
+//!     tenant: EngineConfig { default_budget: RaceBudget::decision(), ..EngineConfig::default() },
+//!     ..MultiEngineConfig::default()
+//! });
+//! let yeast = engine.register("yeast", PsiRunner::nfv_default(&stored)).unwrap();
 //! let query = Workloads::single_query(&stored, 8, 7).expect("query");
-//! engine.submit(&query);
+//! engine.submit(yeast, &query).unwrap();
 //!
-//! // The trace: one Admitted and one terminal event per accepted query.
+//! // The trace: one Admitted and one terminal event per accepted query,
+//! // tagged with the graph that emitted it.
 //! let events = engine.drain_trace();
-//! assert!(events.iter().any(|r| r.event.is_terminal()));
+//! assert!(events.iter().any(|(g, r)| *g == yeast && r.event.is_terminal()));
 //! // Stage percentiles from histograms covering every query.
 //! assert!(engine.stats().stages.race_p99 >= engine.stats().stages.race_p50);
 //! // Slow-query log and exporter (Prometheus text / JSON snapshot).
 //! assert!(!engine.slow_queries().is_empty());
 //! let scrape = engine.exporter().render_prometheus();
-//! assert!(scrape.contains("psi_queries_total 1"));
+//! assert!(scrape.contains("psi_queries_total{graph=\"yeast\"} 1"));
 //! ```
 
 pub use psi_core as core;
@@ -295,10 +295,10 @@ pub mod prelude {
         Compaction, GraphUpdate, PsiConfig, PsiOutcome, PsiRunner, RaceBudget, UpdateOp, Variant,
     };
     pub use psi_engine::{
-        AdmissionError, CompletionQueue, Engine, EngineConfig, EngineResponse, EngineStats,
-        EntrantTiming, GraphId, LoadReport, MetricsExporter, MultiEngine, MultiEngineConfig,
-        PersistError, Priority, QueryRequest, QueryTicket, RaceStrategy, RouteError, SaveReport,
-        ServePath, SlowQuery, Submit, SubmitError, TelemetryConfig, TraceEvent, TraceRecord,
+        AdmissionError, CompletionQueue, EngineConfig, EngineResponse, EngineStats, EntrantTiming,
+        GraphId, LoadReport, MetricsExporter, MultiEngine, MultiEngineConfig, PersistError,
+        Priority, QueryRequest, QueryTicket, RaceStrategy, RouteError, SaveReport, ServePath,
+        SlowQuery, Submit, SubmitError, TelemetryConfig, TraceEvent, TraceRecord,
     };
     pub use psi_ftv::{GgsxIndex, GrapesIndex, GraphDb};
     pub use psi_graph::{Graph, GraphBuilder, LabelStats, Permutation};
@@ -306,9 +306,9 @@ pub mod prelude {
     pub use psi_net::{PsiClient, PsiServer, QueryFrame, ReplyFrame, ServerConfig, WireStatus};
     pub use psi_rewrite::{rewrite_query, Rewriting};
     pub use psi_workload::{
-        compare_race_strategies, compare_telemetry_overhead, run_net_fleet, submit_batch,
-        submit_batch_async, submit_batch_multi, AsyncBatchReport, BatchReport, MultiBatchReport,
-        MultiWorkload, MultiWorkloadSpec, NetFleetReport, NetFleetSpec, OverheadSpec, QueryGen,
-        StrategyComparison, StrategySpec, TelemetryOverhead, Workloads,
+        compare_race_strategies, compare_telemetry_overhead, run_net_fleet, submit_batch_async,
+        submit_batch_multi, AsyncBatchReport, MultiBatchReport, MultiWorkload, MultiWorkloadSpec,
+        NetFleetReport, NetFleetSpec, OverheadSpec, QueryGen, StrategyComparison, StrategySpec,
+        TelemetryOverhead, Workloads,
     };
 }
