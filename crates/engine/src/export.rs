@@ -15,7 +15,7 @@
 //! emitted (plus `+Inf`), so the series count tracks the observed
 //! latency spread, not the 1920-bucket histogram resolution.
 
-use crate::engine::ServeCore;
+use crate::engine::Tenant;
 use crate::stats::{EngineStats, HistogramSnapshot};
 use crate::telemetry::SlowQuery;
 use std::fmt::Write as _;
@@ -60,11 +60,12 @@ pub struct GraphMetricsSnapshot {
 }
 
 impl GraphMetricsSnapshot {
-    pub(crate) fn capture(name: String, core: &ServeCore, stats: EngineStats) -> Self {
+    pub(crate) fn capture(tenant: &Tenant) -> Self {
+        let core = &tenant.core;
         let c = &core.stats;
         Self {
-            name,
-            stats,
+            name: tenant.name.clone(),
+            stats: tenant.stats(),
             latency: c.latency.snapshot(),
             queue_wait: c.queue_wait.snapshot(),
             park_wait: c.park_wait.snapshot(),

@@ -540,16 +540,17 @@ impl MultiEngine {
     /// measured against this engine's uptime.
     pub fn stats(&self) -> EngineStats {
         let merged = StatsCollector::since(self.started);
-        let (mut epoch, mut index_build_us) = (0, 0);
+        let (mut epoch, mut index_build_us, mut waiting_room_depth) = (0, 0, 0);
         for tenant in self.registry.snapshot() {
             merged.merge_from(&tenant.core.stats);
-            let runner = &tenant.core.runner;
+            let gauges = tenant.stats();
             // Epochs are per-graph gauges; the aggregate reports the
-            // furthest-advanced tenant.
-            epoch = epoch.max(runner.epoch());
-            index_build_us += runner.target_index().map_or(0, |ix| ix.build_micros());
+            // furthest-advanced tenant. Every tenant reads the shared
+            // gate's waiting-room total, so that one is not summed.
+            epoch = epoch.max(gauges.epoch);
+            index_build_us += gauges.index_build_us;
+            waiting_room_depth = waiting_room_depth.max(gauges.waiting_room_depth);
         }
-        let waiting_room_depth = self.admission.total_parked() as u64;
         EngineStats { epoch, index_build_us, waiting_room_depth, ..merged.snapshot() }
     }
 
@@ -588,12 +589,7 @@ impl MultiEngine {
     /// Prometheus text or JSON.
     pub fn exporter(&self) -> MetricsExporter {
         let tenants = self.registry.snapshot();
-        MetricsExporter::new(
-            tenants
-                .iter()
-                .map(|t| GraphMetricsSnapshot::capture(t.name.clone(), &t.core, t.stats()))
-                .collect(),
-        )
+        MetricsExporter::new(tenants.iter().map(|t| GraphMetricsSnapshot::capture(t)).collect())
     }
 }
 

@@ -118,12 +118,27 @@ fn trained_staging_prunes_losing_entrants() {
         "exploration probes must run some full-field races: {stats:?}"
     );
     assert!(stats.topk_races >= served * 3 / 4, "most races should still be staged: {stats:?}");
-    assert!(stats.pruned_entrants > 0, "decided heats must prune their reserve: {stats:?}");
     // Per race, from the slow-query log (sized to hold all of them):
-    // an escalated race prunes nothing, a decided heat prunes its whole
-    // reserve, and a race trains the predictor iff it was contested.
+    // with `escalate_after: 1.0` and a decision budget every heat decides
+    // or escalates. A decided heat launches 1..4 entrants and prunes the
+    // rest; probes and escalated races run the whole field and prune
+    // nothing.
     let races: Vec<_> = engine.slow_queries().into_iter().map(|(_, q)| q).collect();
     assert_eq!(races.len() as u64, served);
+    let mut decided_heats = 0u64;
+    for race in &races {
+        assert_eq!(race.entrants.len(), 4, "one timing per configured variant: {race:?}");
+        let pruned = race.entrants.iter().filter(|e| e.pruned).count();
+        if pruned > 0 {
+            decided_heats += 1;
+            assert!(pruned < 4, "a decided heat launched at least one entrant: {race:?}");
+        }
+    }
+    assert_eq!(
+        decided_heats,
+        stats.topk_races - stats.escalations,
+        "exactly the non-escalated staged races prune their reserve: {stats:?}"
+    );
     let pruned: u64 =
         races.iter().map(|q| q.entrants.iter().filter(|e| e.pruned).count() as u64).sum();
     assert_eq!(pruned, stats.pruned_entrants);
