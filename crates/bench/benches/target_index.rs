@@ -1,13 +1,10 @@
 //! Shared `TargetIndex` benchmarks: what registration pays to build the
-//! index, what the first query gets back, and the saturated-pool
-//! indexed-vs-legacy throughput comparison the CI artifact tracks as
-//! `indexed_speedup`.
+//! index, and what a first query costs on top of it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use psi_core::RaceBudget;
 use psi_graph::{datasets, TargetIndex};
 use psi_matchers::{Algorithm, SearchBudget};
-use psi_workload::{compare_index_modes, IndexCmpSpec, MultiWorkloadSpec, Workloads};
+use psi_workload::Workloads;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -16,7 +13,7 @@ fn bench_build_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("target_index_build");
     group.sample_size(20);
     // The one-time registration cost: full index (with the dense
-    // bitset) vs the bitset-free variant scan-mode matchers hold.
+    // bitset) vs the bitset-free variant large graphs get.
     group.bench_function("build_full", |b| {
         b.iter(|| black_box(TargetIndex::build(Arc::clone(&stored))))
     });
@@ -36,9 +33,9 @@ fn bench_build_cost(c: &mut Criterion) {
 }
 
 fn bench_first_query(c: &mut Criterion) {
-    // What the first query after registration saves: one shared index
-    // build amortized over a GQL+SPA matcher pair vs per-matcher legacy
-    // preparation, each followed by one cold search.
+    // Registration plus the first query: one shared index build
+    // amortized over a GQL+SPA matcher pair, each followed by one cold
+    // search.
     let stored = Arc::new(datasets::yeast_like(0.2, 42));
     let query = Workloads::single_query(&stored, 10, 9).expect("generable query");
     let budget = SearchBudget::first_match();
@@ -53,52 +50,8 @@ fn bench_first_query(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("legacy_prepare_and_search", |b| {
-        b.iter(|| {
-            for alg in [Algorithm::GraphQl, Algorithm::SPath] {
-                let m = alg.prepare_legacy(Arc::clone(&stored));
-                black_box(m.search(&query, &budget));
-            }
-        })
-    });
     group.finish();
 }
 
-fn bench_saturated_pool(c: &mut Criterion) {
-    // The serving-path comparison: identical registries, saturated
-    // 4-worker pool, matching races — indexed vs legacy scan mode.
-    let spec = IndexCmpSpec {
-        workload: MultiWorkloadSpec {
-            base_nodes: 100,
-            node_step: 50,
-            base_labels: 2,
-            query_edges: 10,
-            total_queries: 160,
-            ..MultiWorkloadSpec::default()
-        },
-        budget: RaceBudget::matching(),
-        passes: 1,
-        ..IndexCmpSpec::default()
-    };
-    let mut group = c.benchmark_group("target_index_saturated_pool");
-    group.sample_size(10);
-    group.bench_function("indexed_vs_legacy", |b| {
-        b.iter(|| black_box(compare_index_modes(&spec, 2024)))
-    });
-    group.finish();
-
-    let cmp = compare_index_modes(&spec, 2024);
-    println!(
-        "target_index saturated pool: indexed {:.0} qps vs legacy {:.0} qps \
-         (speedup {:.2}x, build {} µs, {} bitset / {} binary probes)",
-        cmp.indexed_qps,
-        cmp.legacy_qps,
-        cmp.speedup,
-        cmp.index_build_us,
-        cmp.edge_probes_bitset,
-        cmp.edge_probes_binary,
-    );
-}
-
-criterion_group!(benches, bench_build_cost, bench_first_query, bench_saturated_pool);
+criterion_group!(benches, bench_build_cost, bench_first_query);
 criterion_main!(benches);

@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 /// Artifact schema version (bump when fields change meaning).
 /// v2: added `topk_qps` and `escalation_rate` (adaptive top-K racing).
 /// v3: added `async_qps` (ticket frontend, clients ≪ in-flight).
-/// v4: added `indexed_speedup` (shared per-graph `TargetIndex` vs the
-///     legacy scan paths, matching-race multi-graph workload).
+/// v4: added the shared-`TargetIndex` vs legacy-scan throughput ratio
+///     (removed in v10).
 /// v5: added `telemetry_overhead` (tracing-on vs tracing-off saturated
 ///     qps ratio, gated) plus the informational trail columns
 ///     `index_build_us`, `edge_probes_bitset`, `edge_probes_binary`.
@@ -61,7 +61,11 @@ use std::time::{Duration, Instant};
 ///     `escalation_rate` keep their v2 names (the trail joins on them)
 ///     and measure `RaceStrategy::Adaptive { max_slices: 1,
 ///     escalate_after: 0.02 }`, the one staged strategy.
-pub const SCHEMA_VERSION: f64 = 9.0;
+/// v10: dropped the v4 ratio (the legacy scan matchers it raced the
+///     indexed ones against are gone); `index_build_us` and
+///     `edge_probes_{bitset,binary}` now come from the full-field
+///     multi-graph registry behind `multi_qps`.
+pub const SCHEMA_VERSION: f64 = 10.0;
 
 /// The headline serving metrics CI tracks over time.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,28 +119,20 @@ pub struct EngineBenchMetrics {
     /// frontend, and should retain the large majority of in-process
     /// throughput. Higher is better.
     pub net_qps: f64,
-    /// Shared per-graph `TargetIndex` vs the legacy scan paths (v4):
-    /// the standard 4-graph skewed workload raced as *matching* queries
-    /// (the paper's 1000-embedding budget, so entrants live in their
-    /// enumeration loops where candidate lists, the adjacency bitset
-    /// and scratch reuse pay), identical registries except matcher
-    /// preparation mode, caches and fast path off. Reported as
-    /// `indexed_qps / legacy_qps`; ≥ 1 means building the index once
-    /// at registration beats rescanning per query. Higher is better.
-    pub indexed_speedup: f64,
     /// Ψ-trace cost (v5): tracing-on vs tracing-off saturated qps on
     /// otherwise-identical registries (caches and fast path off, a
     /// consumer draining the rings between passes). 1.0 means free; the
     /// gate holds the ratio up, so a tracing hot-path regression fails
     /// CI. Higher is better.
     pub telemetry_overhead: f64,
-    /// One-time `TargetIndex` build cost summed over the indexed
-    /// registry's graphs, microseconds (v5). Informational: trended in
-    /// the trail table, never gated — it measures dataset size as much
-    /// as code.
+    /// One-time `TargetIndex` build cost summed over the graphs of the
+    /// `multi_qps` registry, microseconds (v5; v10: that registry).
+    /// Informational: trended in the trail table, never gated — it
+    /// measures dataset size as much as code.
     pub index_build_us: f64,
-    /// Adjacency probes the indexed-registry pass answered from the
-    /// dense bitset (v5, informational).
+    /// Adjacency probes the `multi_qps` registry answered from the
+    /// dense bitset over its training and measured passes (v5; v10:
+    /// that registry; informational).
     pub edge_probes_bitset: f64,
     /// Adjacency probes that fell back to binary search (v5,
     /// informational).
@@ -212,7 +208,6 @@ impl EngineBenchMetrics {
             ("escalation_rate", self.escalation_rate, Direction::LowerIsBetter),
             ("async_qps", self.async_qps, Direction::HigherIsBetter),
             ("net_qps", self.net_qps, Direction::HigherIsBetter),
-            ("indexed_speedup", self.indexed_speedup, Direction::HigherIsBetter),
             ("telemetry_overhead", self.telemetry_overhead, Direction::HigherIsBetter),
             ("index_build_us", self.index_build_us, Direction::Informational),
             ("edge_probes_bitset", self.edge_probes_bitset, Direction::Informational),
@@ -273,7 +268,6 @@ impl EngineBenchMetrics {
             escalation_rate: get("escalation_rate")?,
             async_qps: get("async_qps")?,
             net_qps: get("net_qps")?,
-            indexed_speedup: get("indexed_speedup")?,
             telemetry_overhead: get("telemetry_overhead")?,
             index_build_us: get("index_build_us")?,
             edge_probes_bitset: get("edge_probes_bitset")?,
@@ -576,35 +570,6 @@ pub fn measure() -> EngineBenchMetrics {
     }
     drop(net_server);
 
-    // --- Shared TargetIndex vs legacy scan paths: the standard 4-graph
-    // skewed workload shape raced as matching queries (the paper's
-    // 1000-embedding budget) against two identical registries differing
-    // only in matcher preparation mode. Matching races keep entrants in
-    // their enumeration loops, which is where the index's candidate
-    // lists, adjacency bitset and scratch reuse pay; a 2-label alphabet
-    // keeps those loops deep, and 100–250-node stored graphs give the
-    // legacy scans something real to rescan. compare_index_modes
-    // interleaves its passes palindromically itself. ---
-    let index_cmp = psi_workload::compare_index_modes(
-        &psi_workload::IndexCmpSpec {
-            workload: MultiWorkloadSpec {
-                base_nodes: 100,
-                node_step: 50,
-                base_labels: 2,
-                query_edges: 10,
-                total_queries: 280,
-                ..MultiWorkloadSpec::default()
-            },
-            budget: RaceBudget::matching(),
-            // Best-of-3 per mode: the ratio of two threaded measurements
-            // is the noisiest metric in the artifact, and an extra pass
-            // costs well under a second.
-            passes: 3,
-            ..psi_workload::IndexCmpSpec::default()
-        },
-        2024,
-    );
-
     // --- Ψ-trace overhead: the standard skewed workload raced against
     // two registries identical except TelemetryConfig (tracing on with a
     // draining consumer vs off). Decision races keep the per-query
@@ -773,6 +738,7 @@ pub fn measure() -> EngineBenchMetrics {
     );
 
     let escalation_rate = topk_multi.stats().escalation_rate;
+    let full_stats = full_multi.stats();
     assert!(escalation_rate > 0.0, "the staged bench must exercise escalation (rate was 0)");
 
     EngineBenchMetrics {
@@ -785,11 +751,10 @@ pub fn measure() -> EngineBenchMetrics {
         escalation_rate,
         async_qps,
         net_qps,
-        indexed_speedup: index_cmp.speedup,
         telemetry_overhead: overhead.overhead_ratio,
-        index_build_us: index_cmp.index_build_us as f64,
-        edge_probes_bitset: index_cmp.edge_probes_bitset as f64,
-        edge_probes_binary: index_cmp.edge_probes_binary as f64,
+        index_build_us: full_stats.index_build_us as f64,
+        edge_probes_bitset: full_stats.edge_probes_bitset as f64,
+        edge_probes_binary: full_stats.edge_probes_binary as f64,
         cold_start_speedup,
         snapshot_bytes,
         wal_replay_us,
@@ -816,7 +781,6 @@ mod tests {
             escalation_rate: 0.125,
             async_qps: 850.0,
             net_qps: 700.0,
-            indexed_speedup: 1.2,
             telemetry_overhead: 0.97,
             index_build_us: 1500.0,
             edge_probes_bitset: 2_000_000.0,
@@ -881,7 +845,6 @@ mod tests {
             escalation_rate: 0.01,
             async_qps: 9_800.0,
             net_qps: 9_700.0,
-            indexed_speedup: 3.0,
             telemetry_overhead: 1.02,
             index_build_us: 1500.0,
             edge_probes_bitset: 2_000_000.0,
@@ -936,16 +899,6 @@ mod tests {
         let names: Vec<_> =
             check_regressions(&worse, &base, 0.30).iter().map(|r| r.metric).collect();
         assert_eq!(names, vec!["cold_start_speedup"]);
-    }
-
-    #[test]
-    fn indexed_speedup_regressions_are_gated() {
-        let base = sample();
-        // A lost index (speedup collapsing to parity) trips the gate.
-        let worse = EngineBenchMetrics { indexed_speedup: 0.8, ..base.clone() };
-        let names: Vec<_> =
-            check_regressions(&worse, &base, 0.30).iter().map(|r| r.metric).collect();
-        assert_eq!(names, vec!["indexed_speedup"]);
     }
 
     #[test]

@@ -22,22 +22,20 @@
 use crate::artifact::parse_flat_json;
 
 /// The metrics a trail table tracks, in column order: the qps columns
-/// and the `indexed_speedup` / `telemetry_overhead` /
-/// `cold_start_speedup` / `sliced_p99_speedup` ratios (up is good for
-/// all of them), plus the informational columns — index build cost, the
+/// and the `telemetry_overhead` / `cold_start_speedup` /
+/// `sliced_p99_speedup` ratios (up is good for all of them), plus the informational columns — index build cost, the
 /// adjacency-probe split (v5), snapshot size and WAL replay cost (v7),
 /// overlay compaction cost (v8), slicing selectivity and steal activity
 /// (v9) — which trend with workload shape rather than gate.
 /// Artifacts predating a metric (older schema versions) show `—` in its
 /// column instead of failing the whole trail.
-pub const TRAIL_METRICS: [&str; 18] = [
+pub const TRAIL_METRICS: [&str; 17] = [
     "qps",
     "multi_qps",
     "topk_qps",
     "async_qps",
     "net_qps",
     "ingest_qps",
-    "indexed_speedup",
     "telemetry_overhead",
     "cold_start_speedup",
     "sliced_p99_speedup",
@@ -193,7 +191,6 @@ mod tests {
             escalation_rate: 0.1,
             async_qps: qps * 0.85,
             net_qps: qps * 0.7,
-            indexed_speedup: qps / 1000.0 * 1.2,
             telemetry_overhead: qps / 1000.0 * 0.95,
             index_build_us: 1500.0,
             edge_probes_bitset: qps * 1000.0,

@@ -28,25 +28,23 @@ type MatcherSet = HashMap<Algorithm, Arc<dyn Matcher>>;
 /// the epoch they started on, so neither updates nor compaction ever
 /// pause or invalidate them.
 pub struct PsiRunner {
-    stored: Arc<Graph>,
     stats: LabelStats,
-    /// The shared per-graph [`TargetIndex`] of the *registration* epoch:
-    /// built exactly once here and handed (as an `Arc`) to every prepared
-    /// matcher, so every entrant of every race probes the same
-    /// label/degree/signature/adjacency structures. `None` for legacy
-    /// scan-mode runners (the seed behavior kept for the
-    /// `indexed_speedup` comparison).
-    index: Option<Arc<TargetIndex>>,
-    matchers: HashMap<Algorithm, Arc<dyn Matcher>>,
+    /// The shared per-graph [`TargetIndex`] of the *registration* epoch
+    /// (over the stored graph as registered): built exactly once and
+    /// handed (as an `Arc`) to every prepared matcher, so every entrant
+    /// of every race probes the same label/degree/signature/adjacency
+    /// structures.
+    index: Arc<TargetIndex>,
+    matchers: MatcherSet,
     config: PsiConfig,
     live: RwLock<Live>,
 }
 
 /// The mutable serving state: everything a race pins when prepared.
 struct Live {
-    base: Arc<Graph>,
-    index: Option<Arc<TargetIndex>>,
-    matchers: Arc<HashMap<Algorithm, Arc<dyn Matcher>>>,
+    /// The current epoch's index, over its base CSR.
+    index: Arc<TargetIndex>,
+    matchers: Arc<MatcherSet>,
     stats: Arc<LabelStats>,
     overlay: Option<Arc<DeltaOverlay>>,
     /// Cumulative ops since the last compaction, in application order.
@@ -81,39 +79,49 @@ fn live_label_stats(base: &Graph, overlay: Option<&DeltaOverlay>) -> LabelStats 
     s
 }
 
+/// Prepares every algorithm `config` uses over one shared index.
+fn prepare_all(config: &PsiConfig, index: &Arc<TargetIndex>) -> MatcherSet {
+    config
+        .algorithms_used()
+        .into_iter()
+        .map(|a| (a, a.prepare_indexed(Arc::clone(index))))
+        .collect()
+}
+
+impl Live {
+    /// Pins this epoch's index and overlay.
+    fn pin(&self) -> PinnedView {
+        PinnedView::new(Arc::clone(&self.index), self.overlay.clone(), self.epoch)
+    }
+}
+
 impl PsiRunner {
     /// Prepares all algorithms used by `config` over `stored`, sharing
     /// one [`TargetIndex`] across every matcher.
     pub fn new(stored: Arc<Graph>, config: PsiConfig) -> Self {
-        let stats = LabelStats::from_graph(&stored);
-        let index = Arc::new(TargetIndex::build(Arc::clone(&stored)));
-        let matchers: HashMap<Algorithm, Arc<dyn Matcher>> = config
-            .algorithms_used()
-            .into_iter()
-            .map(|a| (a, a.prepare_indexed(Arc::clone(&index))))
-            .collect();
-        Self::assemble(stored, stats, Some(index), matchers, config)
+        let index = Arc::new(TargetIndex::build(stored));
+        let stats = LabelStats::from_graph(index.graph());
+        let matchers = prepare_all(&config, &index);
+        Self::assemble(stats, index, matchers, config)
     }
 
     /// Wires the registration-epoch parts into a runner whose live state
     /// starts as epoch 0 with no overlay.
     fn assemble(
-        stored: Arc<Graph>,
         stats: LabelStats,
-        index: Option<Arc<TargetIndex>>,
-        matchers: HashMap<Algorithm, Arc<dyn Matcher>>,
+        index: Arc<TargetIndex>,
+        matchers: MatcherSet,
         config: PsiConfig,
     ) -> Self {
         let live = Live {
-            base: Arc::clone(&stored),
-            index: index.clone(),
+            index: Arc::clone(&index),
             matchers: Arc::new(matchers.clone()),
             stats: Arc::new(stats.clone()),
             overlay: None,
             ops: Vec::new(),
             epoch: 0,
         };
-        Self { stored, stats, index, matchers, config, live: RwLock::new(live) }
+        Self { stats, index, matchers, config, live: RwLock::new(live) }
     }
 
     /// Like [`PsiRunner::new`], but over an **already-built**
@@ -136,31 +144,8 @@ impl PsiRunner {
             "prebuilt index does not match the stored graph"
         );
         let stats = LabelStats::from_graph(&stored);
-        let matchers: HashMap<Algorithm, Arc<dyn Matcher>> = config
-            .algorithms_used()
-            .into_iter()
-            .map(|a| (a, a.prepare_indexed(Arc::clone(&index))))
-            .collect();
-        Self::assemble(stored, stats, Some(index), matchers, config)
-    }
-
-    /// Prepares all algorithms in **legacy scan mode** — the seed,
-    /// pre-index behavior (per-query candidate rescans, binary-search
-    /// adjacency probes, per-query allocations). This is the reference
-    /// configuration the `indexed_speedup` bench metric and the matcher
-    /// equivalence property tests race against.
-    pub fn new_legacy_scan(stored: Arc<Graph>, config: PsiConfig) -> Self {
-        let stats = LabelStats::from_graph(&stored);
-        // One bitset-free index shared across the scan-mode matchers:
-        // they ignore its derived structures wherever the seed rescanned,
-        // but there is no reason to build the shared state per algorithm.
-        let index = Arc::new(TargetIndex::build_without_bitset(Arc::clone(&stored)));
-        let matchers: HashMap<Algorithm, Arc<dyn Matcher>> = config
-            .algorithms_used()
-            .into_iter()
-            .map(|a| (a, a.prepare_legacy_shared(Arc::clone(&index))))
-            .collect();
-        Self::assemble(stored, stats, None, matchers, config)
+        let matchers = prepare_all(&config, &index);
+        Self::assemble(stats, index, matchers, config)
     }
 
     /// The paper's §8 NFV default: GraphQL ∥ sPath on the original query.
@@ -178,30 +163,20 @@ impl PsiRunner {
 
     /// Returns a runner with a different variant set, re-using already
     /// prepared matchers *and* the shared target index (new algorithms
-    /// are prepared on demand against the same index — or in scan mode
-    /// for a legacy runner).
+    /// are prepared on demand against the same index).
     pub fn with_config(&self, config: PsiConfig) -> Self {
         let mut matchers = self.matchers.clone();
         for a in config.algorithms_used() {
-            matchers.entry(a).or_insert_with(|| match &self.index {
-                Some(index) => a.prepare_indexed(Arc::clone(index)),
-                None => a.prepare_legacy(Arc::clone(&self.stored)),
-            });
+            matchers.entry(a).or_insert_with(|| a.prepare_indexed(Arc::clone(&self.index)));
         }
-        Self::assemble(
-            Arc::clone(&self.stored),
-            self.stats.clone(),
-            self.index.clone(),
-            matchers,
-            config,
-        )
+        Self::assemble(self.stats.clone(), Arc::clone(&self.index), matchers, config)
     }
 
     /// The stored graph **as registered** (epoch 0). Live mutations do
     /// not touch this handle; see [`PsiRunner::materialized`] for the
     /// current contents.
     pub fn stored(&self) -> &Arc<Graph> {
-        &self.stored
+        self.index.graph()
     }
 
     /// The current epoch: 0 at registration, bumped by every
@@ -219,24 +194,17 @@ impl PsiRunner {
     /// The pin keeps its epoch alive via `Arc`s no matter how many
     /// updates or compactions land after it is taken.
     pub fn pinned(&self) -> PinnedView {
-        let live = self.live.read().unwrap();
-        PinnedView::new(
-            Arc::clone(&live.base),
-            live.index.clone(),
-            live.overlay.clone(),
-            live.index.is_some(),
-            live.epoch,
-        )
+        self.live.read().unwrap().pin()
     }
 
     /// The current epoch's base CSR (overlay **not** applied).
     pub fn live_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.live.read().unwrap().base)
+        Arc::clone(self.live.read().unwrap().index.graph())
     }
 
-    /// The current epoch's shared index (`None` for scan-mode runners).
-    pub fn live_index(&self) -> Option<Arc<TargetIndex>> {
-        self.live.read().unwrap().index.clone()
+    /// The current epoch's shared index.
+    pub fn live_index(&self) -> Arc<TargetIndex> {
+        Arc::clone(&self.live.read().unwrap().index)
     }
 
     /// The current live contents as a standalone graph: the epoch base
@@ -245,8 +213,8 @@ impl PsiRunner {
     pub fn materialized(&self) -> Arc<Graph> {
         let live = self.live.read().unwrap();
         match &live.overlay {
-            None => Arc::clone(&live.base),
-            Some(o) => Arc::new(o.materialize(&live.base)),
+            None => Arc::clone(live.index.graph()),
+            Some(o) => Arc::new(o.materialize(live.index.graph())),
         }
     }
 
@@ -265,8 +233,8 @@ impl PsiRunner {
         }
         let mut ops = live.ops.clone();
         ops.extend_from_slice(&update.ops);
-        let overlay = DeltaOverlay::build(&live.base, live.index.as_deref(), &ops)?;
-        live.stats = Arc::new(live_label_stats(&live.base, Some(&overlay)));
+        let overlay = DeltaOverlay::build(live.index.graph(), Some(&live.index), &ops)?;
+        live.stats = Arc::new(live_label_stats(live.index.graph(), Some(&overlay)));
         live.overlay = Some(Arc::new(overlay));
         live.ops = ops;
         Ok(live.epoch)
@@ -282,27 +250,14 @@ impl PsiRunner {
     /// Returns `None` when there was nothing to fold, or when a
     /// concurrent compaction installed a newer epoch first.
     pub fn compact(&self) -> Option<Compaction> {
-        let (base, overlay, folded_ops, epoch, accel) = {
+        let (base, overlay, folded_ops, epoch) = {
             let live = self.live.read().unwrap();
             let overlay = live.overlay.clone()?;
-            (Arc::clone(&live.base), overlay, live.ops.len(), live.epoch, live.index.is_some())
+            (Arc::clone(live.index.graph()), overlay, live.ops.len(), live.epoch)
         };
         let started = Instant::now();
-        let new_base = Arc::new(overlay.materialize(&base));
-        let algorithms = self.config.algorithms_used();
-        let (index, matchers): (Option<Arc<TargetIndex>>, MatcherSet) = if accel {
-            let ix = Arc::new(TargetIndex::build(Arc::clone(&new_base)));
-            let m =
-                algorithms.into_iter().map(|a| (a, a.prepare_indexed(Arc::clone(&ix)))).collect();
-            (Some(ix), m)
-        } else {
-            let ix = Arc::new(TargetIndex::build_without_bitset(Arc::clone(&new_base)));
-            let m = algorithms
-                .into_iter()
-                .map(|a| (a, a.prepare_legacy_shared(Arc::clone(&ix))))
-                .collect();
-            (None, m)
-        };
+        let index = Arc::new(TargetIndex::build(Arc::new(overlay.materialize(&base))));
+        let matchers = prepare_all(&self.config, &index);
         let duration = started.elapsed();
 
         let mut live = self.live.write().unwrap();
@@ -318,12 +273,11 @@ impl PsiRunner {
             None
         } else {
             Some(Arc::new(
-                DeltaOverlay::build(&new_base, index.as_deref(), &tail)
+                DeltaOverlay::build(index.graph(), Some(&index), &tail)
                     .expect("tail ops were validated when applied and IDs are stable"),
             ))
         };
-        live.stats = Arc::new(live_label_stats(&new_base, overlay.as_deref()));
-        live.base = new_base;
+        live.stats = Arc::new(live_label_stats(index.graph(), overlay.as_deref()));
         live.index = index;
         live.matchers = Arc::new(matchers);
         live.overlay = overlay;
@@ -333,10 +287,9 @@ impl PsiRunner {
     }
 
     /// The shared per-graph [`TargetIndex`], built once at construction
-    /// and probed by every entrant of every race. `None` only for
-    /// legacy scan-mode runners.
-    pub fn target_index(&self) -> Option<&Arc<TargetIndex>> {
-        self.index.as_ref()
+    /// and probed by every entrant of every race.
+    pub fn target_index(&self) -> &Arc<TargetIndex> {
+        &self.index
     }
 
     /// Label statistics of the stored graph **as registered** (drives the
@@ -376,19 +329,12 @@ impl PsiRunner {
     ) -> MatchResult {
         let (pin, stats, matcher) = {
             let live = self.live.read().unwrap();
-            let pin = PinnedView::new(
-                Arc::clone(&live.base),
-                live.index.clone(),
-                live.overlay.clone(),
-                live.index.is_some(),
-                live.epoch,
-            );
             let matcher = Arc::clone(
                 live.matchers
                     .get(&variant.algorithm)
                     .expect("algorithm not prepared for this runner"),
             );
-            (pin, Arc::clone(&live.stats), matcher)
+            (live.pin(), Arc::clone(&live.stats), matcher)
         };
         let perm = variant.rewriting.permutation(query, &stats);
         let rewritten = perm.apply_to(query);
@@ -407,14 +353,7 @@ impl PsiRunner {
     pub fn prepare_entrants(&self, query: &Graph) -> Vec<PreparedEntrant> {
         let (pin, stats, matchers) = {
             let live = self.live.read().unwrap();
-            let pin = PinnedView::new(
-                Arc::clone(&live.base),
-                live.index.clone(),
-                live.overlay.clone(),
-                live.index.is_some(),
-                live.epoch,
-            );
-            (pin, Arc::clone(&live.stats), Arc::clone(&live.matchers))
+            (live.pin(), Arc::clone(&live.stats), Arc::clone(&live.matchers))
         };
         let mut perms: HashMap<Rewriting, Arc<(Graph, psi_graph::Permutation)>> = HashMap::new();
         for v in &self.config.variants {

@@ -145,11 +145,11 @@ impl EntrantTally {
 /// scan slower. The window keeps the most recent `window` observations
 /// (ring overwrite), which also lets the predictor track workload drift.
 ///
-/// Besides the single-winner vote ([`predict_with_confidence`]
-/// (Self::predict_with_confidence)), the predictor can [`rank`](Self::rank)
-/// the *full* entrant field for a query — the input to staged
-/// racing, where only the leading entrants launch and the rest are held
-/// back as an escalation reserve.
+/// Besides the single-winner vote
+/// ([`predict_with_confidence`](Self::predict_with_confidence)), the
+/// predictor can [`rank`](Self::rank) the *full* entrant field for a
+/// query — the input to staged racing, where only the leading entrants
+/// launch and the rest are held back as an escalation reserve.
 #[derive(Debug, Clone)]
 pub struct VariantPredictor {
     samples: Vec<(QueryFeatures, usize)>,

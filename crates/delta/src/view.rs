@@ -25,7 +25,6 @@ pub struct GraphView<'a> {
     graph: &'a Graph,
     index: Option<&'a TargetIndex>,
     overlay: Option<&'a DeltaOverlay>,
-    accel: bool,
     epoch: u64,
 }
 
@@ -34,21 +33,13 @@ impl<'a> GraphView<'a> {
     /// This is what the index-free search entry points (FTV filter
     /// verification) use.
     pub fn of_graph(graph: &'a Graph) -> Self {
-        Self { graph, index: None, overlay: None, accel: false, epoch: 0 }
+        Self { graph, index: None, overlay: None, epoch: 0 }
     }
 
     /// An indexed view: candidate lists, signatures and bitset probes all
     /// come from `index`.
     pub fn of_index(index: &'a TargetIndex) -> Self {
-        Self { graph: index.graph(), index: Some(index), overlay: None, accel: true, epoch: 0 }
-    }
-
-    /// A legacy scan-mode view over a shared index: the index's derived
-    /// structures are *reachable* (prepared matchers consult them where
-    /// they always did) but acceleration is off — adjacency probes binary
-    /// search the CSR and candidate seeding rescans.
-    pub fn of_index_scan(index: &'a TargetIndex) -> Self {
-        Self { graph: index.graph(), index: Some(index), overlay: None, accel: false, epoch: 0 }
+        Self { graph: index.graph(), index: Some(index), overlay: None, epoch: 0 }
     }
 
     /// Attaches a delta overlay (if any) to the view.
@@ -88,10 +79,10 @@ impl<'a> GraphView<'a> {
         self.overlay.is_some()
     }
 
-    /// Whether index acceleration (bitset probes, candidate seeding) is
-    /// on for this view.
-    pub fn accel(&self) -> bool {
-        self.accel && self.index.is_some()
+    /// Whether the view carries an index (candidate lists, signatures,
+    /// bitset probes).
+    pub fn has_index(&self) -> bool {
+        self.index.is_some()
     }
 
     /// Number of nodes in the view (base + appended; tombstones retain
@@ -155,8 +146,8 @@ impl<'a> GraphView<'a> {
     /// Edge probe with accounting, mirroring
     /// [`TargetIndex::has_edge_counted`]: overlay-touched endpoints are
     /// answered by binary search in the overlay adjacency (counted as
-    /// `binary`), untouched pairs take the indexed bitset fast path when
-    /// acceleration is on.
+    /// `binary`), untouched pairs go to the index (bitset fast path when
+    /// built) or, without one, to CSR binary search.
     #[inline]
     pub fn has_edge_counted(
         &self,
@@ -178,8 +169,8 @@ impl<'a> GraphView<'a> {
             }
         }
         match self.index {
-            Some(ix) if self.accel => ix.has_edge_counted(u, v, bitset, binary),
-            _ => {
+            Some(ix) => ix.has_edge_counted(u, v, bitset, binary),
+            None => {
                 *binary += 1;
                 self.graph.has_edge(u, v)
             }
@@ -223,7 +214,7 @@ impl<'a> GraphView<'a> {
     ///
     /// # Panics
     /// Panics if the view has no index — candidate seeding is an indexed
-    /// operation (scan-mode entry points iterate `0..node_count` instead).
+    /// operation (index-free searches scan labels instead).
     pub fn candidates(&self, label: Label) -> &'a [NodeId] {
         if let Some(o) = self.overlay {
             if let Some(list) = o.candidates_override(label) {
@@ -282,41 +273,28 @@ impl<'a> GraphView<'a> {
 /// cannot pull state out from under it.
 #[derive(Clone)]
 pub struct PinnedView {
-    graph: Arc<Graph>,
-    index: Option<Arc<TargetIndex>>,
+    index: Arc<TargetIndex>,
     overlay: Option<Arc<DeltaOverlay>>,
-    accel: bool,
     epoch: u64,
 }
 
 impl PinnedView {
-    /// Pins an epoch's state. `accel` mirrors
-    /// [`GraphView::of_index`]/[`GraphView::of_index_scan`].
-    pub fn new(
-        graph: Arc<Graph>,
-        index: Option<Arc<TargetIndex>>,
-        overlay: Option<Arc<DeltaOverlay>>,
-        accel: bool,
-        epoch: u64,
-    ) -> Self {
-        Self { graph, index, overlay, accel, epoch }
+    /// Pins an epoch's state: its base graph's index and outstanding
+    /// overlay.
+    pub fn new(index: Arc<TargetIndex>, overlay: Option<Arc<DeltaOverlay>>, epoch: u64) -> Self {
+        Self { index, overlay, epoch }
     }
 
     /// A static pin over a bare indexed graph (epoch 0, no overlay).
     pub fn of_index(index: Arc<TargetIndex>) -> Self {
-        let graph = Arc::clone(index.graph());
-        Self::new(graph, Some(index), None, true, 0)
+        Self::new(index, None, 0)
     }
 
     /// The borrowed view.
     pub fn as_view(&self) -> GraphView<'_> {
-        GraphView {
-            graph: &self.graph,
-            index: self.index.as_deref(),
-            overlay: self.overlay.as_deref(),
-            accel: self.accel,
-            epoch: self.epoch,
-        }
+        GraphView::of_index(&self.index)
+            .with_overlay(self.overlay.as_deref())
+            .with_epoch(self.epoch)
     }
 
     /// The pinned epoch.
@@ -326,12 +304,12 @@ impl PinnedView {
 
     /// The pinned base graph.
     pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
+        self.index.graph()
     }
 
-    /// The pinned index, if the epoch is indexed.
-    pub fn index(&self) -> Option<&Arc<TargetIndex>> {
-        self.index.as_ref()
+    /// The pinned index.
+    pub fn index(&self) -> &Arc<TargetIndex> {
+        &self.index
     }
 
     /// The pinned overlay, if any mutations are outstanding.
@@ -360,7 +338,7 @@ mod tests {
         assert_eq!(v.neighbors(1), g.neighbors(1));
         assert!(v.has_edge(0, 1));
         assert!(!v.has_edge(0, 2));
-        assert!(!v.accel());
+        assert!(!v.has_index());
         assert!(v.is_live(3));
         assert!(!v.is_live(4));
     }
@@ -370,7 +348,7 @@ mod tests {
         let g = Arc::new(base());
         let ix = TargetIndex::build(Arc::clone(&g));
         let v = GraphView::of_index(&ix);
-        assert!(v.accel());
+        assert!(v.has_index());
         assert_eq!(v.candidates(0), ix.candidates(0));
         assert_eq!(v.signature(1), ix.signature(1));
         let (mut bs, mut bin) = (0u64, 0u64);
@@ -436,7 +414,7 @@ mod tests {
         assert_eq!(pin.epoch(), 0);
         assert!(pin.overlay().is_none());
         let v = pin.as_view();
-        assert!(v.accel());
+        assert!(v.has_index());
         assert_eq!(v.node_count(), 4);
     }
 }

@@ -28,9 +28,9 @@
 //! 4. **Pooled race** — every variant is one pool task sharing a
 //!    [`psi_core::RaceState`]; the first conclusive finisher cancels the rest
 //!    through the shared `CancelToken`, exactly as in
-//!    [`psi_core::race`]. Deadlines are anchored at *admission* time, so
+//!    [`psi_core::race()`]. Deadlines are anchored at *admission* time, so
 //!    queueing delay counts against the race budget (the paper's cap
-//!    convention). Completion is reactive (see [`crate::flight`]): the
+//!    convention). Completion is reactive (see the `flight` module): the
 //!    last entrant to report finalizes the race and fulfills the ticket,
 //!    so no thread belongs to any one in-flight query.
 //!
@@ -563,12 +563,12 @@ impl Tenant {
 
     /// This tenant's serving statistics: the collector's counters plus
     /// the live gauges read at snapshot time — the one-time index build
-    /// cost (0 for scan-mode runners, which have none), the waiting-room
-    /// depth (gate state) and the graph epoch (runner state).
+    /// cost, the waiting-room depth (gate state) and the graph epoch
+    /// (runner state).
     pub(crate) fn stats(&self) -> EngineStats {
         let runner = &self.core.runner;
         EngineStats {
-            index_build_us: runner.target_index().map_or(0, |ix| ix.build_micros()),
+            index_build_us: runner.target_index().build_micros(),
             waiting_room_depth: self.gate.waiting() as u64,
             epoch: runner.epoch(),
             ..self.core.stats.snapshot()

@@ -352,11 +352,9 @@ impl MultiEngine {
             variants: core.runner.config().variants.clone(),
             learned,
         };
-        let runner = &core.runner;
-        let live_graph = runner.live_graph();
-        let live_index = runner.live_index();
+        let index = core.runner.live_index();
         let snapshot_bytes =
-            write_snapshot(&snapshot_path, &live_graph, live_index.as_deref(), &contents)?;
+            write_snapshot(&snapshot_path, index.graph(), Some(&index), &contents)?;
         match wal_guard.as_mut() {
             Some(wal) => wal.reset()?,
             None => {

@@ -550,12 +550,13 @@ pub struct EngineStats {
     pub slice_steals: u64,
     /// Wall-clock cost of building this graph's shared `TargetIndex` at
     /// registration, microseconds (summed across graphs in the registry
-    /// aggregate; 0 for legacy scan-mode runners).
+    /// aggregate).
     pub index_build_us: u64,
     /// Adjacency probes answered by the index's dense bitset fast path.
     pub edge_probes_bitset: u64,
-    /// Adjacency probes answered by CSR binary search (bitset not built
-    /// for the graph, or scan-mode matchers).
+    /// Adjacency probes answered by binary search: CSR adjacency when no
+    /// bitset was built for the graph, overlay adjacency for touched
+    /// nodes.
     pub edge_probes_binary: u64,
     /// Learned-state WAL records appended while serving. Stays 0 until
     /// persistence is attached ([`crate::MultiEngine::save_graph`] /

@@ -416,7 +416,7 @@ pub struct EntrantTiming {
     pub pruned: bool,
 }
 
-/// One worst-offender query retained by the [`SlowQueryLog`].
+/// One worst-offender query retained by the slow-query log.
 #[derive(Debug, Clone)]
 pub struct SlowQuery {
     /// Engine-assigned query id.

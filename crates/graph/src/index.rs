@@ -152,9 +152,8 @@ impl TargetIndex {
     }
 
     /// Builds the index **without** the dense bitset: every `has_edge`
-    /// probe falls back to the CSR binary search. This is the
-    /// legacy-probe configuration used by scan-mode matchers and the
-    /// `indexed_speedup` bench comparison.
+    /// probe takes the CSR binary search, the path graphs too large for
+    /// a bitset always use.
     pub fn build_without_bitset(graph: Arc<Graph>) -> Self {
         Self::build_inner(graph, false)
     }

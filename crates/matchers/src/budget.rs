@@ -54,18 +54,10 @@ impl CancelToken {
     }
 
     /// A fresh token linked under `parent`: cancelled when either its own
-    /// flag or the parent's (transitively: the parent's whole chain is
-    /// folded into one observed flag here, so checks stay two loads) is
-    /// set. Cancelling the child never touches the parent.
+    /// flag or the parent's is set, so checks stay two loads. Cancelling
+    /// the child never touches the parent. Only the parent's own flag is
+    /// observed, so links are one level deep.
     pub fn linked(parent: &CancelToken) -> Self {
-        // Collapse grandparents: a parent that is itself linked trips its
-        // own flag only via `cancel()`, so observing both its flags needs
-        // both — fold them by observing the parent's *effective* state
-        // through a chain of at most one level. In practice our chains
-        // are one level deep (race token → slice group); deeper chains
-        // would need the parent checked via `is_cancelled`, which this
-        // constructor preserves by linking to the nearer flag and
-        // documenting the one-level contract.
         debug_assert!(
             parent.parent.is_none(),
             "CancelToken::linked supports one linking level (race token -> group token)"
@@ -200,12 +192,6 @@ impl BudgetClock<'_> {
         }
         None
     }
-
-    /// Whether `found` embeddings satisfy the cap.
-    #[inline]
-    pub fn reached_match_limit(&self, found: usize) -> bool {
-        found >= self.budget.max_matches
-    }
 }
 
 #[cfg(test)]
@@ -224,9 +210,7 @@ mod tests {
     fn first_match_budget() {
         let b = SearchBudget::first_match();
         assert_eq!(b.max_matches, 1);
-        let clock = b.start();
-        assert!(clock.reached_match_limit(1));
-        assert!(!clock.reached_match_limit(0));
+        assert!(b.deadline.is_none() && b.cancel.is_none());
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! default r = 4).
 
 use crate::budget::{BudgetClock, SearchBudget, StopReason};
-use crate::matcher::{probe_view, Algorithm, Embedding, MatchResult, Matcher, SearchStats};
+use crate::kernel::{self, Plan, Planner, Source, Step};
+use crate::matcher::{Algorithm, Matcher, SearchStats};
 use crate::scratch;
+use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
-
-const UNMAPPED: NodeId = NodeId::MAX;
 
 /// Paper default refinement level ("refined level of iterations of
 /// pseudo-subgraph isomorphism r = 4", §3.2).
@@ -49,7 +49,6 @@ pub struct GraphQl {
     index: Arc<TargetIndex>,
     /// Number of pseudo-iso refinement iterations.
     refine_level: usize,
-    scan: bool,
 }
 
 impl GraphQl {
@@ -62,27 +61,13 @@ impl GraphQl {
 
     /// Indexing phase with an explicit pseudo-iso refinement level.
     pub fn with_refine_level(target: Arc<Graph>, refine_level: usize) -> Self {
-        Self { index: Arc::new(TargetIndex::build(target)), refine_level, scan: false }
+        Self { index: Arc::new(TargetIndex::build(target)), refine_level }
     }
 
     /// Indexed constructor path: the signatures/label lists are the
     /// shared index; nothing further to precompute.
     pub fn with_index(index: Arc<TargetIndex>) -> Self {
-        Self { index, refine_level: DEFAULT_REFINE_LEVEL, scan: false }
-    }
-
-    /// Legacy scan mode — the seed behavior: no bit-mask pre-filter, no
-    /// dense-bitset adjacency, per-query buffer allocation. (Target
-    /// signatures were already built at construction in the seed, and
-    /// still are.)
-    pub fn prepare_legacy(target: Arc<Graph>) -> Self {
-        Self::legacy_with_index(Arc::new(TargetIndex::build_without_bitset(target)))
-    }
-
-    /// Legacy scan mode over an already-built (bitset-free) index —
-    /// shared by a runner's scan-mode matchers.
-    pub fn legacy_with_index(index: Arc<TargetIndex>) -> Self {
-        Self { index, refine_level: DEFAULT_REFINE_LEVEL, scan: true }
+        Self { index, refine_level: DEFAULT_REFINE_LEVEL }
     }
 
     /// The configured pseudo-iso refinement level.
@@ -92,9 +77,9 @@ impl GraphQl {
 
     /// Rule 1: initial candidate lists by label + signature containment.
     /// Target signatures are index lookups (built once at construction);
-    /// only the query's signatures are computed here. Indexed matchers
-    /// reject most infeasible candidates with the 64-bit label-mask
-    /// pre-filter before touching the multiset. Ticks the budget clock
+    /// only the query's signatures are computed here. The 64-bit
+    /// label-mask pre-filter rejects most infeasible candidates before
+    /// the multiset walk. Ticks the budget clock
     /// so racing cancellation reaches even the pre-search phase promptly.
     fn initial_candidates(
         &self,
@@ -120,7 +105,7 @@ impl GraphQl {
                 // Mask subset is necessary for multiset containment, so
                 // the pre-filter never changes the candidate set — it
                 // only skips doomed multiset walks.
-                if view.accel() && qmask & !view.label_mask(v) != 0 {
+                if qmask & !view.label_mask(v) != 0 {
                     continue;
                 }
                 if multiset_contains(view.signature(v), qsig) {
@@ -146,7 +131,7 @@ impl GraphQl {
         let nq = query.node_count();
         let nt = view.node_count();
         // Membership matrix for O(1) "is v a candidate of u" checks.
-        let mut member = scratch::bool_buf(nq * nt, view.accel());
+        let mut member = scratch::bool_buf(nq * nt);
         for (u, c) in cands.iter().enumerate() {
             for &v in c {
                 member[u * nt + v as usize] = true;
@@ -295,30 +280,8 @@ impl Matcher for GraphQl {
         Algorithm::GraphQl
     }
 
-    fn target(&self) -> &Graph {
-        self.index.graph()
-    }
-
     fn index(&self) -> &Arc<TargetIndex> {
         &self.index
-    }
-
-    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult {
-        let view = if self.scan {
-            GraphView::of_index_scan(&self.index)
-        } else {
-            GraphView::of_index(&self.index)
-        };
-        self.search_inner(query, view, budget)
-    }
-
-    fn search_view(
-        &self,
-        query: &Graph,
-        view: GraphView<'_>,
-        budget: &SearchBudget,
-    ) -> MatchResult {
-        self.search_inner(query, view.with_default_index(&self.index), budget)
     }
 
     fn slice_session<'a>(
@@ -326,272 +289,41 @@ impl Matcher for GraphQl {
         query: &'a Graph,
         view: GraphView<'a>,
         budget: &SearchBudget,
-    ) -> crate::slice::SliceSetup<'a> {
-        use crate::slice::SliceSetup;
-        let view = view.with_default_index(&self.index);
-        let mut clock = budget.start();
-        if let Some(r) = clock.check_now() {
-            return SliceSetup::Halted(MatchResult::empty(r));
-        }
-        if query.node_count() == 0 {
-            let mut out = MatchResult::empty(StopReason::Complete);
-            out.embeddings.push(Vec::new());
-            out.num_matches = 1;
-            return SliceSetup::Halted(out);
-        }
-        if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-            return SliceSetup::Halted(MatchResult::empty(StopReason::Complete));
-        }
-        // Prework = rules 1–3, run once per slice task (each task owns its
-        // own candidate lists; the lists are deterministic, so every task
-        // computes the same plan and the same slice domain).
-        let mut stats = SearchStats::default();
-        let halted = |r: StopReason, stats: SearchStats| {
-            let mut out = MatchResult::empty(r);
-            out.stats = stats;
-            SliceSetup::Halted(out)
-        };
-        let mut cands = match self.initial_candidates(query, view, &mut clock) {
-            Ok(c) => c,
-            Err(r) => return halted(r, stats),
-        };
-        if cands.iter().any(|c| c.is_empty()) {
-            return halted(StopReason::Complete, stats);
-        }
-        if let Err(r) = self.refine(query, view, &mut cands, &mut clock, &mut stats) {
-            return halted(r, stats);
-        }
-        if cands.iter().any(|c| c.is_empty()) {
-            return halted(StopReason::Complete, stats);
-        }
-        let order = self.plan_order(query, &cands);
-        let assignment = scratch::u32_buf(query.node_count(), UNMAPPED, view.accel());
-        let used = scratch::bool_buf(view.node_count(), view.accel());
-        let domain = cands[order[0] as usize].len();
-        SliceSetup::Ready(Box::new(GraphQlSliceSession {
-            matcher: self,
-            query,
-            view,
-            order,
-            cands,
-            assignment,
-            used,
-            stats,
-            domain,
-        }))
+    ) -> SliceSetup<'a> {
+        kernel::slice_session(self, query, view.with_default_index(&self.index), budget)
     }
 }
 
-/// A sliceable GraphQL session: rules 1–3 ran at construction; each chunk
-/// re-enters the backtracking join with the plan root's candidate list
-/// restricted to the chunk's range. Buffers survive across chunks because
-/// `join` unwinds its assignments unconditionally, even when halted.
-struct GraphQlSliceSession<'a> {
-    matcher: &'a GraphQl,
-    query: &'a Graph,
-    view: GraphView<'a>,
-    order: Vec<NodeId>,
-    cands: Vec<Vec<NodeId>>,
-    assignment: scratch::U32Buf,
-    used: scratch::BoolBuf,
-    stats: SearchStats,
-    domain: usize,
-}
+/// Rules 1–3 as a plan: every step draws from its refined candidate list,
+/// in join order. Slice tasks each run this prework; it is deterministic,
+/// so every task computes the same plan and the same slice domain.
+impl Planner for GraphQl {
+    type Hook = ();
 
-impl crate::slice::SliceSession for GraphQlSliceSession<'_> {
-    fn domain(&self) -> usize {
-        self.domain
-    }
-
-    fn run_chunk(
-        &mut self,
-        range: std::ops::Range<usize>,
-        budget: &SearchBudget,
-    ) -> crate::slice::ChunkOutcome {
-        let mut clock = budget.start();
-        let mut embeddings = Vec::new();
-        let halted = self.matcher.join(
-            self.query,
-            self.view,
-            &self.order,
-            &self.cands,
-            0,
-            &mut self.assignment,
-            &mut self.used,
-            &mut embeddings,
-            &mut clock,
-            &mut self.stats,
-            budget.max_matches,
-            Some(&range),
-        );
-        crate::slice::ChunkOutcome { range, embeddings, halted }
-    }
-
-    fn stats(&self) -> SearchStats {
-        self.stats
-    }
-}
-
-impl GraphQl {
-    fn search_inner(
+    fn plan<'a>(
         &self,
         query: &Graph,
-        view: GraphView<'_>,
-        budget: &SearchBudget,
-    ) -> MatchResult {
-        let start = Instant::now();
-        let mut out = MatchResult::empty(StopReason::Complete);
-        let mut clock = budget.start();
-        if let Some(r) = clock.check_now() {
-            out.stop = r;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if query.node_count() == 0 {
-            out.embeddings.push(Vec::new());
-            out.num_matches = 1;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-            out.elapsed = start.elapsed();
-            return out;
-        }
-
-        let mut stats = SearchStats::default();
-        // Rule 1.
-        let mut cands = match self.initial_candidates(query, view, &mut clock) {
-            Ok(c) => c,
-            Err(r) => {
-                out.stop = r;
-                out.elapsed = start.elapsed();
-                return out;
-            }
-        };
-        if cands.iter().any(|c| c.is_empty()) {
-            out.stats = stats;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        // Rule 2.
-        if let Err(r) = self.refine(query, view, &mut cands, &mut clock, &mut stats) {
-            out.stop = r;
-            out.stats = stats;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if cands.iter().any(|c| c.is_empty()) {
-            out.stats = stats;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        // Rule 3 + backtracking join.
-        let order = self.plan_order(query, &cands);
-        let mut assignment = scratch::u32_buf(query.node_count(), UNMAPPED, view.accel());
-        let mut used = scratch::bool_buf(view.node_count(), view.accel());
-        let stop = self.join(
-            query,
-            view,
-            &order,
-            &cands,
-            0,
-            &mut assignment,
-            &mut used,
-            &mut out.embeddings,
-            &mut clock,
-            &mut stats,
-            budget.max_matches,
-            None,
-        );
-        out.num_matches = out.embeddings.len();
-        out.stop = match stop {
-            Some(r) => r,
-            None if out.num_matches >= budget.max_matches && budget.max_matches != usize::MAX => {
-                StopReason::MatchLimit
-            }
-            None => StopReason::Complete,
-        };
-        out.stats = stats;
-        out.elapsed = start.elapsed();
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn join(
-        &self,
-        query: &Graph,
-        view: GraphView<'_>,
-        order: &[NodeId],
-        cands: &[Vec<NodeId>],
-        depth: usize,
-        assignment: &mut [NodeId],
-        used: &mut [bool],
-        found: &mut Vec<Embedding>,
+        view: GraphView<'a>,
         clock: &mut BudgetClock<'_>,
         stats: &mut SearchStats,
-        max_matches: usize,
-        root_range: Option<&std::ops::Range<usize>>,
-    ) -> Option<StopReason> {
-        if depth == order.len() {
-            found.push(assignment.to_vec());
-            return None;
+    ) -> Result<Plan<'a, ()>, StopReason> {
+        let mut cands = self.initial_candidates(query, view, clock)?;
+        if cands.iter().any(|c| c.is_empty()) {
+            return Err(StopReason::Complete);
         }
-        let qv = order[depth];
-        // When slicing, `root_range` restricts the plan's first vertex
-        // (depth 0) to the chunk's share of its candidate list.
-        let list: &[NodeId] = &cands[qv as usize];
-        let list = match root_range {
-            Some(r) if depth == 0 => &list[r.start.min(list.len())..r.end.min(list.len())],
-            _ => list,
-        };
-        for &tv in list {
-            if let Some(r) = clock.tick() {
-                return Some(r);
-            }
-            if used[tv as usize] {
-                continue;
-            }
-            stats.nodes_expanded += 1;
-            let ok = query.neighbors(qv).iter().all(|&qn| {
-                let tn = assignment[qn as usize];
-                if tn == UNMAPPED {
-                    return true;
-                }
-                probe_view(&view, tn, tv, stats)
-                    && (!query.has_edge_labels()
-                        || query.edge_label(qv, qn) == view.edge_label(tv, tn))
-            });
-            if !ok {
-                stats.candidates_pruned += 1;
-                continue;
-            }
-            assignment[qv as usize] = tv;
-            used[tv as usize] = true;
-            let r = self.join(
-                query,
-                view,
-                order,
-                cands,
-                depth + 1,
-                assignment,
-                used,
-                found,
-                clock,
-                stats,
-                max_matches,
-                root_range,
-            );
-            assignment[qv as usize] = UNMAPPED;
-            used[tv as usize] = false;
-            if r.is_some() {
-                return r;
-            }
-            if found.len() >= max_matches {
-                return None;
-            }
-            stats.backtracks += 1;
+        self.refine(query, view, &mut cands, clock, stats)?;
+        if cands.iter().any(|c| c.is_empty()) {
+            return Err(StopReason::Complete);
         }
-        None
+        let order = self.plan_order(query, &cands);
+        let steps = order
+            .into_iter()
+            .map(|qv| {
+                let domain = Cow::Owned(std::mem::take(&mut cands[qv as usize]));
+                Step::new(qv, Source::Domain, domain)
+            })
+            .collect();
+        Ok(Plan::new(query, steps, ()))
     }
 }
 
@@ -599,7 +331,7 @@ impl GraphQl {
 mod tests {
     use super::*;
     use crate::bruteforce;
-    use crate::matcher::is_valid_embedding;
+    use crate::matcher::{is_valid_embedding, Embedding};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use rand::SeedableRng;

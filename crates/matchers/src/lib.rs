@@ -17,6 +17,13 @@
 //!   signatures, shortest-path decomposition of the query, path-at-a-time
 //!   matching with edge-by-edge verification.
 //!
+//! Each algorithm module holds only its prework: the vertex order and the
+//! candidate filtering that tell the algorithms apart. The prework yields
+//! a plan (one step per query vertex: its candidate source and filters)
+//! that a single backtracking kernel runs — the budget checks, the DFS,
+//! the edge checks against matched neighbours and the slice sessions of
+//! [`slice`](mod@slice) are written once, for all five.
+//!
 //! A brute-force enumerator ([`bruteforce`]) serves as the correctness
 //! oracle for tests.
 //!
@@ -51,6 +58,7 @@
 pub mod bruteforce;
 pub mod budget;
 pub mod graphql;
+mod kernel;
 pub mod matcher;
 pub mod quicksi;
 pub mod scratch;

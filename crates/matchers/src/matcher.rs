@@ -9,7 +9,7 @@ use crate::budget::{SearchBudget, StopReason};
 use psi_delta::GraphView;
 use psi_graph::{Graph, NodeId, TargetIndex};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One embedding of the query: `embedding[q]` is the stored-graph node that
 /// query node `q` maps to.
@@ -29,8 +29,9 @@ pub struct SearchStats {
     /// Adjacency probes answered by the shared [`TargetIndex`]'s dense
     /// bitset (`O(1)` fast path).
     pub edge_probes_bitset: u64,
-    /// Adjacency probes answered by CSR binary search (no bitset built,
-    /// or a scan-mode matcher).
+    /// Adjacency probes answered by binary search: CSR adjacency when no
+    /// bitset was built (or the view has no index), overlay adjacency for
+    /// touched nodes.
     pub edge_probes_binary: u64,
 }
 
@@ -133,34 +134,6 @@ impl Algorithm {
             Algorithm::SPath => Arc::new(crate::spath::SPath::with_index(index)),
         }
     }
-
-    /// Prepares this algorithm in **legacy scan mode**: the seed,
-    /// pre-`TargetIndex` behavior — candidate seeding rescans target
-    /// nodes, every adjacency probe is a CSR binary search, and search
-    /// buffers are freshly allocated per query. Kept as the reference
-    /// implementation for the equivalence property tests and as the
-    /// baseline the `indexed_speedup` bench metric races against.
-    /// Builds a private bitset-free index; callers preparing several
-    /// scan-mode algorithms over the same graph should build that index
-    /// once and use [`Algorithm::prepare_legacy_shared`].
-    pub fn prepare_legacy(self, target: Arc<Graph>) -> Arc<dyn Matcher> {
-        self.prepare_legacy_shared(Arc::new(TargetIndex::build_without_bitset(target)))
-    }
-
-    /// Legacy scan mode over an already-built bitset-free index. The
-    /// scan-mode matchers ignore the index's derived structures wherever
-    /// the seed rescanned (so per-query behavior is unchanged); sharing
-    /// only avoids rebuilding the graph-derived state per algorithm at
-    /// preparation time.
-    pub fn prepare_legacy_shared(self, index: Arc<TargetIndex>) -> Arc<dyn Matcher> {
-        match self {
-            Algorithm::Vf2 => Arc::new(crate::vf2::Vf2::legacy_with_index(index)),
-            Algorithm::Ullmann => Arc::new(crate::ullmann::Ullmann::legacy_with_index(index)),
-            Algorithm::QuickSi => Arc::new(crate::quicksi::QuickSi::legacy_with_index(index)),
-            Algorithm::GraphQl => Arc::new(crate::graphql::GraphQl::legacy_with_index(index)),
-            Algorithm::SPath => Arc::new(crate::spath::SPath::legacy_with_index(index)),
-        }
-    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -174,66 +147,57 @@ pub trait Matcher: Send + Sync {
     /// The algorithm this matcher implements.
     fn algorithm(&self) -> Algorithm;
 
-    /// The stored graph this matcher was prepared over.
-    fn target(&self) -> &Graph;
-
     /// The target index this matcher probes. Matchers prepared through
-    /// [`Algorithm::prepare_indexed`] share one `Arc` per stored graph;
-    /// legacy scan-mode matchers hold a private bitset-free index.
+    /// [`Algorithm::prepare_indexed`] share one `Arc` per stored graph.
     fn index(&self) -> &Arc<TargetIndex>;
+
+    /// The stored graph this matcher was prepared over.
+    fn target(&self) -> &Graph {
+        self.index().graph()
+    }
 
     /// Finds embeddings of `query` in the stored graph, subject to `budget`.
     ///
     /// Returns all found embeddings (each a query-node → target-node map).
-    /// Implementations must check the budget cooperatively so that races can
-    /// cancel them promptly.
-    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult;
+    /// The search checks the budget cooperatively so that races can cancel
+    /// it promptly.
+    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult {
+        self.search_view(query, GraphView::of_index(self.index()), budget)
+    }
 
     /// Like [`Matcher::search`], but against an explicit [`GraphView`] —
     /// the live-graph entry point. The view's base graph must be the
     /// graph this matcher was prepared over (same epoch); the view may
     /// additionally carry a delta overlay, which the matcher's inner
     /// loops probe for touched nodes. A view without an overlay makes
-    /// this equivalent to [`Matcher::search`].
-    fn search_view(&self, query: &Graph, view: GraphView<'_>, budget: &SearchBudget)
-        -> MatchResult;
+    /// this equivalent to [`Matcher::search`]. The unsliced search is the
+    /// [`Matcher::slice_session`] run as one chunk.
+    fn search_view(
+        &self,
+        query: &Graph,
+        view: GraphView<'_>,
+        budget: &SearchBudget,
+    ) -> MatchResult {
+        let start = Instant::now();
+        crate::kernel::run_whole(self.slice_session(query, view, budget), budget, start)
+    }
 
     /// Prepares a sliceable search session over `view`: prework runs here
     /// (candidate filtering, plan/sequence construction), after which the
-    /// session enumerates arbitrary root-candidate ranges via
+    /// session enumerates arbitrary ranges of the first step's candidate
+    /// list via
     /// [`SliceSession::run_chunk`](crate::slice::SliceSession::run_chunk).
-    /// The default says the matcher cannot partition its root-candidate
-    /// space; slice groups then fall back to one ordinary
-    /// [`Matcher::search_view`] call.
     fn slice_session<'a>(
         &'a self,
         query: &'a Graph,
         view: GraphView<'a>,
         budget: &SearchBudget,
-    ) -> crate::slice::SliceSetup<'a> {
-        let _ = (query, view, budget);
-        crate::slice::SliceSetup::Unsupported
-    }
+    ) -> crate::slice::SliceSetup<'a>;
 
     /// Decision-problem convenience: does `query` embed at all?
     fn contains(&self, query: &Graph) -> bool {
         self.search(query, &SearchBudget::first_match()).found()
     }
-}
-
-/// One adjacency probe against a [`GraphView`] — overlay adjacency for
-/// touched endpoints, the shared index's bitset fast path when
-/// acceleration is on, CSR binary search otherwise — with the answering
-/// path counted into `stats`. Shared by every matcher's inner search
-/// loop.
-#[inline]
-pub(crate) fn probe_view(
-    view: &GraphView<'_>,
-    u: NodeId,
-    v: NodeId,
-    stats: &mut SearchStats,
-) -> bool {
-    view.has_edge_counted(u, v, &mut stats.edge_probes_bitset, &mut stats.edge_probes_binary)
 }
 
 /// Validates that `embedding` is a correct non-induced sub-iso embedding of

@@ -16,15 +16,14 @@
 //! ID-permuting rewritings.
 
 use crate::budget::{BudgetClock, SearchBudget, StopReason};
-use crate::matcher::{Algorithm, Embedding, MatchResult, Matcher, SearchStats};
-use crate::scratch;
+use crate::kernel::{self, label_domain, Plan, Planner, Source, Step};
+use crate::matcher::{Algorithm, Matcher, SearchStats};
+use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-
-const UNMAPPED: NodeId = NodeId::MAX;
 
 /// QuickSI prepared over a stored graph: the edge "inner support"
 /// frequency table (algorithm-specific), with label frequencies and the
@@ -34,7 +33,6 @@ pub struct QuickSi {
     index: Arc<TargetIndex>,
     /// Frequency of each unordered label pair over target edges.
     edge_freq: HashMap<(Label, Label), u32>,
-    scan: bool,
 }
 
 impl QuickSi {
@@ -50,22 +48,7 @@ impl QuickSi {
     /// frequencies come from the shared index.
     pub fn with_index(index: Arc<TargetIndex>) -> Self {
         let edge_freq = Self::edge_frequencies(index.graph());
-        Self { index, edge_freq, scan: false }
-    }
-
-    /// Legacy scan mode — the seed behavior: binary-search adjacency
-    /// probes and per-query buffer allocation (candidate lists were
-    /// already prepared per matcher in the seed).
-    pub fn prepare_legacy(target: Arc<Graph>) -> Self {
-        Self::legacy_with_index(Arc::new(TargetIndex::build_without_bitset(target)))
-    }
-
-    /// Legacy scan mode over an already-built (bitset-free) index —
-    /// shared by a runner's scan-mode matchers; only the edge-frequency
-    /// table (QuickSI's own statistic) is computed here.
-    pub fn legacy_with_index(index: Arc<TargetIndex>) -> Self {
-        let edge_freq = Self::edge_frequencies(index.graph());
-        Self { index, edge_freq, scan: true }
+        Self { index, edge_freq }
     }
 
     fn edge_frequencies(target: &Graph) -> HashMap<(Label, Label), u32> {
@@ -166,77 +149,8 @@ impl Matcher for QuickSi {
         Algorithm::QuickSi
     }
 
-    fn target(&self) -> &Graph {
-        self.index.graph()
-    }
-
     fn index(&self) -> &Arc<TargetIndex> {
         &self.index
-    }
-
-    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult {
-        let view = if self.scan {
-            GraphView::of_index_scan(&self.index)
-        } else {
-            GraphView::of_index(&self.index)
-        };
-        self.search_view(query, view, budget)
-    }
-
-    fn search_view(
-        &self,
-        query: &Graph,
-        view: GraphView<'_>,
-        budget: &SearchBudget,
-    ) -> MatchResult {
-        let view = view.with_default_index(&self.index);
-        let start = Instant::now();
-        let mut out = MatchResult::empty(StopReason::Complete);
-        let mut clock = budget.start();
-        if let Some(r) = clock.check_now() {
-            out.stop = r;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if query.node_count() == 0 {
-            out.embeddings.push(Vec::new());
-            out.num_matches = 1;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        let seq = self.build_sequence(query);
-        let mut stats = SearchStats::default();
-        let pooled = view.accel();
-        let mut assignment = scratch::u32_buf(query.node_count(), UNMAPPED, pooled);
-        let mut used = scratch::bool_buf(view.node_count(), pooled);
-        let stop = self.match_step(
-            query,
-            view,
-            &seq,
-            0,
-            &mut assignment,
-            &mut used,
-            &mut out.embeddings,
-            &mut clock,
-            &mut stats,
-            budget.max_matches,
-            None,
-        );
-        out.num_matches = out.embeddings.len();
-        out.stop = match stop {
-            Some(r) => r,
-            None if out.num_matches >= budget.max_matches && budget.max_matches != usize::MAX => {
-                StopReason::MatchLimit
-            }
-            None => StopReason::Complete,
-        };
-        out.stats = stats;
-        out.elapsed = start.elapsed();
-        out
     }
 
     fn slice_session<'a>(
@@ -244,186 +158,37 @@ impl Matcher for QuickSi {
         query: &'a Graph,
         view: GraphView<'a>,
         budget: &SearchBudget,
-    ) -> crate::slice::SliceSetup<'a> {
-        use crate::slice::SliceSetup;
-        let view = view.with_default_index(&self.index);
-        let clock = budget.start();
-        if let Some(r) = clock.check_now() {
-            return SliceSetup::Halted(MatchResult::empty(r));
-        }
-        if query.node_count() == 0 {
-            let mut out = MatchResult::empty(StopReason::Complete);
-            out.embeddings.push(Vec::new());
-            out.num_matches = 1;
-            return SliceSetup::Halted(out);
-        }
-        if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-            return SliceSetup::Halted(MatchResult::empty(StopReason::Complete));
-        }
-        let seq = self.build_sequence(query);
-        let pooled = view.accel();
-        let assignment = scratch::u32_buf(query.node_count(), UNMAPPED, pooled);
-        let used = scratch::bool_buf(view.node_count(), pooled);
-        // The slice domain is the candidate list of the sequence root's
-        // label (what `match_step` enumerates at depth 0).
-        let domain = view.candidates(query.label(seq[0].0)).len();
-        SliceSetup::Ready(Box::new(QuickSiSliceSession {
-            matcher: self,
-            query,
-            view,
-            seq,
-            assignment,
-            used,
-            stats: SearchStats::default(),
-            domain,
-        }))
+    ) -> SliceSetup<'a> {
+        kernel::slice_session(self, query, view.with_default_index(&self.index), budget)
     }
 }
 
-/// A sliceable QuickSI session: the matching sequence and scratch buffers
-/// are built once; each chunk re-runs `match_step` with the root's
-/// candidate list restricted to the chunk's range. Buffers survive
-/// across chunks because `match_step` unwinds its assignments
-/// unconditionally, even when halted mid-search.
-struct QuickSiSliceSession<'a> {
-    matcher: &'a QuickSi,
-    query: &'a Graph,
-    view: GraphView<'a>,
-    seq: Vec<(NodeId, Option<usize>)>,
-    assignment: scratch::U32Buf,
-    used: scratch::BoolBuf,
-    stats: SearchStats,
-    domain: usize,
-}
+/// The MST sequence as a plan: a tree edge draws candidates from the
+/// parent image's neighbourhood, a component root from its label's list;
+/// both filter by label and degree.
+impl Planner for QuickSi {
+    type Hook = ();
 
-impl crate::slice::SliceSession for QuickSiSliceSession<'_> {
-    fn domain(&self) -> usize {
-        self.domain
-    }
-
-    fn run_chunk(
-        &mut self,
-        range: std::ops::Range<usize>,
-        budget: &SearchBudget,
-    ) -> crate::slice::ChunkOutcome {
-        let mut clock = budget.start();
-        let mut embeddings = Vec::new();
-        let halted = self.matcher.match_step(
-            self.query,
-            self.view,
-            &self.seq,
-            0,
-            &mut self.assignment,
-            &mut self.used,
-            &mut embeddings,
-            &mut clock,
-            &mut self.stats,
-            budget.max_matches,
-            Some(&range),
-        );
-        crate::slice::ChunkOutcome { range, embeddings, halted }
-    }
-
-    fn stats(&self) -> SearchStats {
-        self.stats
-    }
-}
-
-impl QuickSi {
-    #[allow(clippy::too_many_arguments)]
-    fn match_step(
+    fn plan<'a>(
         &self,
         query: &Graph,
-        view: GraphView<'_>,
-        seq: &[(NodeId, Option<usize>)],
-        depth: usize,
-        assignment: &mut [NodeId],
-        used: &mut [bool],
-        found: &mut Vec<Embedding>,
-        clock: &mut BudgetClock<'_>,
-        stats: &mut SearchStats,
-        max_matches: usize,
-        root_range: Option<&std::ops::Range<usize>>,
-    ) -> Option<StopReason> {
-        if depth == seq.len() {
-            found.push(assignment.to_vec());
-            return None;
-        }
-        let (qv, parent) = seq[depth];
-        let qlabel = query.label(qv);
-        let qdeg = query.degree(qv);
-
-        // Candidate source: parent image's neighborhood, or the label's
-        // candidate list for component roots — both through the view, so
-        // overlay adjacency and merged candidate lists apply. When slicing,
-        // `root_range` restricts the sequence root (depth 0) only; roots of
-        // later disconnected components stay unrestricted.
-        let candidates: &[NodeId] = match parent {
-            Some(pp) => {
-                let pimg = assignment[seq[pp].0 as usize];
-                debug_assert_ne!(pimg, UNMAPPED);
-                view.neighbors(pimg)
-            }
-            None => {
-                let cands = view.candidates(qlabel);
-                match root_range {
-                    Some(r) if depth == 0 => {
-                        &cands[r.start.min(cands.len())..r.end.min(cands.len())]
-                    }
-                    _ => cands,
-                }
-            }
-        };
-
-        for &tv in candidates {
-            if let Some(r) = clock.tick() {
-                return Some(r);
-            }
-            if used[tv as usize] || view.label(tv) != qlabel || view.degree(tv) < qdeg {
-                continue;
-            }
-            stats.nodes_expanded += 1;
-            // Check all edges to already-matched query neighbors (tree edge
-            // plus QuickSI's "extra edges").
-            let ok = query.neighbors(qv).iter().all(|&qn| {
-                let tn = assignment[qn as usize];
-                if tn == UNMAPPED {
-                    return true;
-                }
-                crate::matcher::probe_view(&view, tn, tv, stats)
-                    && (!query.has_edge_labels()
-                        || query.edge_label(qv, qn) == view.edge_label(tv, tn))
-            });
-            if !ok {
-                stats.candidates_pruned += 1;
-                continue;
-            }
-            assignment[qv as usize] = tv;
-            used[tv as usize] = true;
-            let r = self.match_step(
-                query,
-                view,
-                seq,
-                depth + 1,
-                assignment,
-                used,
-                found,
-                clock,
-                stats,
-                max_matches,
-                root_range,
-            );
-            assignment[qv as usize] = UNMAPPED;
-            used[tv as usize] = false;
-            if r.is_some() {
-                return r;
-            }
-            if found.len() >= max_matches {
-                return None;
-            }
-            stats.backtracks += 1;
-        }
-        None
+        view: GraphView<'a>,
+        _: &mut BudgetClock<'_>,
+        _: &mut SearchStats,
+    ) -> Result<Plan<'a, ()>, StopReason> {
+        let seq = self.build_sequence(query);
+        let steps = seq
+            .iter()
+            .map(|&(qv, parent)| {
+                let label = query.label(qv);
+                let step = match parent {
+                    Some(p) => Step::new(qv, Source::Neighbor(seq[p].0), Cow::Borrowed(&[])),
+                    None => Step::new(qv, Source::Domain, label_domain(view, label)),
+                };
+                Step { label: Some(label), min_degree: query.degree(qv), ..step }
+            })
+            .collect();
+        Ok(Plan::new(query, steps, ()))
     }
 }
 
@@ -431,7 +196,7 @@ impl QuickSi {
 mod tests {
     use super::*;
     use crate::bruteforce;
-    use crate::matcher::is_valid_embedding;
+    use crate::matcher::{is_valid_embedding, Embedding};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use rand::SeedableRng;

@@ -10,9 +10,7 @@
 //! search's buffers are recycled capacity, not fresh heap.
 //!
 //! Buffers are handed out as guards ([`U32Buf`], [`BoolBuf`]) that
-//! return their storage to the pool on drop. Legacy-scan matchers (the
-//! seed behavior the `indexed_speedup` bench compares against) request
-//! *unpooled* buffers, which behave exactly like `vec![..]`.
+//! return their storage to the pool on drop.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -31,43 +29,31 @@ thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool::default());
 }
 
-/// A pooled (or, in legacy mode, plain) `Vec<u32>` sized and filled on
-/// acquisition; returns to the thread-local pool on drop when pooled.
+/// A pooled `Vec<u32>` sized and filled on acquisition; returns to the
+/// thread-local pool on drop.
 pub struct U32Buf {
     buf: Vec<u32>,
-    pooled: bool,
 }
 
-/// A pooled (or plain) `Vec<bool>`, cleared to `false` on acquisition.
+/// A pooled `Vec<bool>`, cleared to `false` on acquisition.
 pub struct BoolBuf {
     buf: Vec<bool>,
-    pooled: bool,
 }
 
-/// Acquires a `Vec<u32>` of `len` elements, all set to `fill`. With
-/// `pooled == false` this is exactly `vec![fill; len]`.
-pub fn u32_buf(len: usize, fill: u32, pooled: bool) -> U32Buf {
-    let mut buf = if pooled {
-        POOL.with(|p| p.borrow_mut().u32s.pop()).unwrap_or_default()
-    } else {
-        Vec::new()
-    };
+/// Acquires a `Vec<u32>` of `len` elements, all set to `fill`.
+pub fn u32_buf(len: usize, fill: u32) -> U32Buf {
+    let mut buf = POOL.with(|p| p.borrow_mut().u32s.pop()).unwrap_or_default();
     buf.clear();
     buf.resize(len, fill);
-    U32Buf { buf, pooled }
+    U32Buf { buf }
 }
 
-/// Acquires a `Vec<bool>` of `len` elements, all `false`. With
-/// `pooled == false` this is exactly `vec![false; len]`.
-pub fn bool_buf(len: usize, pooled: bool) -> BoolBuf {
-    let mut buf = if pooled {
-        POOL.with(|p| p.borrow_mut().bools.pop()).unwrap_or_default()
-    } else {
-        Vec::new()
-    };
+/// Acquires a `Vec<bool>` of `len` elements, all `false`.
+pub fn bool_buf(len: usize) -> BoolBuf {
+    let mut buf = POOL.with(|p| p.borrow_mut().bools.pop()).unwrap_or_default();
     buf.clear();
     buf.resize(len, false);
-    BoolBuf { buf, pooled }
+    BoolBuf { buf }
 }
 
 impl Deref for U32Buf {
@@ -102,29 +88,25 @@ impl DerefMut for BoolBuf {
 
 impl Drop for U32Buf {
     fn drop(&mut self) {
-        if self.pooled {
-            let buf = std::mem::take(&mut self.buf);
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                if pool.u32s.len() < POOL_CAP {
-                    pool.u32s.push(buf);
-                }
-            });
-        }
+        let buf = std::mem::take(&mut self.buf);
+        POOL.with(|p| {
+            let mut pool = p.borrow_mut();
+            if pool.u32s.len() < POOL_CAP {
+                pool.u32s.push(buf);
+            }
+        });
     }
 }
 
 impl Drop for BoolBuf {
     fn drop(&mut self) {
-        if self.pooled {
-            let buf = std::mem::take(&mut self.buf);
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                if pool.bools.len() < POOL_CAP {
-                    pool.bools.push(buf);
-                }
-            });
-        }
+        let buf = std::mem::take(&mut self.buf);
+        POOL.with(|p| {
+            let mut pool = p.borrow_mut();
+            if pool.bools.len() < POOL_CAP {
+                pool.bools.push(buf);
+            }
+        });
     }
 }
 
@@ -134,36 +116,26 @@ mod tests {
 
     #[test]
     fn buffers_are_sized_and_filled() {
-        let a = u32_buf(4, 7, true);
+        let a = u32_buf(4, 7);
         assert_eq!(&a[..], &[7, 7, 7, 7]);
-        let b = bool_buf(3, true);
+        let b = bool_buf(3);
         assert_eq!(&b[..], &[false, false, false]);
-        let c = u32_buf(2, 0, false);
-        assert_eq!(&c[..], &[0, 0]);
     }
 
     #[test]
     fn pooled_capacity_is_recycled_on_this_thread() {
         {
-            let mut a = u32_buf(100, 0, true);
+            let mut a = u32_buf(100, 0);
             a[99] = 5;
         } // returned to the pool
-        let b = u32_buf(10, 3, true);
+        let b = u32_buf(10, 3);
         assert!(b.capacity() >= 100, "recycled buffer keeps its capacity");
         assert_eq!(&b[..], &[3; 10], "stale contents are cleared");
     }
 
     #[test]
-    fn unpooled_buffers_do_not_touch_the_pool() {
-        // Drain the pool first.
-        while POOL.with(|p| p.borrow_mut().bools.pop()).is_some() {}
-        drop(bool_buf(50, false));
-        assert!(POOL.with(|p| p.borrow().bools.is_empty()));
-    }
-
-    #[test]
     fn pool_is_bounded() {
-        let many: Vec<U32Buf> = (0..POOL_CAP + 8).map(|_| u32_buf(8, 0, true)).collect();
+        let many: Vec<U32Buf> = (0..POOL_CAP + 8).map(|_| u32_buf(8, 0)).collect();
         drop(many);
         assert!(POOL.with(|p| p.borrow().u32s.len()) <= POOL_CAP);
     }

@@ -2,8 +2,8 @@
 //!
 //! A single matcher search is bounded by one thread walking the whole
 //! root-candidate space in ID order. This module partitions that space —
-//! the [`TargetIndex`](psi_graph::TargetIndex) candidate list (or node-ID
-//! range, in scan mode) of the query's start vertex — into chunks that
+//! the candidate list of the first step of the matcher's search plan —
+//! into chunks that
 //! cooperating *slice tasks* claim from a shared atomic cursor. A task
 //! that drains its natural share keeps claiming: every claim after a
 //! task's first counts as a **steal**, so stragglers shed their tail to
@@ -41,7 +41,7 @@ use psi_delta::GraphView;
 use psi_graph::Graph;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -55,9 +55,6 @@ const DOMAIN_UNRESOLVED: usize = usize::MAX;
 
 /// What preparing a matcher for sliced execution produced.
 pub enum SliceSetup<'a> {
-    /// This matcher cannot partition its root-candidate space; the group
-    /// falls back to one ordinary `search_view` call (single slice).
-    Unsupported,
     /// Prework already decided the search (empty candidate lists, size
     /// reject, vacuous empty-query match) or was interrupted before any
     /// enumeration could start. The result stands for the whole search.
@@ -108,16 +105,13 @@ pub struct SliceTaskSummary {
     /// Claims after the task's first — ranges stolen from the shared
     /// cursor beyond its natural share.
     pub steals: u32,
-    /// Whether this task ran the whole search unsliced (the matcher
-    /// returned [`SliceSetup::Unsupported`]).
-    pub fallback: bool,
 }
 
 /// Mutable group state behind the coordinator's lock.
 struct SliceState {
     /// Completed chunk outcomes, any order; sorted at merge time.
     chunks: Vec<ChunkOutcome>,
-    /// A whole-search result (fallback run or prework verdict), if any.
+    /// A prework verdict standing for the whole search, if any.
     whole: Option<MatchResult>,
     /// Folded per-task work counters (prework + chunks, every task).
     stats: SearchStats,
@@ -143,8 +137,6 @@ pub struct SliceCoordinator {
     /// Chunk granularity, fixed when the domain resolves.
     chunk: AtomicUsize,
     steals: AtomicU64,
-    /// Whether some task already claimed the unsliced fallback run.
-    fallback: AtomicBool,
     /// Tasks that have not called [`SliceCoordinator::finish_task`] yet.
     remaining: AtomicUsize,
     tasks: usize,
@@ -177,7 +169,6 @@ impl SliceCoordinator {
             domain: AtomicUsize::new(DOMAIN_UNRESOLVED),
             chunk: AtomicUsize::new(1),
             steals: AtomicU64::new(0),
-            fallback: AtomicBool::new(false),
             remaining: AtomicUsize::new(tasks),
             tasks,
             budget,
@@ -192,11 +183,6 @@ impl SliceCoordinator {
                 pending: BTreeMap::new(),
             }),
         }
-    }
-
-    /// Number of cooperating tasks in this group.
-    pub fn tasks(&self) -> usize {
-        self.tasks
     }
 
     /// Total ranges stolen so far (claims beyond each task's first).
@@ -269,8 +255,7 @@ impl SliceCoordinator {
 
     /// One task's whole body: prework via [`Matcher::slice_session`],
     /// then claim-and-run chunks until the domain drains or the budget
-    /// trips. Matchers without slicing support fall back to one ordinary
-    /// search (run by whichever task gets there first).
+    /// trips.
     pub fn run_task(
         &self,
         matcher: &dyn Matcher,
@@ -289,15 +274,6 @@ impl SliceCoordinator {
             return summary;
         }
         match matcher.slice_session(query, view, &self.budget) {
-            SliceSetup::Unsupported => {
-                if !self.fallback.swap(true, Ordering::AcqRel) {
-                    let result = matcher.search_view(query, view, &self.budget);
-                    summary.fallback = true;
-                    self.fold_stats(result.stats);
-                    let mut inner = self.inner.lock().expect("slice group lock");
-                    inner.whole.get_or_insert(result);
-                }
-            }
             SliceSetup::Halted(result) => {
                 self.fold_stats(result.stats);
                 let mut inner = self.inner.lock().expect("slice group lock");

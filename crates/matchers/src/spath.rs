@@ -27,15 +27,14 @@
 //!   verification against previously bound neighbors.
 
 use crate::budget::{BudgetClock, SearchBudget, StopReason};
-use crate::matcher::{probe_view, Algorithm, Embedding, MatchResult, Matcher, SearchStats};
-use crate::scratch;
+use crate::kernel::{self, Plan, Planner, Source, Step};
+use crate::matcher::{Algorithm, Matcher, SearchStats};
+use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-
-const UNMAPPED: NodeId = NodeId::MAX;
 
 /// Paper defaults (§3.2): "neighbourhood radius of 4 and maximum path
 /// length 4".
@@ -57,7 +56,6 @@ pub struct SPath {
     signatures: Vec<DistanceSignature>,
     radius: usize,
     max_path_len: usize,
-    scan: bool,
 }
 
 impl SPath {
@@ -71,37 +69,24 @@ impl SPath {
     /// Indexing phase with explicit neighborhood radius and maximum
     /// decomposition path length.
     pub fn with_params(target: Arc<Graph>, radius: usize, max_path_len: usize) -> Self {
-        Self::build(Arc::new(TargetIndex::build(target)), radius, max_path_len, false)
+        Self::build(Arc::new(TargetIndex::build(target)), radius, max_path_len)
     }
 
     /// Indexed constructor path with paper-default parameters: only the
     /// distance-wise signatures (sPath's own structure) are computed
     /// here; label lists and adjacency come from the shared index.
     pub fn with_index(index: Arc<TargetIndex>) -> Self {
-        Self::build(index, DEFAULT_RADIUS, DEFAULT_MAX_PATH_LEN, false)
+        Self::build(index, DEFAULT_RADIUS, DEFAULT_MAX_PATH_LEN)
     }
 
-    /// Legacy scan mode — the seed behavior: binary-search adjacency
-    /// probes and per-query buffer allocation.
-    pub fn prepare_legacy(target: Arc<Graph>) -> Self {
-        Self::legacy_with_index(Arc::new(TargetIndex::build_without_bitset(target)))
-    }
-
-    /// Legacy scan mode over an already-built (bitset-free) index —
-    /// shared by a runner's scan-mode matchers; only the distance-wise
-    /// signatures (sPath's own structure) are computed here.
-    pub fn legacy_with_index(index: Arc<TargetIndex>) -> Self {
-        Self::build(index, DEFAULT_RADIUS, DEFAULT_MAX_PATH_LEN, true)
-    }
-
-    fn build(index: Arc<TargetIndex>, radius: usize, max_path_len: usize, scan: bool) -> Self {
+    fn build(index: Arc<TargetIndex>, radius: usize, max_path_len: usize) -> Self {
         assert!(radius >= 1, "radius must be at least 1");
         assert!(max_path_len >= 1, "path length must be at least 1");
         let target = index.graph();
         let signatures = (0..target.node_count() as NodeId)
             .map(|v| distance_signature(target, v, radius))
             .collect();
-        Self { index, signatures, radius, max_path_len, scan }
+        Self { index, signatures, radius, max_path_len }
     }
 
     /// The configured neighborhood radius.
@@ -284,191 +269,55 @@ impl Matcher for SPath {
         Algorithm::SPath
     }
 
-    fn target(&self) -> &Graph {
-        self.index.graph()
-    }
-
     fn index(&self) -> &Arc<TargetIndex> {
         &self.index
     }
 
-    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult {
-        let view = if self.scan {
-            GraphView::of_index_scan(&self.index)
-        } else {
-            GraphView::of_index(&self.index)
-        };
-        self.search_inner(query, view, budget)
-    }
-
-    fn search_view(
-        &self,
-        query: &Graph,
-        view: GraphView<'_>,
+    fn slice_session<'a>(
+        &'a self,
+        query: &'a Graph,
+        view: GraphView<'a>,
         budget: &SearchBudget,
-    ) -> MatchResult {
-        self.search_inner(query, view.with_default_index(&self.index), budget)
+    ) -> SliceSetup<'a> {
+        kernel::slice_session(self, query, view.with_default_index(&self.index), budget)
     }
 }
 
-impl SPath {
-    fn search_inner(
+/// The path order as a plan with edge-by-edge verification: a vertex
+/// with an earlier-bound neighbour (the first in adjacency order) extends
+/// through that neighbour's image and keeps only its own candidates; a
+/// path start draws from its candidate list.
+impl Planner for SPath {
+    type Hook = ();
+
+    fn plan<'a>(
         &self,
         query: &Graph,
-        view: GraphView<'_>,
-        budget: &SearchBudget,
-    ) -> MatchResult {
-        let start = Instant::now();
-        let mut out = MatchResult::empty(StopReason::Complete);
-        let mut clock = budget.start();
-        if let Some(r) = clock.check_now() {
-            out.stop = r;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if query.node_count() == 0 {
-            out.embeddings.push(Vec::new());
-            out.num_matches = 1;
-            out.elapsed = start.elapsed();
-            return out;
-        }
-        if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-            out.elapsed = start.elapsed();
-            return out;
-        }
-
-        let mut stats = SearchStats::default();
-        let cands = match self.candidates(query, view, &mut clock) {
-            Ok(c) => c,
-            Err(r) => {
-                out.stop = r;
-                out.elapsed = start.elapsed();
-                return out;
-            }
-        };
+        view: GraphView<'a>,
+        clock: &mut BudgetClock<'_>,
+        _: &mut SearchStats,
+    ) -> Result<Plan<'a, ()>, StopReason> {
+        let mut cands = self.candidates(query, view, clock)?;
         if cands.iter().any(|c| c.is_empty()) {
-            out.stats = stats;
-            out.elapsed = start.elapsed();
-            return out;
+            return Err(StopReason::Complete);
         }
         let order = self.path_order(query, &cands);
-        debug_assert_eq!(order.len(), query.node_count());
-        let mut assignment = scratch::u32_buf(query.node_count(), UNMAPPED, view.accel());
-        let mut used = scratch::bool_buf(view.node_count(), view.accel());
-        let stop = self.verify(
-            query,
-            view,
-            &order,
-            &cands,
-            0,
-            &mut assignment,
-            &mut used,
-            &mut out.embeddings,
-            &mut clock,
-            &mut stats,
-            budget.max_matches,
-        );
-        out.num_matches = out.embeddings.len();
-        out.stop = match stop {
-            Some(r) => r,
-            None if out.num_matches >= budget.max_matches && budget.max_matches != usize::MAX => {
-                StopReason::MatchLimit
-            }
-            None => StopReason::Complete,
-        };
-        out.stats = stats;
-        out.elapsed = start.elapsed();
-        out
-    }
-
-    /// Edge-by-edge verification along the path order.
-    #[allow(clippy::too_many_arguments)]
-    fn verify(
-        &self,
-        query: &Graph,
-        view: GraphView<'_>,
-        order: &[NodeId],
-        cands: &[Vec<NodeId>],
-        depth: usize,
-        assignment: &mut [NodeId],
-        used: &mut [bool],
-        found: &mut Vec<Embedding>,
-        clock: &mut BudgetClock<'_>,
-        stats: &mut SearchStats,
-        max_matches: usize,
-    ) -> Option<StopReason> {
-        if depth == order.len() {
-            found.push(assignment.to_vec());
-            return None;
-        }
-        let qv = order[depth];
-        // Prefer extending through a bound neighbor's adjacency when
-        // available (path traversal); otherwise use the candidate list.
-        let bound_neighbor =
-            query.neighbors(qv).iter().copied().find(|&qn| assignment[qn as usize] != UNMAPPED);
-        let from_neighbors: &[NodeId];
-        let from_cands: &[NodeId];
-        match bound_neighbor {
-            Some(qn) => {
-                from_neighbors = view.neighbors(assignment[qn as usize]);
-                from_cands = &[];
-            }
-            None => {
-                from_neighbors = &[];
-                from_cands = &cands[qv as usize];
-            }
-        }
-        let member = |tv: NodeId| cands[qv as usize].binary_search(&tv).is_ok();
-        for &tv in from_neighbors.iter().chain(from_cands) {
-            if let Some(r) = clock.tick() {
-                return Some(r);
-            }
-            if used[tv as usize] {
-                continue;
-            }
-            if bound_neighbor.is_some() && !member(tv) {
-                continue;
-            }
-            stats.nodes_expanded += 1;
-            let ok = query.neighbors(qv).iter().all(|&qn| {
-                let tn = assignment[qn as usize];
-                if tn == UNMAPPED {
-                    return true;
+        let mut bound = vec![false; query.node_count()];
+        let steps = order
+            .into_iter()
+            .map(|qv| {
+                let anchor = query.neighbors(qv).iter().copied().find(|&qn| bound[qn as usize]);
+                bound[qv as usize] = true;
+                let domain = Cow::Owned(std::mem::take(&mut cands[qv as usize]));
+                match anchor {
+                    Some(qn) => {
+                        Step { in_domain: true, ..Step::new(qv, Source::Neighbor(qn), domain) }
+                    }
+                    None => Step::new(qv, Source::Domain, domain),
                 }
-                probe_view(&view, tn, tv, stats)
-                    && (!query.has_edge_labels()
-                        || query.edge_label(qv, qn) == view.edge_label(tv, tn))
-            });
-            if !ok {
-                stats.candidates_pruned += 1;
-                continue;
-            }
-            assignment[qv as usize] = tv;
-            used[tv as usize] = true;
-            let r = self.verify(
-                query,
-                view,
-                order,
-                cands,
-                depth + 1,
-                assignment,
-                used,
-                found,
-                clock,
-                stats,
-                max_matches,
-            );
-            assignment[qv as usize] = UNMAPPED;
-            used[tv as usize] = false;
-            if r.is_some() {
-                return r;
-            }
-            if found.len() >= max_matches {
-                return None;
-            }
-            stats.backtracks += 1;
-        }
-        None
+            })
+            .collect();
+        Ok(Plan::new(query, steps, ()))
     }
 }
 
@@ -476,7 +325,7 @@ impl SPath {
 mod tests {
     use super::*;
     use crate::bruteforce;
-    use crate::matcher::is_valid_embedding;
+    use crate::matcher::{is_valid_embedding, Embedding};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use rand::SeedableRng;

@@ -2,28 +2,28 @@
 //!
 //! The classic candidate-matrix formulation: a boolean matrix `M[q][t]`
 //! holds the surviving target candidates for every query vertex, seeded by
-//! label and degree, and *refined* before every branching step: a candidate
-//! `t` for `q` survives only if every neighbor of `q` still has at least one
-//! candidate among the neighbors of `t`. Vertices are matched strictly in
+//! label and degree, and *refined* to a fixpoint before the search: a
+//! candidate `t` for `q` survives only if every neighbor of `q` still has at
+//! least one candidate among the neighbors of `t`. Vertices are matched strictly in
 //! **query node-ID order** — Ullmann is the most order-sensitive algorithm
 //! in the suite, which makes it a useful extreme point for the rewriting
 //! experiments.
 
 use crate::budget::{BudgetClock, SearchBudget, StopReason};
-use crate::matcher::{Algorithm, Embedding, MatchResult, Matcher, SearchStats};
+use crate::kernel::{self, Plan, Planner, Source, Step};
+use crate::matcher::{Algorithm, Matcher, SearchStats};
 use crate::scratch;
+use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, NodeId, TargetIndex};
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Ullmann prepared over a stored graph. An indexed instance seeds its
-/// candidate matrix from the shared [`TargetIndex`]'s label lists
-/// instead of scanning the full `nq × nt` label matrix per query.
+/// Ullmann prepared over a stored graph. The candidate matrix is seeded
+/// from the shared [`TargetIndex`]'s label lists.
 #[derive(Debug, Clone)]
 pub struct Ullmann {
     index: Arc<TargetIndex>,
-    scan: bool,
 }
 
 impl Ullmann {
@@ -35,21 +35,7 @@ impl Ullmann {
 
     /// Indexed constructor path: shares an already-built [`TargetIndex`].
     pub fn with_index(index: Arc<TargetIndex>) -> Self {
-        Self { index, scan: false }
-    }
-
-    /// Legacy scan mode — the seed behavior: the candidate matrix is
-    /// seeded by a full `nq × nt` label/degree scan and adjacency probes
-    /// binary-search the CSR.
-    pub fn prepare_legacy(target: Arc<Graph>) -> Self {
-        Self::legacy_with_index(Arc::new(TargetIndex::build_without_bitset(target)))
-    }
-
-    /// Legacy scan mode over an already-built (bitset-free) index —
-    /// shared by a runner's scan-mode matchers; Ullmann ignores the
-    /// derived structures and only reads the graph handle.
-    pub fn legacy_with_index(index: Arc<TargetIndex>) -> Self {
-        Self { index, scan: true }
+        Self { index }
     }
 }
 
@@ -58,47 +44,65 @@ impl Matcher for Ullmann {
         Algorithm::Ullmann
     }
 
-    fn target(&self) -> &Graph {
-        self.index.graph()
-    }
-
     fn index(&self) -> &Arc<TargetIndex> {
         &self.index
     }
 
-    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult {
-        let view = if self.scan {
-            GraphView::of_index_scan(&self.index)
-        } else {
-            GraphView::of_index(&self.index)
-        };
-        search_inner(query, view, budget)
+    fn slice_session<'a>(
+        &'a self,
+        query: &'a Graph,
+        view: GraphView<'a>,
+        budget: &SearchBudget,
+    ) -> SliceSetup<'a> {
+        kernel::slice_session(self, query, view.with_default_index(&self.index), budget)
     }
+}
 
-    fn search_view(
+/// The refined matrix as a plan: query node-ID order, each row becoming
+/// that vertex's ascending candidate list.
+impl Planner for Ullmann {
+    type Hook = ();
+
+    fn plan<'a>(
         &self,
         query: &Graph,
-        view: GraphView<'_>,
-        budget: &SearchBudget,
-    ) -> MatchResult {
-        search_inner(query, view.with_default_index(&self.index), budget)
+        view: GraphView<'a>,
+        _: &mut BudgetClock<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<Plan<'a, ()>, StopReason> {
+        // Seed: label equality + degree feasibility (non-induced, so
+        // deg(q) <= deg(t)).
+        let (nq, nt) = (query.node_count(), view.node_count());
+        let mut m = Matrix { cols: nt, data: scratch::bool_buf(nq * nt) };
+        for q in 0..nq {
+            let qdeg = query.degree(q as NodeId);
+            for &t in view.candidates(query.label(q as NodeId)) {
+                if qdeg <= view.degree(t) {
+                    m.set(q, t as usize, true);
+                }
+            }
+        }
+        if !refine(query, view, &mut m, stats) {
+            return Err(StopReason::Complete);
+        }
+        let steps = (0..nq)
+            .map(|q| {
+                let row = (0..nt as NodeId).filter(|&t| m.get(q, t as usize)).collect();
+                Step::new(q as NodeId, Source::Domain, Cow::Owned(row))
+            })
+            .collect();
+        Ok(Plan::new(query, steps, ()))
     }
 }
 
 /// Candidate matrix: row per query node, dense bit-less boolean per target
-/// node. Query/target sizes in this workload are small enough that a
-/// `Vec<bool>` row beats bit-twiddling in clarity at negligible cost.
-/// Indexed searches draw the storage from the per-worker scratch pool.
+/// node, drawn from the per-worker scratch pool.
 struct Matrix {
     cols: usize,
     data: scratch::BoolBuf,
 }
 
 impl Matrix {
-    fn new(rows: usize, cols: usize, pooled: bool) -> Self {
-        Self { cols, data: scratch::bool_buf(rows * cols, pooled) }
-    }
-
     #[inline]
     fn get(&self, r: usize, c: usize) -> bool {
         self.data[r * self.cols + c]
@@ -112,98 +116,6 @@ impl Matrix {
     fn row_empty(&self, r: usize) -> bool {
         !self.data[r * self.cols..(r + 1) * self.cols].iter().any(|&b| b)
     }
-}
-
-/// Runs Ullmann on a (query, target) pair — the index-free scan
-/// implementation (the seed behavior), routed through a bare
-/// [`GraphView`].
-pub fn ullmann_search(query: &Graph, target: &Graph, budget: &SearchBudget) -> MatchResult {
-    search_inner(query, GraphView::of_graph(target), budget)
-}
-
-fn search_inner(query: &Graph, view: GraphView<'_>, budget: &SearchBudget) -> MatchResult {
-    let start = Instant::now();
-    let mut out = MatchResult::empty(StopReason::Complete);
-    let mut clock = budget.start();
-    if let Some(r) = clock.check_now() {
-        out.stop = r;
-        out.elapsed = start.elapsed();
-        return out;
-    }
-    let pooled = view.accel();
-    let nq = query.node_count();
-    let nt = view.node_count();
-    if nq == 0 {
-        out.embeddings.push(Vec::new());
-        out.num_matches = 1;
-        out.elapsed = start.elapsed();
-        return out;
-    }
-    if nq > nt || query.edge_count() > view.edge_count() {
-        out.elapsed = start.elapsed();
-        return out;
-    }
-
-    // Seed matrix: label equality + degree feasibility (non-induced, so
-    // deg(q) <= deg(t)).
-    let mut m = Matrix::new(nq, nt, pooled);
-    if view.accel() {
-        // Indexed: only the label's candidate list is visited — the
-        // seeded membership is identical to the scan, without the
-        // `nq × nt` label scan per query.
-        for q in 0..nq {
-            let qdeg = query.degree(q as NodeId);
-            for &t in view.candidates(query.label(q as NodeId)) {
-                if qdeg <= view.degree(t) {
-                    m.set(q, t as usize, true);
-                }
-            }
-        }
-    } else {
-        for q in 0..nq {
-            for t in 0..nt {
-                m.set(
-                    q,
-                    t,
-                    query.label(q as NodeId) == view.label(t as NodeId)
-                        && query.degree(q as NodeId) <= view.degree(t as NodeId),
-                );
-            }
-        }
-    }
-
-    let mut stats = SearchStats::default();
-    if !refine(query, view, &mut m, &mut stats) {
-        out.stats = stats;
-        out.elapsed = start.elapsed();
-        return out;
-    }
-
-    let mut assignment = scratch::u32_buf(nq, 0, pooled);
-    let mut used = scratch::bool_buf(nt, pooled);
-    let stop = backtrack(
-        query,
-        view,
-        0,
-        &m,
-        &mut assignment,
-        &mut used,
-        &mut out.embeddings,
-        &mut clock,
-        &mut stats,
-        budget.max_matches,
-    );
-    out.num_matches = out.embeddings.len();
-    out.stop = match stop {
-        Some(r) => r,
-        None if out.num_matches >= budget.max_matches && budget.max_matches != usize::MAX => {
-            StopReason::MatchLimit
-        }
-        None => StopReason::Complete,
-    };
-    out.stats = stats;
-    out.elapsed = start.elapsed();
-    out
 }
 
 /// Ullmann's refinement: iterate to a fixpoint removing candidates `(q, t)`
@@ -237,83 +149,19 @@ fn refine(query: &Graph, view: GraphView<'_>, m: &mut Matrix, stats: &mut Search
     true
 }
 
-#[allow(clippy::too_many_arguments)]
-fn backtrack(
-    query: &Graph,
-    view: GraphView<'_>,
-    depth: usize,
-    m: &Matrix,
-    assignment: &mut [NodeId],
-    used: &mut [bool],
-    found: &mut Vec<Embedding>,
-    clock: &mut BudgetClock<'_>,
-    stats: &mut SearchStats,
-    max_matches: usize,
-) -> Option<StopReason> {
-    if depth == query.node_count() {
-        found.push(assignment.to_vec());
-        return None;
-    }
-    let qv = depth as NodeId;
-    for t in 0..view.node_count() {
-        if let Some(r) = clock.tick() {
-            return Some(r);
-        }
-        if used[t] || !m.get(depth, t) {
-            continue;
-        }
-        stats.nodes_expanded += 1;
-        // Edge consistency against earlier assignments.
-        let tv = t as NodeId;
-        let ok = query.neighbors(qv).iter().all(|&qn| {
-            if qn < qv {
-                let tn = assignment[qn as usize];
-                crate::matcher::probe_view(&view, tn, tv, stats)
-                    && (!query.has_edge_labels()
-                        || query.edge_label(qv, qn) == view.edge_label(tv, tn))
-            } else {
-                true
-            }
-        });
-        if !ok {
-            stats.candidates_pruned += 1;
-            continue;
-        }
-        assignment[depth] = tv;
-        used[t] = true;
-        let r = backtrack(
-            query,
-            view,
-            depth + 1,
-            m,
-            assignment,
-            used,
-            found,
-            clock,
-            stats,
-            max_matches,
-        );
-        used[t] = false;
-        if r.is_some() {
-            return r;
-        }
-        if found.len() >= max_matches {
-            return None;
-        }
-        stats.backtracks += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bruteforce;
-    use crate::matcher::is_valid_embedding;
+    use crate::matcher::{is_valid_embedding, Embedding, MatchResult};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    fn ull(query: &Graph, target: &Graph, budget: &SearchBudget) -> MatchResult {
+        Ullmann::prepare(Arc::new(target.clone())).search(query, budget)
+    }
 
     fn sorted(mut v: Vec<Embedding>) -> Vec<Embedding> {
         v.sort();
@@ -327,7 +175,7 @@ mod tests {
         for i in 0..40 {
             let t = random_connected_graph(10, 18, &labels, &mut rng);
             let q = random_connected_graph(4, 4, &labels, &mut rng);
-            let got = ullmann_search(&q, &t, &SearchBudget::unlimited());
+            let got = ull(&q, &t, &SearchBudget::unlimited());
             let want = bruteforce::enumerate(&q, &t, &SearchBudget::unlimited());
             assert_eq!(sorted(got.embeddings), sorted(want.embeddings), "case {i}");
         }
@@ -339,7 +187,7 @@ mod tests {
         // confusion quickly.
         let t = graph_from_parts(&[0, 1, 1, 1, 1], &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         let q = graph_from_parts(&[1, 0, 1], &[(0, 1), (1, 2)]);
-        let r = ullmann_search(&q, &t, &SearchBudget::unlimited());
+        let r = ull(&q, &t, &SearchBudget::unlimited());
         assert_eq!(r.num_matches, 4 * 3);
         for e in &r.embeddings {
             assert!(is_valid_embedding(&q, &t, e));
@@ -351,7 +199,7 @@ mod tests {
         // Query needs degree 3 on label 1, target has max degree 2 there.
         let t = graph_from_parts(&[1, 0, 0], &[(0, 1), (0, 2)]);
         let q = graph_from_parts(&[1, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]);
-        let r = ullmann_search(&q, &t, &SearchBudget::unlimited());
+        let r = ull(&q, &t, &SearchBudget::unlimited());
         assert_eq!(r.num_matches, 0);
         assert_eq!(r.stats.nodes_expanded, 0, "refinement should preempt search");
     }
@@ -360,7 +208,7 @@ mod tests {
     fn match_limit() {
         let t = graph_from_parts(&[0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let q = graph_from_parts(&[0, 0], &[(0, 1)]);
-        let r = ullmann_search(&q, &t, &SearchBudget::with_max_matches(2));
+        let r = ull(&q, &t, &SearchBudget::with_max_matches(2));
         assert_eq!(r.num_matches, 2);
         assert_eq!(r.stop, StopReason::MatchLimit);
     }
@@ -377,7 +225,7 @@ mod tests {
     fn empty_query() {
         let t = graph_from_parts(&[0], &[]);
         let q = graph_from_parts(&[], &[]);
-        assert_eq!(ullmann_search(&q, &t, &SearchBudget::unlimited()).num_matches, 1);
+        assert_eq!(ull(&q, &t, &SearchBudget::unlimited()).num_matches, 1);
     }
 
     #[test]
@@ -385,8 +233,8 @@ mod tests {
         let t = graph_from_parts(&[0, 0], &[(0, 1)]);
         let q = graph_from_parts(&[0], &[]);
         let b = SearchBudget::unlimited()
-            .deadline_at(Instant::now() - std::time::Duration::from_millis(1));
-        let r = ullmann_search(&q, &t, &b);
+            .deadline_at(std::time::Instant::now() - std::time::Duration::from_millis(1));
+        let r = ull(&q, &t, &b);
         assert_eq!(r.stop, StopReason::TimedOut);
     }
 }

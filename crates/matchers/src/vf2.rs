@@ -22,14 +22,15 @@
 //! node IDs (the paper's rewritings) changes VF2's search and runtime.
 
 use crate::budget::{BudgetClock, SearchBudget, StopReason};
-use crate::matcher::{Algorithm, Embedding, MatchResult, Matcher, SearchStats};
+use crate::kernel::{self, label_domain, Hook, Plan, Planner, Source, Step};
+use crate::matcher::{Algorithm, MatchResult, Matcher, SearchStats};
 use crate::scratch;
+use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, NodeId, TargetIndex};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
-
-const UNMAPPED: NodeId = NodeId::MAX;
 
 /// VF2 prepared over a stored graph. VF2 itself needs no algorithm-
 /// specific preprocessing; an indexed instance probes the shared
@@ -37,7 +38,6 @@ const UNMAPPED: NodeId = NodeId::MAX;
 #[derive(Debug, Clone)]
 pub struct Vf2 {
     index: Arc<TargetIndex>,
-    scan: bool,
 }
 
 impl Vf2 {
@@ -49,22 +49,7 @@ impl Vf2 {
 
     /// Indexed constructor path: shares an already-built [`TargetIndex`].
     pub fn with_index(index: Arc<TargetIndex>) -> Self {
-        Self { index, scan: false }
-    }
-
-    /// Legacy scan mode — the seed behavior: root candidates scan every
-    /// target node, adjacency probes binary-search the CSR, buffers are
-    /// freshly allocated per search.
-    pub fn prepare_legacy(target: Arc<Graph>) -> Self {
-        Self::legacy_with_index(Arc::new(TargetIndex::build_without_bitset(target)))
-    }
-
-    /// Legacy scan mode over an already-built (bitset-free) index —
-    /// lets a runner share one index across all its scan-mode matchers
-    /// instead of building one per algorithm. VF2 ignores the derived
-    /// structures either way; only the graph handle is read.
-    pub fn legacy_with_index(index: Arc<TargetIndex>) -> Self {
-        Self { index, scan: true }
+        Self { index }
     }
 }
 
@@ -73,30 +58,8 @@ impl Matcher for Vf2 {
         Algorithm::Vf2
     }
 
-    fn target(&self) -> &Graph {
-        self.index.graph()
-    }
-
     fn index(&self) -> &Arc<TargetIndex> {
         &self.index
-    }
-
-    fn search(&self, query: &Graph, budget: &SearchBudget) -> MatchResult {
-        let view = if self.scan {
-            GraphView::of_index_scan(&self.index)
-        } else {
-            GraphView::of_index(&self.index)
-        };
-        search_inner(query, view, budget)
-    }
-
-    fn search_view(
-        &self,
-        query: &Graph,
-        view: GraphView<'_>,
-        budget: &SearchBudget,
-    ) -> MatchResult {
-        search_inner(query, view.with_default_index(&self.index), budget)
     }
 
     fn slice_session<'a>(
@@ -104,343 +67,116 @@ impl Matcher for Vf2 {
         query: &'a Graph,
         view: GraphView<'a>,
         budget: &SearchBudget,
-    ) -> crate::slice::SliceSetup<'a> {
-        use crate::slice::SliceSetup;
-        let view = view.with_default_index(&self.index);
-        let clock = budget.start();
-        if let Some(r) = clock.check_now() {
-            return SliceSetup::Halted(MatchResult::empty(r));
-        }
-        // Degenerate cases decided by prework, mirroring `search_inner`.
-        if query.node_count() == 0 {
-            let mut out = MatchResult::empty(StopReason::Complete);
-            out.embeddings.push(Vec::new());
-            out.num_matches = 1;
-            return SliceSetup::Halted(out);
-        }
-        if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-            return SliceSetup::Halted(MatchResult::empty(StopReason::Complete));
-        }
-        // The first vertex placed at the empty mapping is always query
-        // vertex 0 (lowest-ID fallback), so the slice domain is vertex 0's
-        // root-candidate list.
-        let domain =
-            if view.accel() { view.candidates(query.label(0)).len() } else { view.node_count() };
-        SliceSetup::Ready(Box::new(Vf2SliceSession { state: State::new(query, view), domain }))
+    ) -> SliceSetup<'a> {
+        kernel::slice_session(&Vf2Planner, query, view.with_default_index(&self.index), budget)
     }
 }
 
 /// Runs VF2 directly on a (query, target) pair without constructing a
 /// [`Vf2`] value. The FTV systems call this per candidate graph / extracted
-/// component; it is the index-free scan implementation, routed through a
-/// bare [`GraphView`].
+/// component; without an index, root candidates come from one label scan.
 pub fn vf2_search(query: &Graph, target: &Graph, budget: &SearchBudget) -> MatchResult {
-    search_inner(query, GraphView::of_graph(target), budget)
-}
-
-fn search_inner(query: &Graph, view: GraphView<'_>, budget: &SearchBudget) -> MatchResult {
     let start = Instant::now();
-    let mut out = MatchResult::empty(StopReason::Complete);
-    let mut clock = budget.start();
-    if let Some(r) = clock.check_now() {
-        out.stop = r;
-        out.elapsed = start.elapsed();
-        return out;
-    }
-    if query.node_count() == 0 {
-        out.embeddings.push(Vec::new());
-        out.num_matches = 1;
-        out.elapsed = start.elapsed();
-        return out;
-    }
-    if query.node_count() > view.node_count() || query.edge_count() > view.edge_count() {
-        out.elapsed = start.elapsed();
-        return out;
-    }
-
-    let mut st = State::new(query, view);
-    let stop = st.grow(0, &mut clock, &mut out.embeddings, budget.max_matches);
-    out.num_matches = out.embeddings.len();
-    out.stop = match stop {
-        Some(r) => r,
-        None if out.num_matches >= budget.max_matches && budget.max_matches != usize::MAX => {
-            StopReason::MatchLimit
-        }
-        None => StopReason::Complete,
-    };
-    out.stats = st.stats;
-    out.elapsed = start.elapsed();
-    out
+    let setup = kernel::slice_session(&Vf2Planner, query, GraphView::of_graph(target), budget);
+    kernel::run_whole(setup, budget, start)
 }
 
-struct State<'a> {
-    q: &'a Graph,
-    /// The unified read surface: base CSR + index (+ delta overlay).
-    view: GraphView<'a>,
-    /// query → target mapping (UNMAPPED if free).
-    core_q: scratch::U32Buf,
-    /// target → query mapping (UNMAPPED if free).
-    core_t: scratch::U32Buf,
-    /// Depth (1-based) at which a query node entered the terminal region;
-    /// 0 = not in it. Matched nodes also carry their entry depth.
-    tin_q: scratch::U32Buf,
-    /// Ditto for target nodes.
-    tin_t: scratch::U32Buf,
-    /// When slicing, the sub-range of the root-candidate domain this run
-    /// enumerates. Applied only at the empty mapping (`matched == 0`);
-    /// later unanchored roots (disconnected query components) stay
-    /// unrestricted, so every slice explores them in full.
-    root_range: Option<std::ops::Range<usize>>,
-    stats: SearchStats,
+/// VF2's prework. Which query vertices are matched at a given depth does
+/// not depend on their images, so the lowest-ID terminal-set order is
+/// fixed per query and computed up front.
+struct Vf2Planner;
+
+impl Planner for Vf2Planner {
+    type Hook = Lookahead;
+
+    fn plan<'a>(
+        &self,
+        query: &Graph,
+        view: GraphView<'a>,
+        _: &mut BudgetClock<'_>,
+        _: &mut SearchStats,
+    ) -> Result<Plan<'a, Lookahead>, StopReason> {
+        let n = query.node_count();
+        let mut matched = vec![false; n];
+        // Unmatched vertices adjacent to the mapping: the terminal set.
+        let mut terminal = vec![false; n];
+        let mut steps = Vec::with_capacity(n);
+        let mut counts = Vec::with_capacity(n);
+        for _ in 0..n {
+            // The lowest-ID terminal vertex, else the lowest-ID unmatched
+            // one (start of search, or a new query component).
+            let unmatched = || (0..n).filter(|&v| !matched[v]);
+            let (v, anchored) = match unmatched().find(|&v| terminal[v]) {
+                Some(v) => (v, true),
+                None => (unmatched().next().expect("an unmatched vertex remains"), false),
+            };
+            let qv = v as NodeId;
+            let label = query.label(qv);
+            let step = if anchored {
+                Step::new(qv, Source::SmallestNeighbor, Cow::Borrowed(&[]))
+            } else {
+                Step::new(qv, Source::Domain, label_domain(view, label))
+            };
+            steps.push(Step { label: Some(label), ..step });
+            let unmatched = query.neighbors(qv).iter().filter(|&&qn| !matched[qn as usize]);
+            let in_terminal = unmatched.clone().filter(|&&qn| terminal[qn as usize]).count();
+            counts.push((in_terminal, unmatched.count() - in_terminal));
+            matched[v] = true;
+            for &qn in query.neighbors(qv) {
+                terminal[qn as usize] = true;
+            }
+        }
+        let lookahead = Lookahead { query: counts, tin: scratch::u32_buf(view.node_count(), 0) };
+        Ok(Plan::new(query, steps, lookahead))
+    }
 }
 
-impl<'a> State<'a> {
-    fn new(q: &'a Graph, view: GraphView<'a>) -> Self {
-        let pooled = view.accel();
-        Self {
-            q,
-            view,
-            core_q: scratch::u32_buf(q.node_count(), UNMAPPED, pooled),
-            core_t: scratch::u32_buf(view.node_count(), UNMAPPED, pooled),
-            tin_q: scratch::u32_buf(q.node_count(), 0, pooled),
-            tin_t: scratch::u32_buf(view.node_count(), 0, pooled),
-            root_range: None,
-            stats: SearchStats::default(),
-        }
-    }
+/// Rules 2 and 3: the terminal-set lookahead.
+struct Lookahead {
+    /// Per step: the step vertex's unmatched query neighbours inside and
+    /// outside the terminal set.
+    query: Vec<(usize, usize)>,
+    /// Depth (1-based) at which each target vertex entered the terminal
+    /// region (bound, or adjacent to a bound vertex); 0 = outside.
+    tin: scratch::U32Buf,
+}
 
-    /// Adjacency probe through the view (overlay, bitset fast path, or
-    /// CSR binary search — counted accordingly).
-    #[inline]
-    fn probe_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        crate::matcher::probe_view(&self.view, u, v, &mut self.stats)
-    }
-
-    /// Picks the next query vertex: the lowest-ID unmatched vertex in the
-    /// terminal set, falling back to the lowest-ID unmatched vertex when the
-    /// terminal set is empty (start of search, or disconnected query).
-    fn next_query_vertex(&self) -> (NodeId, bool) {
-        let mut fallback = UNMAPPED;
-        for v in 0..self.core_q.len() as NodeId {
-            if self.core_q[v as usize] == UNMAPPED {
-                if self.tin_q[v as usize] != 0 {
-                    return (v, true);
-                }
-                if fallback == UNMAPPED {
-                    fallback = v;
-                }
-            }
-        }
-        (fallback, false)
-    }
-
-    /// Rules 1–3 for the candidate pair `(qv, tv)`; labels are assumed to
-    /// have been checked by the caller.
-    fn feasible(&mut self, qv: NodeId, tv: NodeId) -> bool {
-        // Rule 1: every matched query-neighbor's image must be adjacent,
-        // with a matching edge label.
-        for i in 0..self.q.neighbors(qv).len() {
-            let qn = self.q.neighbors(qv)[i];
-            let img = self.core_q[qn as usize];
-            if img != UNMAPPED {
-                if !self.probe_edge(img, tv) {
-                    return false;
-                }
-                if self.q.has_edge_labels()
-                    && self.q.edge_label(qv, qn) != self.view.edge_label(tv, img)
-                {
-                    return false;
-                }
-            }
-        }
-        // Rules 2 & 3: lookahead counts over unmatched neighbors.
-        let (mut q_term, mut q_new) = (0usize, 0usize);
-        for &qn in self.q.neighbors(qv) {
-            if self.core_q[qn as usize] == UNMAPPED {
-                if self.tin_q[qn as usize] != 0 {
-                    q_term += 1;
-                } else {
-                    q_new += 1;
-                }
-            }
-        }
+impl Hook for Lookahead {
+    fn feasible(&mut self, depth: usize, tv: NodeId, view: &GraphView<'_>, used: &[bool]) -> bool {
+        let (q_term, q_new) = self.query[depth];
         let (mut t_term, mut t_new) = (0usize, 0usize);
-        for &tn in self.view.neighbors(tv) {
-            if self.core_t[tn as usize] == UNMAPPED {
-                if self.tin_t[tn as usize] != 0 {
+        for &tn in view.neighbors(tv) {
+            if !used[tn as usize] {
+                if self.tin[tn as usize] != 0 {
                     t_term += 1;
                 } else {
                     t_new += 1;
                 }
             }
         }
-        // Non-induced: target may have extras, query may not exceed.
-        // A "new" query neighbor can also map onto a terminal target
-        // neighbor, so the second comparison bounds the total.
+        // Non-induced: the target may have extras, the query may not
+        // exceed. A "new" query neighbour can also map onto a terminal
+        // target neighbour, so the second comparison bounds the total.
         q_term <= t_term && q_term + q_new <= t_term + t_new
     }
 
-    fn add_pair(&mut self, qv: NodeId, tv: NodeId, depth: u32) {
-        self.core_q[qv as usize] = tv;
-        self.core_t[tv as usize] = qv;
-        if self.tin_q[qv as usize] == 0 {
-            self.tin_q[qv as usize] = depth;
-        }
-        if self.tin_t[tv as usize] == 0 {
-            self.tin_t[tv as usize] = depth;
-        }
-        for &qn in self.q.neighbors(qv) {
-            if self.tin_q[qn as usize] == 0 {
-                self.tin_q[qn as usize] = depth;
-            }
-        }
-        for &tn in self.view.neighbors(tv) {
-            if self.tin_t[tn as usize] == 0 {
-                self.tin_t[tn as usize] = depth;
+    fn bind(&mut self, depth: usize, tv: NodeId, view: &GraphView<'_>) {
+        let d = depth as u32 + 1;
+        for &t in std::iter::once(&tv).chain(view.neighbors(tv)) {
+            if self.tin[t as usize] == 0 {
+                self.tin[t as usize] = d;
             }
         }
     }
 
-    fn remove_pair(&mut self, qv: NodeId, tv: NodeId, depth: u32) {
-        self.core_q[qv as usize] = UNMAPPED;
-        self.core_t[tv as usize] = UNMAPPED;
-        for x in self.tin_q.iter_mut() {
-            if *x == depth {
-                *x = 0;
+    fn release(&mut self, depth: usize, tv: NodeId, view: &GraphView<'_>) {
+        // Only `tv` and its neighbours can carry this depth's mark.
+        let d = depth as u32 + 1;
+        for &t in std::iter::once(&tv).chain(view.neighbors(tv)) {
+            if self.tin[t as usize] == d {
+                self.tin[t as usize] = 0;
             }
         }
-        for x in self.tin_t.iter_mut() {
-            if *x == depth {
-                *x = 0;
-            }
-        }
-    }
-
-    fn grow(
-        &mut self,
-        matched: usize,
-        clock: &mut BudgetClock<'_>,
-        found: &mut Vec<Embedding>,
-        max_matches: usize,
-    ) -> Option<StopReason> {
-        if matched == self.q.node_count() {
-            found.push(self.core_q.to_vec());
-            return None;
-        }
-        let depth = matched as u32 + 1;
-        let (qv, in_terminal) = self.next_query_vertex();
-        debug_assert_ne!(qv, UNMAPPED);
-        let qlabel = self.q.label(qv);
-
-        // Candidate target vertices: when qv touches the mapping, restrict
-        // to the neighborhood of one matched neighbor's image (the smallest
-        // such neighborhood); otherwise all target vertices with the label.
-        let anchor: Option<NodeId> = if in_terminal {
-            self.q
-                .neighbors(qv)
-                .iter()
-                .copied()
-                .filter(|&qn| self.core_q[qn as usize] != UNMAPPED)
-                .min_by_key(|&qn| self.view.degree(self.core_q[qn as usize]))
-        } else {
-            None
-        };
-
-        macro_rules! try_candidate {
-            ($tv:expr) => {{
-                let tv: NodeId = $tv;
-                if let Some(r) = clock.tick() {
-                    return Some(r);
-                }
-                if self.core_t[tv as usize] == UNMAPPED && self.view.label(tv) == qlabel {
-                    self.stats.nodes_expanded += 1;
-                    if self.feasible(qv, tv) {
-                        self.add_pair(qv, tv, depth);
-                        let r = self.grow(matched + 1, clock, found, max_matches);
-                        self.remove_pair(qv, tv, depth);
-                        if r.is_some() {
-                            return r;
-                        }
-                        if found.len() >= max_matches {
-                            return None;
-                        }
-                        self.stats.backtracks += 1;
-                    } else {
-                        self.stats.candidates_pruned += 1;
-                    }
-                }
-            }};
-        }
-
-        // Root-candidate slicing applies only at the empty mapping: the
-        // very first vertex placed is what the slice domain partitions.
-        let root = if matched == 0 { self.root_range.clone() } else { None };
-        match anchor {
-            Some(qn) => {
-                let img = self.core_q[qn as usize];
-                // Candidates must be adjacent to the image of the anchor.
-                // The slice borrows the view's state (lifetime 'a), not
-                // `self`, so the macro's `&mut self` calls are fine.
-                for &tv in self.view.neighbors(img) {
-                    try_candidate!(tv);
-                }
-            }
-            None if self.view.accel() => {
-                // Indexed: only vertices carrying the query label can
-                // match — same visit order (IDs ascending), no full scan.
-                let cands = self.view.candidates(qlabel);
-                let cands = match root {
-                    Some(r) => &cands[r.start.min(cands.len())..r.end.min(cands.len())],
-                    None => cands,
-                };
-                for &tv in cands {
-                    try_candidate!(tv);
-                }
-            }
-            // Scan mode (seed behavior): every target vertex. Tombstones
-            // carry the reserved label, so they never match.
-            None => {
-                let n = self.view.node_count();
-                let (lo, hi) = match root {
-                    Some(r) => (r.start.min(n), r.end.min(n)),
-                    None => (0, n),
-                };
-                for tv in lo as NodeId..hi as NodeId {
-                    try_candidate!(tv);
-                }
-            }
-        }
-        None
-    }
-}
-
-/// A sliceable VF2 session: one reusable [`State`] whose `root_range` is
-/// re-aimed per chunk. Safe to reuse across chunks — even halted runs
-/// unwind `remove_pair` all the way out, leaving the mapping empty.
-struct Vf2SliceSession<'a> {
-    state: State<'a>,
-    domain: usize,
-}
-
-impl crate::slice::SliceSession for Vf2SliceSession<'_> {
-    fn domain(&self) -> usize {
-        self.domain
-    }
-
-    fn run_chunk(
-        &mut self,
-        range: std::ops::Range<usize>,
-        budget: &SearchBudget,
-    ) -> crate::slice::ChunkOutcome {
-        let mut clock = budget.start();
-        let mut embeddings = Vec::new();
-        self.state.root_range = Some(range.clone());
-        let halted = self.state.grow(0, &mut clock, &mut embeddings, budget.max_matches);
-        crate::slice::ChunkOutcome { range, embeddings, halted }
-    }
-
-    fn stats(&self) -> SearchStats {
-        self.state.stats
     }
 }
 
@@ -448,7 +184,7 @@ impl crate::slice::SliceSession for Vf2SliceSession<'_> {
 mod tests {
     use super::*;
     use crate::bruteforce;
-    use crate::matcher::is_valid_embedding;
+    use crate::matcher::{is_valid_embedding, Embedding};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use psi_graph::Permutation;

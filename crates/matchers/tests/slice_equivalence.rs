@@ -3,8 +3,7 @@
 //! strategy, not a semantic one — for random graph/query pairs the merged
 //! sliced result must carry the same verdict and the same embedding
 //! sequence as the ordinary single-threaded search, under unlimited,
-//! match-capped, and mid-search-timeout budgets, in both indexed and
-//! legacy scan preparation modes.
+//! match-capped, and mid-search-timeout budgets, for all five matchers.
 //!
 //! The deterministic merge (ascending range order, truncated at the
 //! global cap) makes capped results byte-identical, not merely
@@ -17,14 +16,16 @@ use psi_delta::GraphView;
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::{Graph, TargetIndex};
 use psi_matchers::matcher::is_valid_embedding;
-use psi_matchers::{sliced_search_view, Algorithm, Matcher, SearchBudget, StopReason};
+use psi_matchers::{
+    bruteforce, sliced_search_view, Algorithm, Matcher, SearchBudget, SliceCoordinator, StopReason,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The three sliceable matchers plus two that exercise the
-/// single-slice fallback path (`SliceSetup::Unsupported`).
+/// Every matcher slices: the shared search kernel partitions the first
+/// step's candidate list whatever the algorithm's order.
 const ALGORITHMS: [Algorithm; 5] =
     [Algorithm::Vf2, Algorithm::QuickSi, Algorithm::GraphQl, Algorithm::Ullmann, Algorithm::SPath];
 
@@ -36,18 +37,8 @@ fn pair(seed: u64) -> (Graph, Graph) {
     (query, target)
 }
 
-/// Both preparation modes for one algorithm over one stored graph.
-fn both_modes(alg: Algorithm, stored: &Arc<Graph>) -> [(Arc<dyn Matcher>, bool); 2] {
-    let index = Arc::new(TargetIndex::build(Arc::clone(stored)));
-    [(alg.prepare_indexed(index), false), (alg.prepare_legacy(Arc::clone(stored)), true)]
-}
-
-fn view_for(m: &dyn Matcher, scan: bool) -> GraphView<'_> {
-    if scan {
-        GraphView::of_index_scan(m.index())
-    } else {
-        GraphView::of_index(m.index())
-    }
+fn matcher(alg: Algorithm, stored: &Arc<Graph>) -> Arc<dyn Matcher> {
+    alg.prepare_indexed(Arc::new(TargetIndex::build(Arc::clone(stored))))
 }
 
 proptest! {
@@ -59,20 +50,16 @@ proptest! {
         let (query, target) = pair(seed);
         let stored = Arc::new(target.clone());
         for alg in ALGORITHMS {
-            for (m, scan) in both_modes(alg, &stored) {
-                let budget = SearchBudget::unlimited();
-                let view = view_for(m.as_ref(), scan);
-                let single = m.search_view(&query, view, &budget);
-                let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, slices);
-                prop_assert_eq!(sliced.stop, single.stop, "{} scan={} stop", alg, scan);
-                prop_assert_eq!(
-                    &sliced.embeddings, &single.embeddings,
-                    "{} scan={} slices={}", alg, scan, slices
-                );
-                prop_assert_eq!(sliced.num_matches, sliced.embeddings.len());
-                for e in &sliced.embeddings {
-                    prop_assert!(is_valid_embedding(&query, &target, e), "{}", alg);
-                }
+            let m = matcher(alg, &stored);
+            let budget = SearchBudget::unlimited();
+            let view = GraphView::of_index(m.index());
+            let single = m.search_view(&query, view, &budget);
+            let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, slices);
+            prop_assert_eq!(sliced.stop, single.stop, "{} stop", alg);
+            prop_assert_eq!(&sliced.embeddings, &single.embeddings, "{} slices={}", alg, slices);
+            prop_assert_eq!(sliced.num_matches, sliced.embeddings.len());
+            for e in &sliced.embeddings {
+                prop_assert!(is_valid_embedding(&query, &target, e), "{}", alg);
             }
         }
     }
@@ -89,19 +76,15 @@ proptest! {
         let (query, target) = pair(seed);
         let stored = Arc::new(target.clone());
         for alg in ALGORITHMS {
-            for (m, scan) in both_modes(alg, &stored) {
-                let budget = SearchBudget::with_max_matches(cap);
-                let view = view_for(m.as_ref(), scan);
-                let single = m.search_view(&query, view, &budget);
-                let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, slices);
-                prop_assert_eq!(sliced.stop, single.stop, "{} scan={} cap={}", alg, scan, cap);
-                prop_assert_eq!(
-                    &sliced.embeddings, &single.embeddings,
-                    "{} scan={} cap={}", alg, scan, cap
-                );
-                for e in &sliced.embeddings {
-                    prop_assert!(is_valid_embedding(&query, &target, e), "{}", alg);
-                }
+            let m = matcher(alg, &stored);
+            let budget = SearchBudget::with_max_matches(cap);
+            let view = GraphView::of_index(m.index());
+            let single = m.search_view(&query, view, &budget);
+            let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, slices);
+            prop_assert_eq!(sliced.stop, single.stop, "{} cap={}", alg, cap);
+            prop_assert_eq!(&sliced.embeddings, &single.embeddings, "{} cap={}", alg, cap);
+            for e in &sliced.embeddings {
+                prop_assert!(is_valid_embedding(&query, &target, e), "{}", alg);
             }
         }
     }
@@ -118,23 +101,22 @@ proptest! {
         let (query, target) = pair(seed);
         let stored = Arc::new(target.clone());
         for alg in ALGORITHMS {
-            for (m, scan) in both_modes(alg, &stored) {
-                let budget = SearchBudget::unlimited().timeout(Duration::from_micros(micros));
-                let view = view_for(m.as_ref(), scan);
-                let single = m.search_view(&query, view, &budget);
-                let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, slices);
-                for (label, r) in [("single", &single), ("sliced", &sliced)] {
-                    prop_assert!(
-                        r.stop == StopReason::TimedOut || r.stop == StopReason::Complete,
-                        "{} {} unexpected stop {:?}", alg, label, r.stop
-                    );
-                    for e in &r.embeddings {
-                        prop_assert!(is_valid_embedding(&query, &target, e), "{} {}", alg, label);
-                    }
+            let m = matcher(alg, &stored);
+            let budget = SearchBudget::unlimited().timeout(Duration::from_micros(micros));
+            let view = GraphView::of_index(m.index());
+            let single = m.search_view(&query, view, &budget);
+            let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, slices);
+            for (label, r) in [("single", &single), ("sliced", &sliced)] {
+                prop_assert!(
+                    r.stop == StopReason::TimedOut || r.stop == StopReason::Complete,
+                    "{} {} unexpected stop {:?}", alg, label, r.stop
+                );
+                for e in &r.embeddings {
+                    prop_assert!(is_valid_embedding(&query, &target, e), "{} {}", alg, label);
                 }
-                if sliced.is_conclusive() && single.is_conclusive() {
-                    prop_assert_eq!(sliced.found(), single.found(), "{} verdicts", alg);
-                }
+            }
+            if sliced.is_conclusive() && single.is_conclusive() {
+                prop_assert_eq!(sliced.found(), single.found(), "{} verdicts", alg);
             }
         }
     }
@@ -150,12 +132,11 @@ fn cancelled_group_is_inconclusive() {
     token.cancel();
     let budget = SearchBudget::unlimited().cancellable(token);
     for alg in ALGORITHMS {
-        for (m, scan) in both_modes(alg, &stored) {
-            let view = view_for(m.as_ref(), scan);
-            let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, 4);
-            assert_eq!(sliced.stop, StopReason::Cancelled, "{alg} scan={scan}");
-            assert_eq!(sliced.num_matches, 0);
-        }
+        let m = matcher(alg, &stored);
+        let view = GraphView::of_index(m.index());
+        let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, 4);
+        assert_eq!(sliced.stop, StopReason::Cancelled, "{alg}");
+        assert_eq!(sliced.num_matches, 0);
     }
 }
 
@@ -165,14 +146,37 @@ fn cancelled_group_is_inconclusive() {
 fn oversliced_group_still_complete() {
     let (query, target) = pair(11);
     let stored = Arc::new(target.clone());
-    for alg in [Algorithm::Vf2, Algorithm::QuickSi, Algorithm::GraphQl] {
-        for (m, scan) in both_modes(alg, &stored) {
-            let budget = SearchBudget::unlimited();
-            let view = view_for(m.as_ref(), scan);
-            let single = m.search_view(&query, view, &budget);
-            let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, 32);
-            assert_eq!(sliced.stop, single.stop, "{alg} scan={scan}");
-            assert_eq!(sliced.embeddings, single.embeddings, "{alg} scan={scan}");
-        }
+    for alg in ALGORITHMS {
+        let m = matcher(alg, &stored);
+        let budget = SearchBudget::unlimited();
+        let view = GraphView::of_index(m.index());
+        let single = m.search_view(&query, view, &budget);
+        let sliced = sliced_search_view(m.as_ref(), &query, view, &budget, 32);
+        assert_eq!(sliced.stop, single.stop, "{alg}");
+        assert_eq!(sliced.embeddings, single.embeddings, "{alg}");
+    }
+}
+
+/// Every matcher really partitions its search: on a query that embeds,
+/// a slice task runs chunks (no algorithm falls back to one unsliced
+/// search), and the merged result is the single-slice answer.
+#[test]
+fn every_matcher_runs_chunks() {
+    let (query, target) =
+        (0..).map(pair).find(|(q, t)| bruteforce::contains(q, t)).expect("some seeded pair embeds");
+    let stored = Arc::new(target);
+    for alg in ALGORITHMS {
+        let m = matcher(alg, &stored);
+        let budget = SearchBudget::unlimited();
+        let view = GraphView::of_index(m.index());
+        let coord = SliceCoordinator::new(&budget, 2);
+        let first = coord.run_task(m.as_ref(), &query, view);
+        assert!(coord.finish_task().is_none(), "{alg}: one task is still running");
+        coord.run_task(m.as_ref(), &query, view);
+        let merged = coord.finish_task().expect("the last task merges");
+        assert!(first.chunks > 0, "{alg} ran no chunks");
+        let single = m.search_view(&query, view, &budget);
+        assert_eq!(merged.stop, single.stop, "{alg}");
+        assert_eq!(merged.embeddings, single.embeddings, "{alg}");
     }
 }

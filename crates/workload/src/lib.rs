@@ -35,9 +35,6 @@
 //! * [`strategy`] — saturated-pool comparison of race strategies
 //!   (full-field vs staged racing with escalation), feeding the
 //!   CI bench artifact's `topk_qps` trail.
-//! * [`index_cmp`] — saturated-pool comparison of the shared per-graph
-//!   `TargetIndex` against the legacy scan paths, feeding the CI bench
-//!   artifact's `indexed_speedup` trail.
 //! * [`slicing`] — idle-biased comparison of intra-query slicing
 //!   ([`psi_engine::RaceStrategy::Adaptive`]) against classic one-slice
 //!   racing on a heavy-tailed workload, feeding the CI bench artifact's
@@ -48,7 +45,6 @@
 
 pub mod async_batch;
 pub mod classify;
-pub mod index_cmp;
 pub mod metrics;
 pub mod multi;
 pub mod net_fleet;
@@ -61,7 +57,6 @@ pub mod streaming;
 
 pub use async_batch::{submit_batch_async, AsyncBatchReport};
 pub use classify::{CapConfig, Class, ClassBreakdown};
-pub use index_cmp::{compare_index_modes, IndexCmpSpec, IndexComparison};
 pub use metrics::{qla, speedup_star, wla, SummaryStats};
 pub use multi::{
     submit_batch_multi, GraphBatchStats, MultiBatchReport, MultiWorkload, MultiWorkloadSpec,

@@ -124,10 +124,8 @@ fn race_only_registry(
         .iter()
         .enumerate()
         .map(|(i, g)| {
-            // Race a fully sliceable field (GraphQL ∥ QuickSI): sPath has
-            // no slice session (it falls back to a single-slice run), so
-            // keeping it in the field would let it win both registries
-            // and mask the axis this harness exists to measure.
+            // Race the GraphQL ∥ QuickSI field the `sliced_p99_speedup`
+            // trail has always measured, so its history stays comparable.
             let config =
                 PsiConfig::algorithms([Algorithm::GraphQl, Algorithm::QuickSi], Rewriting::Orig);
             multi

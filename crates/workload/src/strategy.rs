@@ -8,7 +8,7 @@
 //! *other* queries' winners. Pruning predictable losers frees those
 //! slots, so staged throughput should meet or beat race-all throughput
 //! once the predictor is trained — which is exactly what the CI bench
-//! artifact tracks over time ([`psi_bench`]'s `topk_qps` metric).
+//! artifact tracks over time (`psi_bench`'s `topk_qps` metric).
 
 use crate::multi::submit_batch_multi;
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
