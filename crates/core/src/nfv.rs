@@ -99,8 +99,8 @@ impl PsiRunner {
     /// Prepares all algorithms used by `config` over `stored`, sharing
     /// one [`TargetIndex`] across every matcher.
     pub fn new(stored: Arc<Graph>, config: PsiConfig) -> Self {
+        let stats = LabelStats::from_graph(&stored);
         let index = Arc::new(TargetIndex::build(stored));
-        let stats = LabelStats::from_graph(index.graph());
         let matchers = prepare_all(&config, &index);
         Self::assemble(stats, index, matchers, config)
     }

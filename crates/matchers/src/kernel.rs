@@ -37,7 +37,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 /// Assignment entry of a query vertex not bound yet.
-pub(crate) const UNMAPPED: NodeId = NodeId::MAX;
+const UNMAPPED: NodeId = NodeId::MAX;
 
 /// Where a step draws its candidate target vertices from.
 #[derive(Debug, Clone, Copy)]
@@ -67,23 +67,15 @@ pub(crate) struct Step<'a> {
     pub min_degree: usize,
     /// Reject candidates outside `domain`.
     pub in_domain: bool,
-    /// The query neighbours bound at earlier steps, in adjacency order,
-    /// each with the query edge label to compare. Set by [`Plan::new`].
-    pub back: Vec<(NodeId, Option<Label>)>,
+    /// This step's back edges: a range of the plan's back-edge list, set
+    /// by [`Plan::new`].
+    pub back: Range<usize>,
 }
 
 impl<'a> Step<'a> {
     /// A step with no filters.
     pub fn new(vertex: NodeId, source: Source, domain: Cow<'a, [NodeId]>) -> Self {
-        Self {
-            vertex,
-            source,
-            domain,
-            label: None,
-            min_degree: 0,
-            in_domain: false,
-            back: Vec::new(),
-        }
+        Self { vertex, source, domain, label: None, min_degree: 0, in_domain: false, back: 0..0 }
     }
 
     #[inline]
@@ -120,6 +112,10 @@ impl Hook for () {
 /// A matcher's prework output: the steps and its hook.
 pub(crate) struct Plan<'a, H> {
     steps: Vec<Step<'a>>,
+    /// Every step's back edges, step after step: the query neighbours
+    /// bound at earlier steps, in adjacency order, each with the query
+    /// edge label to compare.
+    back: Vec<(NodeId, Option<Label>)>,
     edge_labeled: bool,
     hook: H,
 }
@@ -130,19 +126,23 @@ impl<'a, H: Hook> Plan<'a, H> {
     pub fn new(query: &Graph, mut steps: Vec<Step<'a>>, hook: H) -> Self {
         debug_assert_eq!(steps.len(), query.node_count());
         debug_assert!(matches!(steps[0].source, Source::Domain), "step 0 has no matched neighbour");
-        let mut depth = vec![usize::MAX; query.node_count()];
+        let mut depth = scratch::u32_buf(query.node_count(), u32::MAX);
         for (i, s) in steps.iter().enumerate() {
-            depth[s.vertex as usize] = i;
+            depth[s.vertex as usize] = i as u32;
         }
+        let mut back = Vec::with_capacity(query.edge_count());
         for (i, s) in steps.iter_mut().enumerate() {
-            s.back = query
-                .neighbors(s.vertex)
-                .iter()
-                .filter(|&&qn| depth[qn as usize] < i)
-                .map(|&qn| (qn, query.edge_label(s.vertex, qn)))
-                .collect();
+            let start = back.len();
+            back.extend(
+                query
+                    .neighbors(s.vertex)
+                    .iter()
+                    .filter(|&&qn| (depth[qn as usize] as usize) < i)
+                    .map(|&qn| (qn, query.edge_label(s.vertex, qn))),
+            );
+            s.back = start..back.len();
         }
-        Self { steps, edge_labeled: query.has_edge_labels(), hook }
+        Self { steps, back, edge_labeled: query.has_edge_labels(), hook }
     }
 }
 
@@ -269,6 +269,7 @@ impl<H: Hook> SliceSession for Session<'_, H> {
     fn run_chunk(&mut self, range: Range<usize>, budget: &SearchBudget) -> ChunkOutcome {
         let mut dfs = Dfs {
             steps: &self.plan.steps,
+            back: &self.plan.back,
             edge_labeled: self.plan.edge_labeled,
             hook: &mut self.plan.hook,
             view: self.view,
@@ -292,6 +293,7 @@ impl<H: Hook> SliceSession for Session<'_, H> {
 /// One run of the search over a root-candidate range.
 struct Dfs<'s, 'a, H> {
     steps: &'s [Step<'a>],
+    back: &'s [(NodeId, Option<Label>)],
     edge_labeled: bool,
     hook: &'s mut H,
     view: GraphView<'a>,
@@ -315,6 +317,7 @@ impl<H: Hook> Dfs<'_, '_, H> {
             return None;
         };
         let view = self.view;
+        let back = &self.back[step.back.clone()];
         let candidates: &[NodeId] = match step.source {
             Source::Domain if depth == 0 => {
                 let d = &step.domain[..];
@@ -323,8 +326,7 @@ impl<H: Hook> Dfs<'_, '_, H> {
             Source::Domain => &step.domain,
             Source::Neighbor(qn) => view.neighbors(self.assignment[qn as usize]),
             Source::SmallestNeighbor => {
-                let anchor = step
-                    .back
+                let anchor = back
                     .iter()
                     .map(|&(qn, _)| self.assignment[qn as usize])
                     .min_by_key(|&img| view.degree(img))
@@ -341,7 +343,7 @@ impl<H: Hook> Dfs<'_, '_, H> {
                 continue;
             }
             self.stats.nodes_expanded += 1;
-            if !self.edges_match(step, tv) || !self.hook.feasible(depth, tv, &view, self.used) {
+            if !self.edges_match(back, tv) || !self.hook.feasible(depth, tv, &view, self.used) {
                 self.stats.candidates_pruned += 1;
                 continue;
             }
@@ -366,8 +368,8 @@ impl<H: Hook> Dfs<'_, '_, H> {
     /// Every matched query neighbour's image is adjacent to `tv`, with the
     /// same edge label when the query is edge-labelled.
     #[inline]
-    fn edges_match(&mut self, step: &Step<'_>, tv: NodeId) -> bool {
-        step.back.iter().all(|&(qn, label)| {
+    fn edges_match(&mut self, back: &[(NodeId, Option<Label>)], tv: NodeId) -> bool {
+        back.iter().all(|&(qn, label)| {
             let tn = self.assignment[qn as usize];
             let stats = &mut *self.stats;
             self.view.has_edge_counted(

@@ -85,9 +85,11 @@ impl Planner for Ullmann {
         if !refine(query, view, &mut m, stats) {
             return Err(StopReason::Complete);
         }
+        // A row is a subset of its label's (ascending) candidate list.
         let steps = (0..nq)
             .map(|q| {
-                let row = (0..nt as NodeId).filter(|&t| m.get(q, t as usize)).collect();
+                let cands = view.candidates(query.label(q as NodeId));
+                let row = cands.iter().copied().filter(|&t| m.get(q, t as usize)).collect();
                 Step::new(q as NodeId, Source::Domain, Cow::Owned(row))
             })
             .collect();
