@@ -328,6 +328,7 @@ fn fast_path_takes_over_after_training_and_falls_back_safely() {
     // least sometimes, and answers must stay correct (these queries are
     // grown from the stored graph, so `found` must hold).
     let mut fast = 0;
+    let mut fast_queries = Vec::new();
     for i in 0..12 {
         let q = grown_query(&g, 4, 400 + i);
         let r = engine.submit(id, &q).unwrap();
@@ -335,10 +336,50 @@ fn fast_path_takes_over_after_training_and_falls_back_safely() {
         assert!(r.found(), "grown query {i} must embed");
         if r.path == ServePath::FastPath {
             fast += 1;
+            fast_queries.push(q);
         }
     }
     let stats = engine.stats();
     assert_eq!(stats.fast_paths, fast);
     assert!(fast > 0, "confident predictor should serve some fast paths");
     assert_eq!(stats.queries, 20);
+
+    // Settle: re-serve the fast-path queries until one pass races none of
+    // them. An uncontested fast-path win teaches the predictor nothing,
+    // and a race with no winner teaches it no sample, so from here on
+    // every query left in `fast_queries` stays confident.
+    loop {
+        let before = fast_queries.len();
+        fast_queries.retain(|q| engine.submit(id, q).unwrap().path == ServePath::FastPath);
+        if fast_queries.len() == before {
+            break;
+        }
+    }
+    assert!(!fast_queries.is_empty(), "some query must stay confident");
+
+    // Fall back: an already-expired deadline makes the predicted entrant
+    // inconclusive, so each query falls back to the race, which cannot
+    // conclude either.
+    let wait = |request: QueryRequest| {
+        engine
+            .submit_nonblocking(request.graph(id))
+            .unwrap()
+            .wait_timeout(Duration::from_secs(30))
+            .expect("ticket completes; no admission slot leaked")
+    };
+    let before = engine.stats();
+    for q in &fast_queries {
+        let r = wait(QueryRequest::new(q.clone()).deadline(Duration::ZERO));
+        assert!(!r.conclusive, "an expired deadline cannot conclude");
+        assert_eq!(r.path, ServePath::Race, "an inconclusive fast path answers as a race");
+    }
+    let after = engine.stats();
+    let fell_back = fast_queries.len() as u64;
+    assert_eq!(after.fast_path_fallbacks, before.fast_path_fallbacks + fell_back);
+    assert_eq!(after.inconclusive, before.inconclusive + fell_back);
+    assert_eq!(after.fast_paths, before.fast_paths);
+    // Every fallback released its admission slot: a normal submit still
+    // gets through.
+    let r = wait(QueryRequest::new(fast_queries[0].clone()));
+    assert!(r.conclusive && r.found());
 }
