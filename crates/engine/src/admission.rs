@@ -19,9 +19,9 @@
 //! waiters ever hold the pending grant, so cancelling a parked entry
 //! (its ticket was dropped) can never orphan the grant chain.
 
-use crate::cache::QueryKey;
-use crate::engine::ServeCore;
-use crate::flight::{prepare_and_launch, AdmittedQuery, StageTimer};
+use crate::cache::{CachedAnswer, QueryKey};
+use crate::engine::{EngineResponse, ServeCore, ServePath};
+use crate::flight::{prepare_and_launch, StageTimer};
 use crate::pool::WorkerPool;
 use crate::submit::{CompletionSlot, Priority};
 use crate::telemetry::TraceEvent;
@@ -409,11 +409,12 @@ pub(crate) enum Admit {
     Full(DeferredLaunch),
 }
 
-/// Everything a not-yet-admitted query needs to launch later: the
-/// serving core, the raw query, the ticket plumbing, and weak handles to
-/// the pool/timer/gate (weak so a parked entry can never keep a
-/// shut-down engine alive — if the upgrade fails at launch time the
-/// query is abandoned instead).
+/// Everything a query carries from submission into its flight: the
+/// serving core, the raw query, the ticket plumbing, the admission
+/// permit once a slot is granted, and weak handles to the
+/// pool/timer/gate (weak so a parked entry can never keep a shut-down
+/// engine alive — if the upgrade fails at launch time the query is
+/// abandoned instead).
 pub(crate) struct DeferredInner {
     pub(crate) core: Arc<ServeCore>,
     pub(crate) query: Graph,
@@ -423,22 +424,27 @@ pub(crate) struct DeferredInner {
     pub(crate) keyed: Option<(QueryKey, Vec<u32>)>,
     pub(crate) token: CancelToken,
     pub(crate) slot: Arc<CompletionSlot>,
+    pub(crate) permit: Option<OwnedPermit>,
     pub(crate) pool: Weak<WorkerPool>,
     pub(crate) timer: Weak<StageTimer>,
     pub(crate) gate: Weak<TenantGate>,
 }
 
-/// A query's launch, deferred until admission grants a slot. Created at
-/// submission, then either launched immediately (capacity free), parked
-/// in the waiting room, or discarded (room full → typed error).
+/// A query's launch, deferred until admission grants a slot and then
+/// until its setup task hands the plumbing to a
+/// [`crate::flight::RaceFlight`]. Created at submission, then either
+/// launched immediately (capacity free), parked in the waiting room, or
+/// discarded (room full → typed error).
 ///
 /// **Drop = abandon**: a `DeferredLaunch` dropped while still armed —
 /// parked entry cancelled, gate torn down with queries still parked,
-/// engine shut down under it — fulfills its ticket inconclusive so no
-/// waiter hangs. Only [`DeferredLaunch::discard`] suppresses that (used
-/// on the rejection path, where no ticket was ever handed out).
+/// engine shut down under it, ticket dropped before setup ran, an empty
+/// entrant field, a panicking setup step — frees its admission slot and
+/// fulfills its ticket inconclusive, so no waiter hangs. Only
+/// [`DeferredLaunch::discard`] suppresses that (used on the rejection
+/// path, where no ticket was ever handed out).
 pub(crate) struct DeferredLaunch {
-    inner: Option<DeferredInner>,
+    pub(crate) inner: Option<DeferredInner>,
 }
 
 impl DeferredLaunch {
@@ -448,16 +454,12 @@ impl DeferredLaunch {
 
     /// Takes the slot this launch was granted: counts the admission,
     /// emits `Unparked` (when it waited) + `Admitted`, and hands the
-    /// query to the pool. Safe from any thread — including a pooled
-    /// worker releasing its own permit.
+    /// still-armed launch to the pool for setup. Safe from any thread —
+    /// including a pooled worker releasing its own permit.
     pub(crate) fn launch(mut self, waited: Option<Duration>) {
-        let Some(d) = self.inner.take() else { return };
-        let (Some(pool), Some(gate)) = (d.pool.upgrade(), d.gate.upgrade()) else {
-            // Engine shut down while this query was parked: re-arm so
-            // Drop abandons (fulfills the ticket inconclusive).
-            self.inner = Some(d);
-            return;
-        };
+        let Some(d) = self.inner.as_mut() else { return };
+        // Engine shut down while this query was parked: Drop abandons.
+        let (Some(pool), Some(gate)) = (d.pool.upgrade(), d.gate.upgrade()) else { return };
         if let Some(waited) = waited {
             d.core.stats.park_wait.record_duration(waited);
             d.core.telemetry.emit(TraceEvent::Unparked {
@@ -466,27 +468,12 @@ impl DeferredLaunch {
             });
         }
         // The slot was taken by the gate on this launch's behalf; the
-        // permit releases it when the flight finalizes.
-        let permit = OwnedPermit(gate);
+        // permit releases it when the flight finalizes or Drop abandons.
+        d.permit = Some(OwnedPermit(gate));
         d.core.stats.queries.fetch_add(1, Ordering::Relaxed);
         d.core.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
         d.core.telemetry.emit(TraceEvent::Admitted { query: d.query_id });
-        let DeferredInner {
-            core,
-            query,
-            query_id,
-            budget,
-            admitted,
-            keyed,
-            token,
-            slot,
-            pool: pool_weak,
-            timer,
-            ..
-        } = d;
-        let setup =
-            AdmittedQuery { core, query, query_id, budget, admitted, keyed, token, slot, permit };
-        pool.submit(move || prepare_and_launch(setup, pool_weak, timer));
+        pool.submit(move || prepare_and_launch(self));
     }
 
     /// Disarms without fulfilling anything: the rejection path, where the
@@ -508,20 +495,38 @@ impl DeferredLaunch {
 
 impl Drop for DeferredLaunch {
     fn drop(&mut self) {
-        if let Some(d) = self.inner.take() {
-            crate::flight::abandon(
-                &d.core,
-                d.admitted,
-                &d.slot,
-                d.query_id,
-                d.token.is_cancelled(),
-            );
-        }
+        let Some(d) = self.inner.take() else { return };
+        // Free the admission slot before the answer lands, so a caller
+        // observing completion can immediately re-submit.
+        drop(d.permit);
+        d.core.stats.inconclusive.fetch_add(1, Ordering::Relaxed);
+        let elapsed = d.admitted.elapsed();
+        d.core.stats.record_latency(elapsed);
+        d.core.telemetry.emit(TraceEvent::Finalized {
+            query: d.query_id,
+            conclusive: false,
+            cancelled: d.token.is_cancelled(),
+            winner: None,
+            elapsed_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
+        });
+        let answer = Arc::new(CachedAnswer {
+            found: false,
+            num_matches: 0,
+            embeddings: Vec::new(),
+            winner: None,
+            cold_elapsed: elapsed,
+        });
+        d.slot.fulfill(EngineResponse {
+            answer,
+            path: ServePath::Race,
+            elapsed,
+            conclusive: false,
+        });
     }
 }
 
 /// An owned admission slot, released on drop. Travels with the in-flight
-/// race ([`crate::flight::PendingRace`]) or write so the slot frees
+/// race ([`crate::flight::RaceFlight`]) or write so the slot frees
 /// exactly when it finishes — including after panics or ticket
 /// cancellation.
 pub(crate) struct OwnedPermit(pub(crate) Arc<TenantGate>);

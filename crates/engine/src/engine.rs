@@ -1,5 +1,5 @@
 //! One tenant's serving path: admission control in front of the shared
-//! worker pool, a result cache, and a predictor fast path — reached
+//! worker pool, a result cache, and a predictor's fast heat — reached
 //! through [`crate::MultiEngine`] and the unified ticket submission API
 //! ([`crate::QueryRequest`] / [`crate::Submit`] / [`crate::QueryTicket`]).
 //!
@@ -21,10 +21,11 @@
 //!    a slot instead, ordered by [`crate::Priority`] and then arrival.
 //!    This bounds in-flight work to `max_concurrent_races × variants`
 //!    tasks no matter how many callers pile on.
-//! 3. **Predictor fast path** — once the k-NN predictor has seen enough
-//!    races and votes confidently, the single predicted variant runs on
-//!    the pool instead of a full race; an inconclusive result falls back
-//!    to the race (the race's insurance is never lost).
+//! 3. **Predictor fast heat** — once the k-NN predictor has seen enough
+//!    races and votes confidently, the race's first heat is the predicted
+//!    variant alone, run inline on the setup worker with the rest of the
+//!    field in reserve; an inconclusive heat escalates the reserve (the
+//!    race's insurance is never lost).
 //! 4. **Pooled race** — every variant is one pool task sharing a
 //!    [`psi_core::RaceState`]; the first conclusive finisher cancels the rest
 //!    through the shared `CancelToken`, exactly as in
@@ -54,8 +55,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How a cache-missing, non-fast-path query races its entrant field on
-/// the pool.
+/// How a cache-missing query without a confident prediction races its
+/// entrant field on the pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RaceStrategy {
     /// Race every configured variant at once — the paper's §8 setup and
@@ -111,15 +112,15 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Neighbours consulted by the variant predictor (default 3).
     pub predictor_k: usize,
-    /// Race observations required before the fast path may trigger
-    /// (default 32).
+    /// Race observations required before the fast heat (or Adaptive
+    /// staging) may trigger (default 32).
     pub predictor_min_observations: usize,
     /// Most recent race observations the predictor retains (default 4096);
     /// bounds predictor memory and per-miss prediction cost in a
     /// long-lived engine.
     pub predictor_window: usize,
-    /// Minimum vote share for a fast-path prediction, in `(0, 1]`; set
-    /// above 1.0 to disable the fast path (default 0.8).
+    /// Minimum leader vote share for a fast heat, in `(0, 1]`; set above
+    /// 1.0 to disable the fast heat (default 0.8).
     pub predictor_confidence: f64,
     /// How cache-missing queries race their entrant field (default
     /// [`RaceStrategy::Full`]; see [`RaceStrategy::Adaptive`] for staged
@@ -320,7 +321,9 @@ impl From<psi_core::UpdateError> for ApplyError {
 pub enum ServePath {
     /// Answered from the result cache; no search executed.
     CacheHit,
-    /// Answered by the predictor's single-variant fast path.
+    /// Answered by a fast heat: the predictor's leader alone, with the
+    /// rest of the field held in reserve and never launched. A fast heat
+    /// that escalates its reserve answers as [`ServePath::Race`].
     FastPath,
     /// Answered by a full (rewriting × algorithm) race on the pool.
     Race,
@@ -387,7 +390,7 @@ pub(crate) struct ServeCore {
 
 impl ServeCore {
     /// The predictor's ranked entrant field and leader vote share for
-    /// this query, or `None` when no caller needs it (fast path disabled
+    /// this query, or `None` when no caller needs it (fast heat disabled
     /// *and* races unstaged) or the predictor is still inside its
     /// training phase — pruning or predicting on no evidence would
     /// forfeit the race's worst-case insurance for nothing.
@@ -705,8 +708,8 @@ impl Tenant {
         let token = CancelToken::new();
         let slot = Arc::new(CompletionSlot::new());
         // Everything past admission — entrant preparation, the one
-        // predictor consultation per miss, the fast-path-or-race
-        // decision, the race itself — happens on pooled workers (see
+        // predictor consultation per miss, the flight's plan, the race
+        // itself — happens on pooled workers (see
         // [`crate::flight`]). Ticket creation stays cheap so a few
         // event-loop client threads can keep hundreds of queries in
         // flight.
@@ -719,6 +722,7 @@ impl Tenant {
             keyed,
             token: token.clone(),
             slot: Arc::clone(&slot),
+            permit: None,
             pool: Arc::downgrade(pool),
             timer: Arc::downgrade(timer),
             gate: Arc::downgrade(&self.gate),

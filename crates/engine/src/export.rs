@@ -19,6 +19,7 @@ use crate::engine::Tenant;
 use crate::stats::{EngineStats, HistogramSnapshot};
 use crate::telemetry::SlowQuery;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Which latency histogram of a graph to address in
 /// [`MetricsExporter::histogram`].
@@ -35,6 +36,207 @@ pub enum HistogramKind {
     /// The finalize body itself.
     FinalizeStage,
 }
+
+/// Whether a [`METRICS`] row accumulates or reads a current level.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// A [`METRICS`] value, formatted per renderer.
+enum Value {
+    /// An integer count or level.
+    Count(u64),
+    /// A real number; JSON prints it with this many decimals.
+    Real(f64, usize),
+    /// A duration: microseconds in JSON, seconds in Prometheus.
+    Elapsed(Duration),
+}
+
+use Kind::{Counter, Gauge};
+use Value::{Count, Elapsed, Real};
+
+/// One metric as both renderers print it: JSON key, Prometheus series
+/// (a family name, plus a label where rows share a family), help text,
+/// kind and getter.
+type Metric = (&'static str, &'static str, &'static str, Kind, fn(&GraphMetricsSnapshot) -> Value);
+
+/// The one metric table behind [`MetricsExporter::render_json`] and
+/// [`MetricsExporter::render_prometheus`], in JSON key order.
+const METRICS: [Metric; 33] = [
+    ("queries", "psi_queries_total", "Queries accepted", Counter, |g| Count(g.stats.queries)),
+    ("cache_hits", "psi_cache_hits_total", "Result-cache hits", Counter, |g| {
+        Count(g.stats.cache_hits)
+    }),
+    ("cache_misses", "psi_cache_misses_total", "Result-cache misses", Counter, |g| {
+        Count(g.stats.cache_misses)
+    }),
+    ("hit_rate", "psi_cache_hit_rate", "Cache hit rate (hits / lookups)", Gauge, |g| {
+        Real(g.stats.hit_rate, 6)
+    }),
+    ("races", "psi_races_total", "Races run, escalated fast heats included", Counter, |g| {
+        Count(g.stats.races)
+    }),
+    ("fast_paths", "psi_fast_paths_total", "Fast heats won alone", Counter, |g| {
+        Count(g.stats.fast_paths)
+    }),
+    (
+        "fast_path_fallbacks",
+        "psi_fast_path_fallbacks_total",
+        "Fast heats that came back inconclusive",
+        Counter,
+        |g| Count(g.stats.fast_path_fallbacks),
+    ),
+    (
+        "cancelled_variants",
+        "psi_cancelled_variants_total",
+        "Losing entrants cancelled",
+        Counter,
+        |g| Count(g.stats.cancelled_variants),
+    ),
+    (
+        "busy_rejections",
+        "psi_busy_rejections_total",
+        "Submissions bounced at admission (no waiting room)",
+        Counter,
+        |g| Count(g.stats.busy_rejections),
+    ),
+    (
+        "queue_full_rejections",
+        "psi_queue_full_total",
+        "Submissions refused because the waiting room overflowed",
+        Counter,
+        |g| Count(g.stats.queue_full_rejections),
+    ),
+    ("parked", "psi_parked_total", "Submissions parked in the waiting room", Counter, |g| {
+        Count(g.stats.parked)
+    }),
+    (
+        "waiting_room_depth",
+        "psi_waiting_room_depth",
+        "Requests currently parked in the waiting room",
+        Gauge,
+        |g| Count(g.stats.waiting_room_depth),
+    ),
+    ("inconclusive", "psi_inconclusive_total", "Races with no conclusive winner", Counter, |g| {
+        Count(g.stats.inconclusive)
+    }),
+    (
+        "topk_races",
+        "psi_topk_races_total",
+        "Races launched as a pruned staged heat",
+        Counter,
+        |g| Count(g.stats.topk_races),
+    ),
+    (
+        "pruned_entrants",
+        "psi_pruned_entrants_total",
+        "Entrants never launched (pruned)",
+        Counter,
+        |g| Count(g.stats.pruned_entrants),
+    ),
+    (
+        "escalations",
+        "psi_escalations_total",
+        "Pruned heats escalated to the full field",
+        Counter,
+        |g| Count(g.stats.escalations),
+    ),
+    ("escalation_rate", "psi_escalation_rate", "Escalations per staged race", Gauge, |g| {
+        Real(g.stats.escalation_rate, 6)
+    }),
+    ("sliced_races", "psi_sliced_races_total", "Races whose heat ran sliced", Counter, |g| {
+        Count(g.stats.sliced_races)
+    }),
+    (
+        "slices_spawned",
+        "psi_slices_total",
+        "Slice tasks spawned for sliced heat entrants",
+        Counter,
+        |g| Count(g.stats.slices_spawned),
+    ),
+    (
+        "slice_steals",
+        "psi_slice_steals_total",
+        "Root-candidate ranges stolen across slices",
+        Counter,
+        |g| Count(g.stats.slice_steals),
+    ),
+    ("index_build_us", "psi_index_build_us", "One-time target-index build cost", Gauge, |g| {
+        Count(g.stats.index_build_us)
+    }),
+    (
+        "edge_probes_bitset",
+        "psi_edge_probes_total{kind=\"bitset\"}",
+        "Adjacency probes by index kind",
+        Counter,
+        |g| Count(g.stats.edge_probes_bitset),
+    ),
+    (
+        "edge_probes_binary",
+        "psi_edge_probes_total{kind=\"binary\"}",
+        "Adjacency probes by index kind",
+        Counter,
+        |g| Count(g.stats.edge_probes_binary),
+    ),
+    (
+        "wal_appended",
+        "psi_wal_appended_total",
+        "Learned-state WAL records appended",
+        Counter,
+        |g| Count(g.stats.wal_appended),
+    ),
+    (
+        "wal_replayed",
+        "psi_wal_replayed_total",
+        "Learned-state WAL records replayed at load",
+        Counter,
+        |g| Count(g.stats.wal_replayed),
+    ),
+    (
+        "updates_applied",
+        "psi_updates_applied_total",
+        "Graph-mutation batches applied",
+        Counter,
+        |g| Count(g.stats.updates_applied),
+    ),
+    (
+        "compactions",
+        "psi_compactions_total",
+        "Delta overlays folded into a new epoch",
+        Counter,
+        |g| Count(g.stats.compactions),
+    ),
+    (
+        "compaction_us",
+        "psi_compaction_us_total",
+        "Wall-clock microseconds spent compacting",
+        Counter,
+        |g| Count(g.stats.compaction_us),
+    ),
+    (
+        "cache_invalidations",
+        "psi_cache_invalidations_total",
+        "Cache partition wipes (mutations and epoch swaps)",
+        Counter,
+        |g| Count(g.stats.cache_invalidations),
+    ),
+    ("epoch", "psi_epoch", "Live-graph epoch (bumped per compaction)", Gauge, |g| {
+        Count(g.stats.epoch)
+    }),
+    ("throughput_qps", "psi_throughput_qps", "Queries per second since engine start", Gauge, |g| {
+        Real(g.stats.throughput_qps, 3)
+    }),
+    ("uptime_us", "psi_uptime_seconds", "Engine uptime", Gauge, |g| Elapsed(g.stats.uptime)),
+    (
+        "trace_dropped",
+        "psi_trace_dropped_total",
+        "Trace events dropped (rings full)",
+        Counter,
+        |g| Count(g.trace_dropped),
+    ),
+];
 
 /// Point-in-time observability snapshot of one graph's engine.
 #[derive(Debug, Clone)]
@@ -130,97 +332,30 @@ impl MetricsExporter {
     /// Renders the snapshot in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        type CounterFamily = (&'static str, &'static str, fn(&EngineStats) -> u64);
-        let counters: [CounterFamily; 19] = [
-            ("psi_queries_total", "Queries accepted", |s| s.queries),
-            ("psi_cache_hits_total", "Result-cache hits", |s| s.cache_hits),
-            ("psi_cache_misses_total", "Result-cache misses", |s| s.cache_misses),
-            ("psi_races_total", "Full races run", |s| s.races),
-            ("psi_fast_paths_total", "Predictor fast-path serves", |s| s.fast_paths),
-            ("psi_fast_path_fallbacks_total", "Fast paths that fell back to a race", |s| {
-                s.fast_path_fallbacks
-            }),
-            ("psi_cancelled_variants_total", "Losing entrants cancelled", |s| s.cancelled_variants),
-            (
-                "psi_busy_rejections_total",
-                "Submissions bounced at admission (no waiting room)",
-                |s| s.busy_rejections,
-            ),
-            (
-                "psi_queue_full_total",
-                "Submissions refused because the waiting room overflowed",
-                |s| s.queue_full_rejections,
-            ),
-            ("psi_parked_total", "Submissions parked in the waiting room", |s| s.parked),
-            ("psi_inconclusive_total", "Races with no conclusive winner", |s| s.inconclusive),
-            ("psi_topk_races_total", "Races launched as a pruned staged heat", |s| s.topk_races),
-            ("psi_pruned_entrants_total", "Entrants never launched (pruned)", |s| {
-                s.pruned_entrants
-            }),
-            ("psi_escalations_total", "Pruned heats escalated to the full field", |s| {
-                s.escalations
-            }),
-            ("psi_slices_total", "Slice tasks spawned for sliced heat entrants", |s| {
-                s.slices_spawned
-            }),
-            ("psi_slice_steals_total", "Root-candidate ranges stolen across slices", |s| {
-                s.slice_steals
-            }),
-            ("psi_updates_applied_total", "Graph-mutation batches applied", |s| s.updates_applied),
-            ("psi_compactions_total", "Delta overlays folded into a new epoch", |s| s.compactions),
-            (
-                "psi_cache_invalidations_total",
-                "Cache partition wipes (mutations and epoch swaps)",
-                |s| s.cache_invalidations,
-            ),
-        ];
-        for (name, help, get) in counters {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for g in &self.graphs {
-                let _ = writeln!(out, "{name}{} {}", self.labels(g, &[]), get(&g.stats));
+        let mut family = "";
+        for (_, series, help, kind, get) in METRICS {
+            // `psi_edge_probes_total{kind="bitset"}` → family + label.
+            let (name, label) = series.split_once('{').map_or((series, None), |(name, label)| {
+                let (k, v) = label.trim_end_matches('}').split_once('=').expect("label pair");
+                (name, Some((k, v.trim_matches('"'))))
+            });
+            if name != family {
+                family = name;
+                let kind = match kind {
+                    Counter => "counter",
+                    Gauge => "gauge",
+                };
+                let _ = writeln!(out, "# HELP {name} {help}");
+                let _ = writeln!(out, "# TYPE {name} {kind}");
             }
-        }
-        let _ = writeln!(out, "# HELP psi_edge_probes_total Adjacency probes by index kind");
-        let _ = writeln!(out, "# TYPE psi_edge_probes_total counter");
-        for g in &self.graphs {
-            let _ = writeln!(
-                out,
-                "psi_edge_probes_total{} {}",
-                self.labels(g, &[("kind", "bitset")]),
-                g.stats.edge_probes_bitset
-            );
-            let _ = writeln!(
-                out,
-                "psi_edge_probes_total{} {}",
-                self.labels(g, &[("kind", "binary")]),
-                g.stats.edge_probes_binary
-            );
-        }
-        let _ = writeln!(out, "# HELP psi_trace_dropped_total Trace events dropped (rings full)");
-        let _ = writeln!(out, "# TYPE psi_trace_dropped_total counter");
-        for g in &self.graphs {
-            let _ =
-                writeln!(out, "psi_trace_dropped_total{} {}", self.labels(g, &[]), g.trace_dropped);
-        }
-        type GaugeFamily = (&'static str, &'static str, fn(&GraphMetricsSnapshot) -> f64);
-        let gauges: [GaugeFamily; 6] = [
-            ("psi_uptime_seconds", "Engine uptime", |g| g.stats.uptime.as_secs_f64()),
-            ("psi_cache_hit_rate", "Cache hit rate (hits / lookups)", |g| g.stats.hit_rate),
-            ("psi_escalation_rate", "Escalations per staged race", |g| g.stats.escalation_rate),
-            ("psi_index_build_us", "One-time target-index build cost", |g| {
-                g.stats.index_build_us as f64
-            }),
-            ("psi_waiting_room_depth", "Requests currently parked in the waiting room", |g| {
-                g.stats.waiting_room_depth as f64
-            }),
-            ("psi_epoch", "Live-graph epoch (bumped per compaction)", |g| g.stats.epoch as f64),
-        ];
-        for (name, help, get) in gauges {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
+            let extra: Vec<(&str, &str)> = label.into_iter().collect();
             for g in &self.graphs {
-                let _ = writeln!(out, "{name}{} {}", self.labels(g, &[]), get(g));
+                let labels = self.labels(g, &extra);
+                let _ = match get(g) {
+                    Count(v) => writeln!(out, "{name}{labels} {v}"),
+                    Real(v, _) => writeln!(out, "{name}{labels} {v}"),
+                    Elapsed(d) => writeln!(out, "{name}{labels} {}", d.as_secs_f64()),
+                };
             }
         }
         // End-to-end latency: its own family.
@@ -290,55 +425,14 @@ impl MetricsExporter {
                 out.push(',');
             }
             out.push('{');
-            let _ = write!(out, "\"name\":\"{}\",", escape_json(&g.name));
-            let s = &g.stats;
-            let _ = write!(
-                out,
-                "\"queries\":{},\"cache_hits\":{},\"cache_misses\":{},\"hit_rate\":{:.6},\
-                 \"races\":{},\"fast_paths\":{},\"fast_path_fallbacks\":{},\
-                 \"cancelled_variants\":{},\"busy_rejections\":{},\
-                 \"queue_full_rejections\":{},\"parked\":{},\"waiting_room_depth\":{},\
-                 \"inconclusive\":{},\
-                 \"topk_races\":{},\"pruned_entrants\":{},\"escalations\":{},\
-                 \"escalation_rate\":{:.6},\
-                 \"sliced_races\":{},\"slices_spawned\":{},\"slice_steals\":{},\
-                 \"index_build_us\":{},\
-                 \"edge_probes_bitset\":{},\"edge_probes_binary\":{},\
-                 \"updates_applied\":{},\"compactions\":{},\"compaction_us\":{},\
-                 \"cache_invalidations\":{},\"epoch\":{},\
-                 \"throughput_qps\":{:.3},\"uptime_us\":{},\"trace_dropped\":{}",
-                s.queries,
-                s.cache_hits,
-                s.cache_misses,
-                s.hit_rate,
-                s.races,
-                s.fast_paths,
-                s.fast_path_fallbacks,
-                s.cancelled_variants,
-                s.busy_rejections,
-                s.queue_full_rejections,
-                s.parked,
-                s.waiting_room_depth,
-                s.inconclusive,
-                s.topk_races,
-                s.pruned_entrants,
-                s.escalations,
-                s.escalation_rate,
-                s.sliced_races,
-                s.slices_spawned,
-                s.slice_steals,
-                s.index_build_us,
-                s.edge_probes_bitset,
-                s.edge_probes_binary,
-                s.updates_applied,
-                s.compactions,
-                s.compaction_us,
-                s.cache_invalidations,
-                s.epoch,
-                s.throughput_qps,
-                s.uptime.as_micros(),
-                g.trace_dropped,
-            );
+            let _ = write!(out, "\"name\":\"{}\"", escape_json(&g.name));
+            for (key, _, _, _, get) in METRICS {
+                let _ = match get(g) {
+                    Count(v) => write!(out, ",\"{key}\":{v}"),
+                    Real(v, decimals) => write!(out, ",\"{key}\":{v:.decimals$}"),
+                    Elapsed(d) => write!(out, ",\"{key}\":{}", d.as_micros()),
+                };
+            }
             let _ = write!(
                 out,
                 ",\"latency_us\":{{\"p50\":{},\"p99\":{},\"mean\":{:.1},\"count\":{}}}",

@@ -6,30 +6,37 @@
 //! cannot afford that thread — thousands of tickets may be in flight at
 //! once — so this module turns the collection loop inside out:
 //!
-//! * a [`RaceFlight`] holds everything one race needs to finish
-//!   (result slots, the escalation reserve, the completion slot, the
-//!   admission permit);
+//! * every cache miss becomes one [`RaceFlight`], which holds everything
+//!   its race needs to finish (result slots, the escalation reserve, the
+//!   completion slot, the admission permit);
+//! * the flight's plan is decided in one place, [`prepare_and_launch`]:
+//!   a confident predictor's leader runs alone as a *fast heat*, inline
+//!   on the setup worker, with the rest of the field in reserve;
+//!   otherwise the scheduler's staged heat or the full field launches;
 //! * every entrant task reports *into* the flight when it finishes; the
 //!   report that completes the field finalizes the race — predictor
 //!   feedback, cache store, stats, ticket fulfillment — right there on
 //!   the pooled worker;
-//! * staged races register their escalation deadline with the engine's
-//!   one [`StageTimer`] thread, which fires undecided heats' reserves at
-//!   the right fraction of the race budget. A heat that drains
-//!   inconclusive escalates immediately from the reporting task itself.
+//! * a heat that drains inconclusive escalates its reserve immediately
+//!   from the reporting task itself, and staged heats (never the fast
+//!   heat) also register a stage deadline with the engine's one
+//!   [`StageTimer`] thread, which fires undecided heats' reserves at the
+//!   right fraction of the race budget. A decided or cancelled race
+//!   prunes its reserve instead.
 //!
 //! No thread belongs to any one query: N in-flight races cost N
-//! allocations, not N threads. Entrant panics are absorbed by a report
-//! guard (the panicking entrant reports a cancelled placeholder), so a
-//! flight can never leak its admission slot or leave its ticket
-//! unfulfilled.
+//! allocations, not N threads. Until the flight exists the query's
+//! [`DeferredLaunch`] abandons it on drop; after, entrant panics are
+//! absorbed by a report guard (the panicking entrant reports a cancelled
+//! placeholder), so a query can never leak its admission slot or leave
+//! its ticket unfulfilled.
 //!
 //! Shutdown safety: flights reference the worker pool and stage timer
 //! *weakly*. Tasks hold only the pool-free [`ServeCore`], so whichever
 //! thread drops the last reference never joins a worker from inside a
 //! worker.
 
-use crate::admission::OwnedPermit;
+use crate::admission::{DeferredInner, DeferredLaunch, OwnedPermit};
 use crate::cache::{CachedAnswer, QueryKey};
 use crate::engine::{EngineResponse, RaceStrategy, ServeCore, ServePath};
 use crate::pool::WorkerPool;
@@ -38,7 +45,7 @@ use crate::submit::CompletionSlot;
 use crate::telemetry::{EntrantTiming, SlowQuery, TraceEvent, TraceSink};
 use psi_core::predictor::QueryFeatures;
 use psi_core::{PreparedEntrant, RaceBudget, RaceObserver, RaceState, Variant, VariantResult};
-use psi_matchers::{CancelToken, MatchResult, SliceCoordinator, SliceTaskSummary, StopReason};
+use psi_matchers::{MatchResult, SliceCoordinator, SliceTaskSummary, StopReason};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -57,424 +64,157 @@ const UNTIMED_STAGE_WINDOW: Duration = Duration::from_millis(25);
 /// workload drift can hide behind a stale ranking.
 const EXPLORATION_PERIOD: u64 = 16;
 
-/// Everything a cache-missing, admitted query carries into its race (or
-/// predictor fast path): the prepared entrants, the resolved budget, the
-/// admission-anchored clock, the ticket's completion slot and cancel
-/// token, and the admission permit that frees the slot when the flight
-/// finalizes.
-pub(crate) struct PendingRace {
-    pub core: Arc<ServeCore>,
-    pub entrants: Vec<PreparedEntrant>,
-    pub features: QueryFeatures,
-    pub ranking: Option<(Vec<usize>, f64)>,
-    pub budget: RaceBudget,
-    pub admitted: Instant,
-    pub query_id: u64,
-    /// When race setup began executing on a worker — the boundary
-    /// between the queue-wait and race stage histograms.
-    pub setup_started: Instant,
-    pub keyed: Option<(QueryKey, Vec<u32>)>,
-    pub token: CancelToken,
-    pub slot: Arc<CompletionSlot>,
-    pub permit: OwnedPermit,
-}
-
-/// A best-effort inconclusive answer for a flight that cannot race
-/// (cancelled before racing, or the engine shut down under it).
-fn inconclusive_response(admitted: Instant) -> EngineResponse {
-    let elapsed = admitted.elapsed();
-    EngineResponse {
-        answer: Arc::new(CachedAnswer {
-            found: false,
-            num_matches: 0,
-            embeddings: Vec::new(),
-            winner: None,
-            cold_elapsed: elapsed,
-        }),
-        path: ServePath::Race,
-        elapsed,
-        conclusive: false,
-    }
-}
-
-/// Completes a ticket inconclusive without racing. `cancelled` records
-/// whether the flight died to its token (ticket drop) rather than an
-/// engine shutdown or a degenerate configuration. Crate-visible: a
-/// parked [`crate::admission::DeferredLaunch`] that dies before launching
-/// (cancelled in the waiting room, or the engine shut down under it)
-/// abandons through the same path.
-pub(crate) fn abandon(
-    core: &ServeCore,
-    admitted: Instant,
-    slot: &CompletionSlot,
-    query_id: u64,
-    cancelled: bool,
-) {
-    core.stats.inconclusive.fetch_add(1, Ordering::Relaxed);
-    let response = inconclusive_response(admitted);
-    core.stats.record_latency(response.elapsed);
-    core.telemetry.emit(TraceEvent::Finalized {
-        query: query_id,
-        conclusive: false,
-        cancelled,
-        winner: None,
-        elapsed_us: response.elapsed.as_micros().min(u64::MAX as u128) as u64,
-    });
-    slot.fulfill(response);
-}
-
-/// Completes the ticket inconclusive without racing, releasing the
-/// admission slot first.
-fn complete_inconclusive(pending: PendingRace) {
-    let PendingRace { core, admitted, query_id, token, slot, permit, .. } = pending;
-    drop(permit);
-    abandon(&core, admitted, &slot, query_id, token.is_cancelled());
-}
-
-/// If the fast-path or setup body unwinds (a panicking matcher or
-/// preparation step), the ticket still completes and the admission slot
-/// still frees — the worker pool contains the panic, this guard
-/// contains its consequences.
-struct FastPathGuard(Option<PendingRace>);
-
-impl Drop for FastPathGuard {
-    fn drop(&mut self) {
-        if let Some(pending) = self.0.take() {
-            complete_inconclusive(pending);
-        }
-    }
-}
-
-/// Everything an admitted query carries from the submission thread onto
-/// the pool: the raw query plus the ticket plumbing. Preparation
-/// (entrant packaging, feature extraction, the predictor consult) runs
-/// in [`prepare_and_launch`] on a pooled worker, so ticket creation
-/// costs the caller only a cache probe and the admission gate — the
-/// submission path stays cheap no matter how few client threads feed it.
-pub(crate) struct AdmittedQuery {
-    pub core: Arc<ServeCore>,
-    pub query: psi_graph::Graph,
-    pub query_id: u64,
-    pub budget: RaceBudget,
-    pub admitted: Instant,
-    pub keyed: Option<(QueryKey, Vec<u32>)>,
-    pub token: CancelToken,
-    pub slot: Arc<CompletionSlot>,
-    pub permit: OwnedPermit,
-}
-
-/// Like the setup guard above but for the pre-preparation window.
-struct SetupGuard(Option<AdmittedQuery>);
-
-impl Drop for SetupGuard {
-    fn drop(&mut self) {
-        if let Some(setup) = self.0.take() {
-            let AdmittedQuery { core, query_id, admitted, token, slot, permit, .. } = setup;
-            drop(permit);
-            abandon(&core, admitted, &slot, query_id, token.is_cancelled());
-        }
-    }
-}
-
-/// The pooled setup task: prepares the entrant field, consults the
-/// predictor once, then either runs the confident fast path inline (we
-/// are already on a worker) or launches the race.
-pub(crate) fn prepare_and_launch(
-    setup: AdmittedQuery,
-    pool: Weak<WorkerPool>,
-    timer: Weak<StageTimer>,
-) {
-    let mut guard = SetupGuard(Some(setup));
+/// The pooled setup task of an admitted cache miss: prepares the entrant
+/// field, consults the predictor once, plans the flight and launches its
+/// first heat. `launch` stays armed until the flight takes over its
+/// plumbing, so a ticket dropped before setup ran, an empty entrant
+/// field, an engine shut down under the query or a panicking setup step
+/// all abandon through its drop.
+pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
     let setup_started = Instant::now();
-    let (entrants, features, ranking) = {
-        let s = guard.0.as_ref().expect("guard armed");
-        if s.token.is_cancelled() {
-            // The ticket was dropped before setup even ran.
-            drop(guard);
-            return;
+    let d = launch.inner.as_ref().expect("launch armed");
+    if d.token.is_cancelled() {
+        return;
+    }
+    let queue_wait = setup_started.duration_since(d.admitted);
+    d.core.stats.queue_wait.record_duration(queue_wait);
+    d.core.telemetry.emit(TraceEvent::SetupStarted {
+        query: d.query_id,
+        queue_us: queue_wait.as_micros().min(u64::MAX as u128) as u64,
+    });
+    let entrants = d.core.runner.prepare_entrants(&d.query);
+    let n = entrants.len();
+    let Some(pool) = d.pool.upgrade().filter(|_| n > 0) else { return };
+    let features = QueryFeatures::extract(&d.query, d.core.runner.label_stats());
+    let ranking = d.core.consult_predictor(&features, n);
+    let core = &d.core;
+
+    // The one plan decision. A confident prediction is a fast heat: the
+    // leader alone, the rest in reserve, no stage deadline. Otherwise
+    // Adaptive stages only when the predictor was consultable (trained
+    // past its observation floor); every EXPLORATION_PERIODth would-be
+    // staged race runs the full field instead, so contested evidence
+    // keeps flowing and a drifted ranking cannot entrench itself behind
+    // uncontested heat wins.
+    let confidence = core.config.predictor_confidence;
+    let (plan, fast, escalate_after) = match (ranking, core.config.race_strategy) {
+        (Some((order, share)), _) if confidence <= 1.0 && share >= confidence => {
+            (RacePlan { order, heat: 1, slices: 1 }, true, 0.0)
         }
-        let queue_wait = setup_started.duration_since(s.admitted);
-        s.core.stats.queue_wait.record_duration(queue_wait);
-        s.core.telemetry.emit(TraceEvent::SetupStarted {
-            query: s.query_id,
-            queue_us: queue_wait.as_micros().min(u64::MAX as u128) as u64,
-        });
-        let entrants = s.core.runner.prepare_entrants(&s.query);
-        let features = QueryFeatures::extract(&s.query, s.core.runner.label_stats());
-        let ranking = s.core.consult_predictor(&features, entrants.len());
-        (entrants, features, ranking)
+        (ranking, RaceStrategy::Adaptive { max_slices, escalate_after }) => {
+            let exploration = ranking.is_some()
+                && (core.staged_seq.fetch_add(1, Ordering::Relaxed) + 1)
+                    .is_multiple_of(EXPLORATION_PERIOD);
+            let staged_so_far = core.stats.topk_races.load(Ordering::Relaxed);
+            let escalations = core.stats.escalations.load(Ordering::Relaxed);
+            let plan = plan_race(SchedulerInputs {
+                entrants: n,
+                ranking: ranking.filter(|_| !exploration),
+                escalation_rate: if staged_so_far == 0 {
+                    0.0
+                } else {
+                    escalations as f64 / staged_so_far as f64
+                },
+                idle_workers: pool.idle(),
+                max_slices,
+                query_nodes: d.query.node_count(),
+                slice_min_query_nodes: core.config.slice_min_query_nodes,
+            });
+            (plan, false, escalate_after)
+        }
+        (_, RaceStrategy::Full) => {
+            (RacePlan { order: (0..n).collect(), heat: n, slices: 1 }, false, 0.0)
+        }
     };
-    let AdmittedQuery { core, query_id, budget, admitted, keyed, token, slot, permit, .. } =
-        guard.0.take().expect("guard armed");
-    let confident = ranking.as_ref().is_some_and(|(_, share)| {
-        core.config.predictor_confidence <= 1.0 && *share >= core.config.predictor_confidence
+    let RacePlan { order, heat: k, slices } = plan;
+    let staged = k < n && !fast;
+    if staged {
+        core.stats.topk_races.fetch_add(1, Ordering::Relaxed);
+    }
+    if slices > 1 {
+        core.stats.sliced_races.fetch_add(1, Ordering::Relaxed);
+    }
+
+    let DeferredInner {
+        core, query_id, budget, admitted, keyed, token, slot, permit, timer, ..
+    } = launch.inner.take().expect("launch armed");
+    let variants: Vec<Variant> = entrants.iter().map(|e| e.variant).collect();
+    let mut slots: Vec<Option<PreparedEntrant>> = entrants.into_iter().map(Some).collect();
+    let mut field =
+        order.iter().map(|&i| (i, slots[i].take().expect("each entrant launches once")));
+    let heat: Vec<(usize, PreparedEntrant)> = field.by_ref().take(k).collect();
+    // The reserve is held back un-launched; pruning it is free (entrants
+    // never occupy workers), escalating it is one submit per entrant.
+    let reserve: Vec<(usize, PreparedEntrant)> = field.collect();
+    core.telemetry.emit(TraceEvent::HeatLaunched {
+        query: query_id,
+        launched: k as u32,
+        reserved: (n - k) as u32,
     });
-    let fast = confident.then(|| {
-        let (order, _) = ranking.as_ref().expect("confident implies ranked");
-        entrants[order[0]].clone()
-    });
-    let pending = PendingRace {
+    // Per-entrant start/claim events flow through the race layer's stage
+    // hook; skipped entirely when tracing is off.
+    let mut state = RaceState::with_token(admitted, token);
+    if let Some(trace) = &core.telemetry.trace {
+        state =
+            state.observe(Arc::new(FlightObserver { trace: Arc::clone(trace), query: query_id }));
+    }
+    let flight = Arc::new(RaceFlight {
         core,
-        entrants,
-        features,
-        ranking,
+        pool: Arc::downgrade(&pool),
+        state,
         budget,
         admitted,
         query_id,
         setup_started,
         keyed,
-        token,
+        features,
+        variants,
+        fast,
+        escalate_after,
         slot,
-        permit,
-    };
-    match fast {
-        Some(entrant) => run_fast_path(entrant, pending, pool, timer),
-        None => match pool.upgrade() {
-            Some(pool_strong) => pending.launch(&pool_strong, timer.upgrade().as_ref()),
-            None => complete_inconclusive(pending),
-        },
-    }
-}
-
-/// Runs the predictor's single confident variant as the current pool
-/// task; on an inconclusive result, falls back to launching the full
-/// race (the race's insurance is never lost). Runs *on* a pooled worker.
-pub(crate) fn run_fast_path(
-    entrant: PreparedEntrant,
-    pending: PendingRace,
-    pool: Weak<WorkerPool>,
-    timer: Weak<StageTimer>,
-) {
-    let mut guard = FastPathGuard(Some(pending));
-    let result = {
-        let p = guard.0.as_ref().expect("guard armed");
-        let search_budget = p.budget.entrant_budget(p.token.clone(), p.admitted);
-        entrant.execute(&search_budget)
-    };
-    let pending = guard.0.take().expect("guard armed");
-    pending.core.stats.record_probes(&result.stats);
-    let conclusive = result.stop.is_conclusive();
-    let elapsed = pending.admitted.elapsed();
-    pending.core.telemetry.emit(TraceEvent::FastPath {
-        query: pending.query_id,
-        variant: entrant.variant,
-        conclusive,
-        elapsed_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
+        inner: Mutex::new(FlightInner {
+            results: (0..n).map(|_| None).collect(),
+            pruned: vec![false; n],
+            reported: 0,
+            launched: k,
+            reserve,
+            finished: false,
+            permit,
+        }),
     });
-    if conclusive {
-        let core = Arc::clone(&pending.core);
-        core.stats.fast_paths.fetch_add(1, Ordering::Relaxed);
-        core.stats.race_stage.record_duration(pending.setup_started.elapsed());
-        let answer = Arc::new(CachedAnswer {
-            found: result.found(),
-            num_matches: result.num_matches,
-            embeddings: result.embeddings,
-            winner: Some(entrant.variant),
-            cold_elapsed: elapsed,
-        });
-        core.cache_store(pending.keyed.as_ref(), &answer);
-        core.stats.record_latency(elapsed);
-        let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        core.telemetry.slow.record(SlowQuery {
-            query: pending.query_id,
-            elapsed_us,
-            path: ServePath::FastPath,
-            conclusive: true,
-            winner: Some(entrant.variant),
-            entrants: vec![EntrantTiming {
-                variant: entrant.variant,
-                stop: result.stop,
-                wall_us: elapsed_us,
-                pruned: false,
-            }],
-        });
-        core.telemetry.emit(TraceEvent::Finalized {
-            query: pending.query_id,
-            conclusive: true,
-            cancelled: false,
-            winner: Some(entrant.variant),
-            elapsed_us,
-        });
-        let PendingRace { slot, permit, .. } = pending;
-        drop(permit);
-        slot.fulfill(EngineResponse {
-            answer,
-            path: ServePath::FastPath,
-            elapsed,
-            conclusive: true,
-        });
+    if fast {
+        // Inline: we are already on a worker, so the fast heat adds no
+        // pool hop. The strong pool handle goes first — the heat may
+        // outlive the engine.
+        drop(pool);
+        for (idx, entrant) in heat {
+            entrant_task(Arc::clone(&flight), idx, entrant)();
+        }
         return;
     }
-    pending.core.stats.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
-    if pending.token.is_cancelled() {
-        // The ticket was dropped mid-fast-path: nobody wants the race.
-        complete_inconclusive(pending);
-    } else if let Some(pool) = pool.upgrade() {
-        pending.launch(&pool, timer.upgrade().as_ref());
-    } else {
-        // The engine shut down under the flight.
-        complete_inconclusive(pending);
-    }
-}
-
-impl PendingRace {
-    /// Launches the race: the whole entrant field at once
-    /// ([`RaceStrategy::Full`]), or the scheduler's planned first heat
-    /// with the rest held back as an escalation reserve
-    /// ([`RaceStrategy::Adaptive`]). Returns immediately — completion is
-    /// driven by the entrant tasks and, for staged races, `timer`.
-    pub(crate) fn launch(self, pool: &Arc<WorkerPool>, timer: Option<&Arc<StageTimer>>) {
-        let PendingRace {
-            core,
-            entrants,
-            features,
-            ranking,
-            budget,
-            admitted,
-            query_id,
-            setup_started,
-            keyed,
-            token,
-            slot,
-            permit,
-        } = self;
-        let n = entrants.len();
-        if n == 0 {
-            // Degenerate configuration: nothing can race.
-            complete_inconclusive(PendingRace {
-                core,
-                entrants,
-                features,
-                ranking,
-                budget,
-                admitted,
-                query_id,
-                setup_started,
-                keyed,
-                token,
-                slot,
-                permit,
-            });
-            return;
-        }
-        let variants: Vec<Variant> = entrants.iter().map(|e| e.variant).collect();
-        // Rewritings permute the query, never resize it: any entrant's
-        // prepared node count is the query's.
-        let query_nodes = entrants.first().map_or(0, |e| e.query_node_count());
-
-        // Stage only when the strategy says so AND the predictor was
-        // consultable (trained past its observation floor): a `ranking`
-        // may also be present purely for the fast path under Full. Every
-        // EXPLORATION_PERIODth would-be staged race runs the full field
-        // instead, so contested evidence keeps flowing and a drifted
-        // ranking cannot entrench itself behind uncontested heat wins; a
-        // cold predictor already races the full field.
-        let (plan, escalate_after) = match core.config.race_strategy {
-            RaceStrategy::Adaptive { max_slices, escalate_after } => {
-                let exploration = ranking.is_some()
-                    && (core.staged_seq.fetch_add(1, Ordering::Relaxed) + 1)
-                        .is_multiple_of(EXPLORATION_PERIOD);
-                let staged_so_far = core.stats.topk_races.load(Ordering::Relaxed);
-                let escalations = core.stats.escalations.load(Ordering::Relaxed);
-                let plan = plan_race(SchedulerInputs {
-                    entrants: n,
-                    ranking: ranking.filter(|_| !exploration),
-                    escalation_rate: if staged_so_far == 0 {
-                        0.0
-                    } else {
-                        escalations as f64 / staged_so_far as f64
-                    },
-                    idle_workers: pool.idle(),
-                    max_slices,
-                    query_nodes,
-                    slice_min_query_nodes: core.config.slice_min_query_nodes,
-                });
-                (plan, escalate_after)
-            }
-            RaceStrategy::Full => (RacePlan { order: (0..n).collect(), heat: n, slices: 1 }, 0.0),
-        };
-        let RacePlan { order, heat: k, slices } = plan;
-        let staged = k < n;
-        if staged {
-            core.stats.topk_races.fetch_add(1, Ordering::Relaxed);
-        }
+    // The first heat launches immediately, best-ranked first. Heat
+    // entrants granted slices split their root-candidate space across
+    // cooperating tasks; escalated reserves (launched later, into a pool
+    // that just proved itself busy) run single-slice.
+    for (idx, entrant) in heat {
         if slices > 1 {
-            core.stats.sliced_races.fetch_add(1, Ordering::Relaxed);
+            submit_sliced(&flight, &pool, idx, entrant, slices);
+        } else {
+            pool.submit(entrant_task(Arc::clone(&flight), idx, entrant));
         }
-
-        let mut entrant_slots: Vec<Option<PreparedEntrant>> =
-            entrants.into_iter().map(Some).collect();
-        // The reserve is held back un-launched; pruning it is free
-        // (entrants never occupy workers), escalating it is one submit
-        // per entrant.
-        let reserve: Vec<(usize, PreparedEntrant)> = order[k..]
-            .iter()
-            .map(|&idx| (idx, entrant_slots[idx].take().expect("each entrant launches once")))
-            .collect();
-        core.telemetry.emit(TraceEvent::HeatLaunched {
-            query: query_id,
-            launched: k as u32,
-            reserved: (n - k) as u32,
-        });
-        // Per-entrant start/claim events flow through the race layer's
-        // stage hook; skipped entirely when tracing is off.
-        let mut state = RaceState::with_token(admitted, token);
-        if let Some(trace) = &core.telemetry.trace {
-            state = state
-                .observe(Arc::new(FlightObserver { trace: Arc::clone(trace), query: query_id }));
-        }
-        let flight = Arc::new(RaceFlight {
-            core,
-            pool: Arc::downgrade(pool),
-            state,
-            budget,
-            admitted,
-            query_id,
-            setup_started,
-            keyed,
-            features,
-            variants,
-            escalate_after,
-            slot,
-            inner: Mutex::new(FlightInner {
-                results: (0..n).map(|_| None).collect(),
-                pruned: vec![false; n],
-                reported: 0,
-                launched: k,
-                reserve,
-                finished: false,
-                permit: Some(permit),
-            }),
-        });
-        // The first heat launches immediately, best-ranked first. Heat
-        // entrants granted slices split their root-candidate space
-        // across cooperating tasks; escalated reserves (launched later,
-        // into a pool that just proved itself busy) run single-slice.
-        for &idx in &order[..k] {
-            let entrant = entrant_slots[idx].take().expect("each entrant launches once");
-            if slices > 1 {
-                submit_sliced(&flight, pool, idx, entrant, slices);
-            } else {
-                pool.submit(entrant_task(Arc::clone(&flight), idx, entrant));
-            }
-        }
-        if staged {
-            if let Some(timer) = timer {
-                // Timed budgets anchor the stage deadline at admission —
-                // entrant deadlines are admission-anchored, so escalating
-                // any later than the race deadline would be useless.
-                // Untimed budgets anchor at the instant the heat actually
-                // begins executing (see `RaceFlight::stage_check`); the
-                // first check fires one window out and re-arms as needed.
-                let first = match flight.budget.timeout {
-                    Some(_) => {
-                        flight.budget.stage_deadline(admitted, escalate_after, UNTIMED_STAGE_WINDOW)
-                    }
-                    None => Instant::now() + UNTIMED_STAGE_WINDOW,
-                };
-                timer.register(first, Arc::downgrade(&flight));
-            }
-        }
+    }
+    if let Some(timer) = timer.upgrade().filter(|_| staged) {
+        // Timed budgets anchor the stage deadline at admission — entrant
+        // deadlines are admission-anchored, so escalating any later than
+        // the race deadline would be useless. Untimed budgets anchor at
+        // the instant the heat actually begins executing (see
+        // `RaceFlight::stage_check`); the first check fires one window
+        // out and re-arms as needed.
+        let first = match flight.budget.timeout {
+            Some(_) => flight.budget.stage_deadline(admitted, escalate_after, UNTIMED_STAGE_WINDOW),
+            None => Instant::now() + UNTIMED_STAGE_WINDOW,
+        };
+        timer.register(first, Arc::downgrade(&flight));
     }
 }
 
@@ -513,6 +253,9 @@ pub(crate) struct RaceFlight {
     keyed: Option<(QueryKey, Vec<u32>)>,
     features: QueryFeatures,
     variants: Vec<Variant>,
+    /// The plan was a fast heat: the predictor's leader alone, the rest
+    /// of the field in reserve until the leader drains inconclusive.
+    fast: bool,
     escalate_after: f64,
     slot: Arc<CompletionSlot>,
     inner: Mutex<FlightInner>,
@@ -710,23 +453,13 @@ impl RaceFlight {
                 inner.reported += 1;
             }
             let mut action = FlightAction::Nothing;
-            if !inner.reserve.is_empty() {
-                if self.state.is_decided() {
-                    // The pruned heat decided the race: the reserve never
-                    // occupies a worker.
-                    let drained: Vec<_> = inner.reserve.drain(..).collect();
-                    self.core.telemetry.emit(TraceEvent::ReservePruned {
-                        query: self.query_id,
-                        count: drained.len() as u32,
-                    });
-                    for (i, _) in drained {
-                        inner.pruned[i] = true;
-                    }
-                } else if inner.reported >= inner.launched {
-                    // The heat drained inconclusive: escalate now rather
-                    // than waiting out the stage deadline.
-                    action = FlightAction::Escalate(self.take_reserve(&mut inner));
-                }
+            if !inner.reserve.is_empty()
+                && !self.prune_if_settled(&mut inner)
+                && inner.reported >= inner.launched
+            {
+                // The heat drained inconclusive: escalate now rather than
+                // waiting out the stage deadline.
+                action = FlightAction::Escalate(self.take_reserve(&mut inner));
             }
             if matches!(action, FlightAction::Nothing) && Self::ready_to_finalize(&mut inner) {
                 action = FlightAction::Finalize;
@@ -734,6 +467,27 @@ impl RaceFlight {
             action
         };
         self.perform(action);
+    }
+
+    /// Prunes the reserve of a race that no longer needs it — decided by
+    /// the heat, or cancelled because its ticket was dropped — so the
+    /// reserve never occupies a worker. Returns whether it pruned.
+    fn prune_if_settled(&self, inner: &mut FlightInner) -> bool {
+        let settled = self.state.is_decided() || self.state.token().is_cancelled();
+        if settled {
+            let reserve = std::mem::take(&mut inner.reserve);
+            self.prune(inner, reserve);
+        }
+        settled
+    }
+
+    fn prune(&self, inner: &mut FlightInner, entries: Vec<(usize, PreparedEntrant)>) {
+        self.core
+            .telemetry
+            .emit(TraceEvent::ReservePruned { query: self.query_id, count: entries.len() as u32 });
+        for (idx, _) in entries {
+            inner.pruned[idx] = true;
+        }
     }
 
     /// Moves the reserve out for launching; the caller escalates outside
@@ -768,7 +522,11 @@ impl RaceFlight {
     fn submit_escalation(self: &Arc<Self>, entries: Vec<(usize, PreparedEntrant)>) {
         match self.pool.upgrade() {
             Some(pool) => {
-                self.core.stats.escalations.fetch_add(1, Ordering::Relaxed);
+                // Escalations feed the scheduler's escalation rate, which
+                // the fast heat never consults.
+                if !self.fast {
+                    self.core.stats.escalations.fetch_add(1, Ordering::Relaxed);
+                }
                 self.core.telemetry.emit(TraceEvent::Escalated {
                     query: self.query_id,
                     launched: entries.len() as u32,
@@ -780,16 +538,10 @@ impl RaceFlight {
             None => {
                 // Engine shut down: the reserve can never launch. Treat
                 // it as pruned so the flight still finalizes.
-                self.core.telemetry.emit(TraceEvent::ReservePruned {
-                    query: self.query_id,
-                    count: entries.len() as u32,
-                });
                 let finalize = {
                     let mut inner = self.inner.lock().expect("race flight lock");
                     inner.launched -= entries.len();
-                    for (idx, _) in entries {
-                        inner.pruned[idx] = true;
-                    }
+                    self.prune(&mut inner, entries);
                     Self::ready_to_finalize(&mut inner)
                 };
                 if finalize {
@@ -807,15 +559,7 @@ impl RaceFlight {
             let mut inner = self.inner.lock().expect("race flight lock");
             if inner.finished || inner.reserve.is_empty() {
                 (FlightAction::Nothing, None)
-            } else if self.state.is_decided() {
-                let drained: Vec<_> = inner.reserve.drain(..).collect();
-                self.core.telemetry.emit(TraceEvent::ReservePruned {
-                    query: self.query_id,
-                    count: drained.len() as u32,
-                });
-                for (i, _) in drained {
-                    inner.pruned[i] = true;
-                }
+            } else if self.prune_if_settled(&mut inner) {
                 let action = if Self::ready_to_finalize(&mut inner) {
                     FlightAction::Finalize
                 } else {
@@ -883,14 +627,27 @@ impl RaceFlight {
             .enumerate()
             .filter(|&(idx, vr)| !pruned[idx] && vr.result.stop == StopReason::Cancelled)
             .count();
-        let outcome = self.state.finish(per_variant);
+        let mut outcome = self.state.finish(per_variant);
         let stats = &self.core.stats;
-        stats.races.fetch_add(1, Ordering::Relaxed);
-        stats.cancelled_variants.fetch_add(cancelled as u64, Ordering::Relaxed);
-        stats.pruned_entrants.fetch_add(pruned_count as u64, Ordering::Relaxed);
-
         let elapsed = self.admitted.elapsed();
         let conclusive = outcome.is_conclusive();
+        // A fast heat whose reserve never launched is served as a fast
+        // path, not counted as a race; one that escalated (or could not
+        // conclude) fell back.
+        let heat_only = self.fast && pruned_count + 1 == n;
+        let path = if heat_only && conclusive { ServePath::FastPath } else { ServePath::Race };
+        if self.fast {
+            let counter = match path {
+                ServePath::FastPath => &stats.fast_paths,
+                _ => &stats.fast_path_fallbacks,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        if !heat_only {
+            stats.races.fetch_add(1, Ordering::Relaxed);
+            stats.cancelled_variants.fetch_add(cancelled as u64, Ordering::Relaxed);
+            stats.pruned_entrants.fetch_add(pruned_count as u64, Ordering::Relaxed);
+        }
         // An uncontested win (no other entrant launched) proves nothing
         // about the rest of the field — feeding it back would make the
         // ranking self-fulfilling. Only contested races train the
@@ -931,21 +688,20 @@ impl RaceFlight {
         if outcome.winner_index.is_none() {
             stats.inconclusive.fetch_add(1, Ordering::Relaxed);
         }
-        let answer = Arc::new(match outcome.winner() {
-            Some(w) => CachedAnswer {
-                found: w.result.found(),
-                num_matches: w.result.num_matches,
-                embeddings: w.result.embeddings.clone(),
-                winner: Some(w.label),
-                cold_elapsed: elapsed,
-            },
-            None => CachedAnswer {
-                found: false,
-                num_matches: 0,
-                embeddings: Vec::new(),
-                winner: None,
-                cold_elapsed: elapsed,
-            },
+        let winner = outcome.winner().map(|w| w.label);
+        let (num_matches, embeddings) = match outcome.winner_index {
+            Some(idx) => {
+                let result = &mut outcome.per_variant[idx].result;
+                (result.num_matches, std::mem::take(&mut result.embeddings))
+            }
+            None => (0, Vec::new()),
+        };
+        let answer = Arc::new(CachedAnswer {
+            found: num_matches > 0,
+            num_matches,
+            embeddings,
+            winner,
+            cold_elapsed: elapsed,
         });
         // Only definitive answers are cacheable: a timed-out race might
         // succeed on retry with a fresh budget.
@@ -954,7 +710,6 @@ impl RaceFlight {
         }
         stats.record_latency(elapsed);
         let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let winner = outcome.winner().map(|w| w.label);
         let entrants: Vec<EntrantTiming> = outcome
             .per_variant
             .iter()
@@ -969,7 +724,7 @@ impl RaceFlight {
         self.core.telemetry.slow.record(SlowQuery {
             query: self.query_id,
             elapsed_us,
-            path: ServePath::Race,
+            path,
             conclusive,
             winner,
             entrants,
@@ -985,7 +740,7 @@ impl RaceFlight {
         // Free the admission slot before the answer lands, so a caller
         // observing completion can immediately re-submit.
         drop(permit);
-        self.slot.fulfill(EngineResponse { answer, path: ServePath::Race, elapsed, conclusive });
+        self.slot.fulfill(EngineResponse { answer, path, elapsed, conclusive });
     }
 }
 

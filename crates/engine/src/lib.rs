@@ -26,8 +26,9 @@
 //!   the limit park in a bounded per-graph **waiting room** (FIFO within
 //!   priority, fed by the same fair grant chain) and only bounce — with
 //!   a typed [`AdmissionError`] — once the room overflows; the predictor
-//!   fast path (single confident variant instead of a race, with race
-//!   fallback); deadlines anchored at admission so queueing delay counts
+//!   fast heat (a confident prediction races its leader alone, inline,
+//!   with the rest of the field in reserve for an inconclusive heat);
+//!   deadlines anchored at admission so queueing delay counts
 //!   against the race budget; and staged racing
 //!   ([`RaceStrategy::Adaptive`]) — only the scheduler's predictor-ranked
 //!   first heat launches, with escalation to the full field if the

@@ -249,7 +249,7 @@ pub struct StageLatencies {
     pub queue_p50: Duration,
     /// p99 admission-to-setup queue wait.
     pub queue_p99: Duration,
-    /// Median setup-to-finalize race time (includes fast-path execution).
+    /// Median setup-to-finalize race time (includes fast heats).
     pub race_p50: Duration,
     /// p99 setup-to-finalize race time.
     pub race_p99: Duration,
@@ -494,12 +494,14 @@ pub struct EngineStats {
     /// `cache_hits / (cache_hits + cache_misses)`, 0 when nothing looked
     /// up yet.
     pub hit_rate: f64,
-    /// Full races run on the worker pool.
+    /// Races run on the worker pool, escalated fast heats included (a
+    /// fast heat that wins alone counts in `fast_paths` instead).
     pub races: u64,
-    /// Queries served by the predictor's single-variant fast path.
+    /// Queries answered by a fast heat alone: the predictor's leader
+    /// concluded and the reserve was pruned (not counted in `races`).
     pub fast_paths: u64,
-    /// Fast-path attempts that came back inconclusive and fell back to a
-    /// full race (counted in addition to the race).
+    /// Fast heats that came back inconclusive. One that escalated its
+    /// reserve is also counted in `races`.
     pub fast_path_fallbacks: u64,
     /// Losing race entrants observed as cooperatively cancelled — the Ψ
     /// "kill" count.

@@ -185,7 +185,7 @@ pub trait Submit {
     /// [`crate::AdmissionError::QueueFull`] — or
     /// [`crate::AdmissionError::Busy`] when the room is disabled. Cache
     /// hits are always served, even at capacity. The returned ticket
-    /// completes when the pooled race (or fast path) finishes; dropping
+    /// completes when the race (or fast heat) finishes; dropping
     /// it cancels the race (or frees the parked slot).
     fn submit_nonblocking(&self, request: QueryRequest) -> Result<QueryTicket, SubmitError>;
 

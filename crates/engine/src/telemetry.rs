@@ -93,20 +93,8 @@ pub enum TraceEvent {
         /// Admission-to-setup queue wait, µs.
         queue_us: u64,
     },
-    /// The predictor's single-variant fast path ran (before any race).
-    /// Inconclusive fast paths fall back to a full race; conclusive ones
-    /// are followed by a [`TraceEvent::Finalized`].
-    FastPath {
-        /// Engine-assigned query id.
-        query: u64,
-        /// The variant the predictor backed.
-        variant: Variant,
-        /// Whether the single-variant attempt settled the query.
-        conclusive: bool,
-        /// Admission-to-attempt-completion wall time, µs.
-        elapsed_us: u64,
-    },
-    /// The first heat launched on the pool.
+    /// The first heat launched: on the pool, or inline on the setup
+    /// worker for a fast heat (one entrant, the rest reserved).
     HeatLaunched {
         /// Engine-assigned query id.
         query: u64,
@@ -211,7 +199,6 @@ impl TraceEvent {
             | TraceEvent::Parked { query, .. }
             | TraceEvent::Unparked { query, .. }
             | TraceEvent::SetupStarted { query, .. }
-            | TraceEvent::FastPath { query, .. }
             | TraceEvent::HeatLaunched { query, .. }
             | TraceEvent::EntrantStarted { query, .. }
             | TraceEvent::SliceSpawned { query, .. }

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use psi_core::{PsiConfig, PsiRunner, RaceBudget};
 use psi_engine::{
-    EngineConfig, GraphId, MultiEngine, MultiEngineConfig, RaceStrategy, ServePath, TelemetryConfig,
+    EngineConfig, GraphId, MultiEngine, MultiEngineConfig, QueryRequest, RaceStrategy, ServePath,
+    Submit, TelemetryConfig, TraceEvent, TraceRecord,
 };
 use psi_graph::generate::{random_connected_graph, LabelDist};
 use psi_graph::Graph;
@@ -259,4 +260,60 @@ fn a_one_entrant_field_runs_unstaged() {
     let stats = engine.stats();
     assert_eq!(stats.topk_races, 0, "a single entrant leaves nothing to stage");
     assert_eq!(stats.pruned_entrants, 0);
+}
+
+#[test]
+fn a_dropped_ticket_prunes_the_reserve_instead_of_escalating() {
+    let (stored, slow_query) = explosive_setup();
+    // Two variants and an open training gate: a one-entrant heat with one
+    // entrant in reserve, and a stage deadline (at the full timeout) far
+    // beyond the test.
+    let (engine, id) = serve(
+        PsiRunner::nfv_default(&stored),
+        2,
+        EngineConfig {
+            cache_capacity: 0,
+            predictor_confidence: 2.0,
+            predictor_min_observations: 0,
+            race_strategy: staged(1.0),
+            default_budget: RaceBudget::with_max_matches(usize::MAX)
+                .timeout(Duration::from_secs(60)),
+            ..EngineConfig::default()
+        },
+    );
+    let ticket =
+        engine.submit_nonblocking(QueryRequest::new(slow_query).graph(id)).expect("admitted");
+    let query = ticket.query_id();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut events = Vec::new();
+    let started = |events: &[TraceRecord]| {
+        events
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::EntrantStarted { query: q, .. } if q == query))
+    };
+    while !started(&events) {
+        assert!(Instant::now() < deadline, "the heat never started");
+        std::thread::sleep(Duration::from_millis(2));
+        events.extend(engine.drain_trace().into_iter().map(|(_, r)| r));
+    }
+    // The heat is searching an explosive space: dropping the ticket
+    // cancels it, and nobody is left to want the reserve.
+    drop(ticket);
+    while engine.stats().races == 0 {
+        assert!(Instant::now() < deadline, "the cancelled race never finalized");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    events.extend(engine.drain_trace().into_iter().map(|(_, r)| r));
+    let stats = engine.stats();
+    assert_eq!(stats.topk_races, 1);
+    assert_eq!(stats.escalations, 0, "a cancelled race must not escalate: {stats:?}");
+    assert_eq!(stats.pruned_entrants, 1, "the reserve is pruned: {stats:?}");
+    let finalized: Vec<_> = events
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Finalized { query: q, cancelled, .. } if q == query => Some(cancelled),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(finalized, vec![true], "exactly one cancelled terminal event");
 }

@@ -363,6 +363,77 @@ fn prometheus_rendering_is_well_formed() {
     let json = multi.exporter().render_json();
     assert!(json.contains("\"name\":\"graphs/a\""));
     assert!(json.contains("\"name\":\"graphs/b\""));
+
+    // Every numeric `EngineStats` field renders in both formats, under a
+    // pinned JSON key and Prometheus series. The field list is read off
+    // the `Debug` rendering, so a new counter fails here until it is
+    // exported (and listed).
+    let exported = [
+        ("queries", "psi_queries_total"),
+        ("cache_hits", "psi_cache_hits_total"),
+        ("cache_misses", "psi_cache_misses_total"),
+        ("hit_rate", "psi_cache_hit_rate"),
+        ("races", "psi_races_total"),
+        ("fast_paths", "psi_fast_paths_total"),
+        ("fast_path_fallbacks", "psi_fast_path_fallbacks_total"),
+        ("cancelled_variants", "psi_cancelled_variants_total"),
+        ("busy_rejections", "psi_busy_rejections_total"),
+        ("queue_full_rejections", "psi_queue_full_total"),
+        ("parked", "psi_parked_total"),
+        ("waiting_room_depth", "psi_waiting_room_depth"),
+        ("inconclusive", "psi_inconclusive_total"),
+        ("topk_races", "psi_topk_races_total"),
+        ("pruned_entrants", "psi_pruned_entrants_total"),
+        ("escalations", "psi_escalations_total"),
+        ("escalation_rate", "psi_escalation_rate"),
+        ("sliced_races", "psi_sliced_races_total"),
+        ("slices_spawned", "psi_slices_total"),
+        ("slice_steals", "psi_slice_steals_total"),
+        ("index_build_us", "psi_index_build_us"),
+        ("edge_probes_bitset", "psi_edge_probes_total{kind=\"bitset\"}"),
+        ("edge_probes_binary", "psi_edge_probes_total{kind=\"binary\"}"),
+        ("wal_appended", "psi_wal_appended_total"),
+        ("wal_replayed", "psi_wal_replayed_total"),
+        ("updates_applied", "psi_updates_applied_total"),
+        ("compactions", "psi_compactions_total"),
+        ("compaction_us", "psi_compaction_us_total"),
+        ("cache_invalidations", "psi_cache_invalidations_total"),
+        ("epoch", "psi_epoch"),
+        ("throughput_qps", "psi_throughput_qps"),
+    ];
+    let debug = format!("{:?}", multi.graph_stats(a).expect("registered"));
+    let mut numeric: Vec<&str> = debug
+        .trim_start_matches("EngineStats { ")
+        .split(", ")
+        .filter_map(|field| field.split_once(": "))
+        .filter(|(_, value)| value.parse::<f64>().is_ok())
+        .map(|(name, _)| name)
+        .collect();
+    numeric.sort_unstable();
+    let mut listed: Vec<&str> = exported.iter().map(|(key, _)| *key).collect();
+    listed.sort_unstable();
+    assert_eq!(numeric, listed, "every numeric EngineStats field is listed");
+    // Each sample's series: its name plus every label but `graph`.
+    let series: std::collections::HashSet<String> = samples
+        .iter()
+        .map(|s| {
+            let extra: Vec<String> = s
+                .labels
+                .iter()
+                .filter(|(k, _)| k != "graph")
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            if extra.is_empty() {
+                s.name.clone()
+            } else {
+                format!("{}{{{}}}", s.name, extra.join(","))
+            }
+        })
+        .collect();
+    for (key, prometheus) in exported {
+        assert!(json.contains(&format!("\"{key}\":")), "JSON lacks {key}:\n{json}");
+        assert!(series.contains(prometheus), "Prometheus lacks {prometheus}:\n{text}");
+    }
 }
 
 // ---- MultiEngine aggregate percentiles vs pooled per-graph ----
