@@ -435,12 +435,6 @@ impl PreparedEntrant {
         }
     }
 
-    /// Node count of the (rewritten) query this entrant searches for —
-    /// the scheduler's query-size input.
-    pub fn query_node_count(&self) -> usize {
-        self.prepared.0.node_count()
-    }
-
     /// The epoch this entrant is pinned to.
     pub fn epoch(&self) -> u64 {
         self.pin.epoch()

@@ -522,8 +522,8 @@ impl RaceFlight {
     fn submit_escalation(self: &Arc<Self>, entries: Vec<(usize, PreparedEntrant)>) {
         match self.pool.upgrade() {
             Some(pool) => {
-                // Escalations feed the scheduler's escalation rate, which
-                // the fast heat never consults.
+                // The escalation rate is a share of staged races
+                // (`topk_races`), which fast heats are not.
                 if !self.fast {
                     self.core.stats.escalations.fetch_add(1, Ordering::Relaxed);
                 }
