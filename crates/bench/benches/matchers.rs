@@ -8,6 +8,9 @@ use psi_workload::Workloads;
 use std::hint::black_box;
 use std::sync::Arc;
 
+/// Seed of servebench's `cold_search` stored graph, `wordnet_like(0.25)`.
+const WORDNET_SEED: u64 = 7;
+
 fn bench_matchers(c: &mut Criterion) {
     let stored = Arc::new(datasets::yeast_like(0.2, 42));
     let prepared: Vec<(Algorithm, Arc<dyn Matcher>)> = [
@@ -25,6 +28,22 @@ fn bench_matchers(c: &mut Criterion) {
     for &edges in &[8usize, 16] {
         let query = Workloads::single_query(&stored, edges, 3).expect("generable");
         for (alg, m) in &prepared {
+            group.bench_with_input(BenchmarkId::new(alg.short_name(), edges), &query, |b, q| {
+                b.iter(|| black_box(m.search(q, &SearchBudget::first_match())))
+            });
+        }
+    }
+    group.finish();
+
+    // `cold_search`'s regime: wordnet's 5 labels give every query vertex
+    // a long label list, so the raced matchers' prework (candidate
+    // filtering, refinement) dominates their search.
+    let wordnet = Arc::new(datasets::wordnet_like(0.25, WORDNET_SEED));
+    let mut group = c.benchmark_group("matchers_decision_wordnet");
+    for alg in [Algorithm::GraphQl, Algorithm::SPath] {
+        let m = alg.prepare(Arc::clone(&wordnet));
+        for &edges in &[8usize, 16] {
+            let query = Workloads::single_query(&wordnet, edges, 3).expect("generable");
             group.bench_with_input(BenchmarkId::new(alg.short_name(), edges), &query, |b, q| {
                 b.iter(|| black_box(m.search(q, &SearchBudget::first_match())))
             });
@@ -52,6 +71,11 @@ fn bench_prepare(c: &mut Criterion) {
             b.iter(|| black_box(alg.prepare(Arc::clone(&stored))))
         });
     }
+    // sPath's radius-4 signatures over `cold_search`'s stored graph.
+    let wordnet = Arc::new(datasets::wordnet_like(0.25, WORDNET_SEED));
+    group.bench_function("SPA/wordnet", |b| {
+        b.iter(|| black_box(Algorithm::SPath.prepare(Arc::clone(&wordnet))))
+    });
     group.finish();
 }
 

@@ -65,18 +65,22 @@ use std::time::{Duration, Instant};
 ///     indexed ones against are gone); `index_build_us` and
 ///     `edge_probes_{bitset,binary}` now come from the full-field
 ///     multi-graph registry behind `multi_qps`.
-pub const SCHEMA_VERSION: f64 = 10.0;
+/// v11: `qps`, `p50_us` and `p99_us` are medians over seven fresh
+///     cold + warm bursts instead of one burst's figures.
+pub const SCHEMA_VERSION: f64 = 11.0;
 
 /// The headline serving metrics CI tracks over time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineBenchMetrics {
     /// Single-engine throughput over the standard mixed batch
-    /// (cold + warm pass), queries/second. Higher is better.
+    /// (cold + warm pass on a fresh engine), queries/second, median of
+    /// seven bursts. Higher is better.
     pub qps: f64,
     /// Median end-to-end serving latency over the standard batch,
-    /// microseconds. Lower is better.
+    /// microseconds, median of the seven bursts. Lower is better.
     pub p50_us: f64,
-    /// 99th-percentile serving latency, microseconds. Lower is better.
+    /// 99th-percentile serving latency, microseconds, median of the
+    /// seven bursts. Lower is better.
     pub p99_us: f64,
     /// Median cache-hit latency vs. median cold-race latency on one
     /// repeated query. Higher is better.
@@ -403,20 +407,32 @@ fn routed(id: GraphId, queries: &[Graph]) -> Vec<(GraphId, Graph)> {
 /// artifact metrics. Fixed seeds and workload sizes keep runs
 /// comparable across commits.
 pub fn measure() -> EngineBenchMetrics {
-    // --- Single-engine batch: cold pass then warm (cached) pass. ---
+    // --- Single-engine batch: a cold pass then a warm (cached) pass on a
+    // fresh engine. One such burst serves 48 responses in a few
+    // milliseconds and its rate swings several-fold from run to run, so
+    // each headline figure is the median over `BURSTS` fresh bursts. ---
+    const BURSTS: usize = 7;
     let stored = datasets::yeast_like(0.2, 42);
     let queries: Vec<Graph> = Workloads::nfv_workload(&stored, 8, 24, 7);
-    let (engine, id) = serving_engine(&stored, 4096);
-    let traffic = routed(id, &queries);
-    let t0 = Instant::now();
-    let cold = submit_batch_multi(&engine, &traffic, 8);
-    let warm = submit_batch_multi(&engine, &traffic, 8);
-    let wall = t0.elapsed().as_secs_f64();
-    let served = (cold.responses.len() + warm.responses.len()) as f64;
-    let qps = if wall > 0.0 { served / wall } else { 0.0 };
-    let stats = engine.stats();
-    let p50_us = stats.latency_p50.as_secs_f64() * 1e6;
-    let p99_us = stats.latency_p99.as_secs_f64() * 1e6;
+    let (mut qps, mut p50_us, mut p99_us) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..BURSTS {
+        let (engine, id) = serving_engine(&stored, 4096);
+        let traffic = routed(id, &queries);
+        let t0 = Instant::now();
+        let cold = submit_batch_multi(&engine, &traffic, 8);
+        let warm = submit_batch_multi(&engine, &traffic, 8);
+        let wall = t0.elapsed().as_secs_f64();
+        let served = (cold.responses.len() + warm.responses.len()) as f64;
+        qps.push(if wall > 0.0 { served / wall } else { 0.0 });
+        let stats = engine.stats();
+        p50_us.push(stats.latency_p50.as_secs_f64() * 1e6);
+        p99_us.push(stats.latency_p99.as_secs_f64() * 1e6);
+    }
+    let middle = |mut values: Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
+    let (qps, p50_us, p99_us) = (middle(qps), middle(p50_us), middle(p99_us));
 
     // --- Cache-hit speedup: one repeated query, cold vs. hit medians. ---
     let repeat = Workloads::single_query(&stored, 10, 9).expect("generable query");

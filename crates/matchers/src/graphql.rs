@@ -137,6 +137,7 @@ impl GraphQl {
                 member[u * nt + v as usize] = true;
             }
         }
+        let mut kuhn = Kuhn::default();
         for _level in 0..self.refine_level {
             let mut changed = false;
             for u in 0..nq {
@@ -144,22 +145,25 @@ impl GraphQl {
                 if qn.is_empty() {
                     continue;
                 }
-                let mut survivors = Vec::with_capacity(cands[u].len());
-                for &v in &cands[u] {
+                // Survivors are compacted in place, in their original order.
+                let mut kept = 0;
+                for i in 0..cands[u].len() {
                     if let Some(r) = clock.tick() {
                         return Err(r);
                     }
-                    if bipartite_match_exists(qn, view.neighbors(v), |q2, t2| {
+                    let v = cands[u][i];
+                    if kuhn.match_exists(qn, view.neighbors(v), |q2, t2| {
                         member[q2 as usize * nt + t2 as usize]
                     }) {
-                        survivors.push(v);
+                        cands[u][kept] = v;
+                        kept += 1;
                     } else {
                         member[u * nt + v as usize] = false;
                         stats.candidates_pruned += 1;
                         changed = true;
                     }
                 }
-                cands[u] = survivors;
+                cands[u].truncate(kept);
             }
             if !changed {
                 break;
@@ -230,49 +234,62 @@ fn multiset_contains(hay: &[Label], needle: &[Label]) -> bool {
     true
 }
 
-/// Kuhn's augmenting-path bipartite matching: can every node of `left` be
-/// matched to a *distinct* node of `right` where `feasible(l, r)` holds?
-fn bipartite_match_exists(
-    left: &[NodeId],
-    right: &[NodeId],
-    feasible: impl Fn(NodeId, NodeId) -> bool,
-) -> bool {
-    if left.len() > right.len() {
-        return false;
-    }
-    let mut match_right: Vec<usize> = vec![usize::MAX; right.len()];
-    let mut visited = vec![false; right.len()];
+/// Kuhn's augmenting-path bipartite matching with its working memory:
+/// one refinement pass calls it once per (query vertex, candidate), so the
+/// two arrays are owned by the pass and only cleared and resized per call.
+#[derive(Debug, Default)]
+struct Kuhn {
+    /// Left index matched to each right index (`usize::MAX`: free).
+    match_right: Vec<usize>,
+    /// Right indices tried in the current augmenting search.
+    visited: Vec<bool>,
+}
 
-    fn augment(
-        l: usize,
+impl Kuhn {
+    /// Can every node of `left` be matched to a *distinct* node of `right`
+    /// where `feasible(l, r)` holds?
+    fn match_exists(
+        &mut self,
         left: &[NodeId],
         right: &[NodeId],
-        feasible: &impl Fn(NodeId, NodeId) -> bool,
-        match_right: &mut [usize],
-        visited: &mut [bool],
+        feasible: impl Fn(NodeId, NodeId) -> bool,
     ) -> bool {
-        for r in 0..right.len() {
-            if visited[r] || !feasible(left[l], right[r]) {
-                continue;
-            }
-            visited[r] = true;
-            if match_right[r] == usize::MAX
-                || augment(match_right[r], left, right, feasible, match_right, visited)
-            {
-                match_right[r] = l;
-                return true;
-            }
-        }
-        false
-    }
-
-    for l in 0..left.len() {
-        visited.iter_mut().for_each(|v| *v = false);
-        if !augment(l, left, right, &feasible, &mut match_right, &mut visited) {
+        if left.len() > right.len() {
             return false;
         }
+        let Self { match_right, visited } = self;
+        match_right.clear();
+        match_right.resize(right.len(), usize::MAX);
+        visited.resize(right.len(), false);
+        (0..left.len()).all(|l| {
+            visited.fill(false);
+            augment(l, left, right, &feasible, match_right, visited)
+        })
     }
-    true
+}
+
+/// One augmenting-path search from left index `l`.
+fn augment(
+    l: usize,
+    left: &[NodeId],
+    right: &[NodeId],
+    feasible: &impl Fn(NodeId, NodeId) -> bool,
+    match_right: &mut [usize],
+    visited: &mut [bool],
+) -> bool {
+    for r in 0..right.len() {
+        if visited[r] || !feasible(left[l], right[r]) {
+            continue;
+        }
+        visited[r] = true;
+        if match_right[r] == usize::MAX
+            || augment(match_right[r], left, right, feasible, match_right, visited)
+        {
+            match_right[r] = l;
+            return true;
+        }
+    }
+    false
 }
 
 impl Matcher for GraphQl {
@@ -332,6 +349,7 @@ mod tests {
     use super::*;
     use crate::bruteforce;
     use crate::matcher::{is_valid_embedding, Embedding};
+    use proptest::prelude::*;
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use rand::SeedableRng;
@@ -358,13 +376,42 @@ mod tests {
 
     #[test]
     fn bipartite_matching_basic() {
+        let mut kuhn = Kuhn::default();
         // left {0,1} each feasible only with right {5}: no injective match.
-        assert!(!bipartite_match_exists(&[0, 1], &[5, 6], |_, r| r == 5));
+        assert!(!kuhn.match_exists(&[0, 1], &[5, 6], |_, r| r == 5));
         // distinct options: ok.
-        assert!(bipartite_match_exists(&[0, 1], &[5, 6], |l, r| (l == 0) == (r == 5)));
+        assert!(kuhn.match_exists(&[0, 1], &[5, 6], |l, r| (l == 0) == (r == 5)));
         // augmenting path required: 0 can take 5 or 6, 1 only 5.
-        assert!(bipartite_match_exists(&[0, 1], &[5, 6], |l, r| l == 0 || r == 5));
-        assert!(!bipartite_match_exists(&[0, 1, 2], &[5, 6], |_, _| true));
+        assert!(kuhn.match_exists(&[0, 1], &[5, 6], |l, r| l == 0 || r == 5));
+        assert!(!kuhn.match_exists(&[0, 1, 2], &[5, 6], |_, _| true));
+    }
+
+    /// A `(left, right, feasible)` triple: `left` and `right` sizes and a
+    /// bit matrix whose bit `l * 10 + r` says left index `l` may take right
+    /// index `r`.
+    type MatchingCase = (usize, usize, u64);
+
+    fn verdict(kuhn: &mut Kuhn, &(nl, nr, feasible): &MatchingCase) -> bool {
+        let left: Vec<NodeId> = (0..nl as NodeId).collect();
+        let right: Vec<NodeId> = (100..100 + nr as NodeId).collect();
+        kuhn.match_exists(&left, &right, |l, r| feasible >> (l * 10 + r - 100) & 1 == 1)
+    }
+
+    proptest! {
+        /// A long right side, then a shorter one, through one reused
+        /// buffer pair: each verdict equals the verdict from fresh buffers,
+        /// so no stale `match_right`/`visited` entry leaks between calls.
+        #[test]
+        fn reused_matching_buffers_agree_with_fresh(
+            cases in proptest::collection::vec((0usize..6, 0usize..10, any::<u64>()), 1..8),
+        ) {
+            let mut long_first = cases.clone();
+            long_first.sort_by_key(|&(_, nr, _)| std::cmp::Reverse(nr));
+            let mut reused = Kuhn::default();
+            for case in cases.iter().chain(&long_first) {
+                prop_assert_eq!(verdict(&mut reused, case), verdict(&mut Kuhn::default(), case));
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //! * **Index**: for every stored node, the count of each label at every BFS
 //!   distance `1..=radius` (the "distance-wise decomposition" of shortest
 //!   paths; paper default radius 4).
+//! * **Layout**: all nodes' signatures live in two flat arrays. `pairs`
+//!   holds sorted `(label, cumulative count)` pairs; `offsets` has one
+//!   entry per (node, distance) and delimits that layer's run of `pairs`.
+//!   The build runs one BFS per node, marking visits in one stamp array
+//!   shared by every source and counting labels in a dense array indexed
+//!   by label rank (labels are arbitrary `u32`s, up to the overlay's
+//!   tombstone `u32::MAX`), so it allocates nothing per node. The query
+//!   side uses the same builder, and the fit test is a merge walk of two
+//!   sorted layers.
 //! * **Candidates**: query node `u` can map to stored node `v` only if
 //!   labels match and, for every distance `d`, the query's *cumulative*
 //!   label counts within `d` hops of `u` fit under the target's (sound for
@@ -33,7 +42,6 @@ use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Paper defaults (§3.2): "neighbourhood radius of 4 and maximum path
@@ -42,19 +50,14 @@ pub const DEFAULT_RADIUS: usize = 4;
 /// Paper default maximum decomposition path length.
 pub const DEFAULT_MAX_PATH_LEN: usize = 4;
 
-/// Cumulative label counts per BFS distance: `counts[d-1]` holds sorted
-/// `(label, count-of-nodes-within-distance-d)` pairs.
-type DistanceSignature = Vec<Vec<(Label, u32)>>;
-
 /// sPath prepared over a stored graph: the distance-wise signatures are
 /// sPath's own (radius-parameterized) index; label lists, degrees and
 /// adjacency probes come from the shared [`TargetIndex`].
 #[derive(Debug)]
 pub struct SPath {
     index: Arc<TargetIndex>,
-    /// Per-node cumulative distance-wise signatures.
-    signatures: Vec<DistanceSignature>,
-    radius: usize,
+    /// Per-node cumulative distance-wise signatures of the stored graph.
+    signatures: Signatures,
     max_path_len: usize,
 }
 
@@ -82,16 +85,13 @@ impl SPath {
     fn build(index: Arc<TargetIndex>, radius: usize, max_path_len: usize) -> Self {
         assert!(radius >= 1, "radius must be at least 1");
         assert!(max_path_len >= 1, "path length must be at least 1");
-        let target = index.graph();
-        let signatures = (0..target.node_count() as NodeId)
-            .map(|v| distance_signature(target, v, radius))
-            .collect();
-        Self { index, signatures, radius, max_path_len }
+        let signatures = Signatures::build(index.graph(), radius);
+        Self { index, signatures, max_path_len }
     }
 
     /// The configured neighborhood radius.
     pub fn radius(&self) -> usize {
-        self.radius
+        self.signatures.radius
     }
 
     /// Candidate lists per query node via label + cumulative distance-wise
@@ -109,14 +109,7 @@ impl SPath {
         view: GraphView<'_>,
         clock: &mut BudgetClock<'_>,
     ) -> Result<Vec<Vec<NodeId>>, StopReason> {
-        let use_signatures = !view.has_overlay();
-        let qsigs: Vec<DistanceSignature> = if use_signatures {
-            (0..query.node_count() as NodeId)
-                .map(|u| distance_signature(query, u, self.radius))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let qsigs = (!view.has_overlay()).then(|| Signatures::build(query, self.radius()));
         let mut out = Vec::with_capacity(query.node_count());
         for u in 0..query.node_count() as NodeId {
             let mut cands = Vec::new();
@@ -125,8 +118,7 @@ impl SPath {
                     return Err(r);
                 }
                 if query.degree(u) <= view.degree(v)
-                    && (!use_signatures
-                        || signature_fits(&qsigs[u as usize], &self.signatures[v as usize]))
+                    && qsigs.as_ref().is_none_or(|q| q.fits(u, &self.signatures, v))
                 {
                     cands.push(v);
                 }
@@ -209,59 +201,102 @@ fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     (a.min(b), a.max(b))
 }
 
-/// BFS out to `radius`, producing cumulative per-distance label counts.
-fn distance_signature(g: &Graph, v: NodeId, radius: usize) -> DistanceSignature {
-    let mut counts: Vec<HashMap<Label, u32>> = vec![HashMap::new(); radius];
-    let mut dist: HashMap<NodeId, usize> = HashMap::new();
-    dist.insert(v, 0);
-    let mut frontier = vec![v];
-    for d in 1..=radius {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &nb in g.neighbors(u) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(nb) {
-                    e.insert(d);
-                    *counts[d - 1].entry(g.label(nb)).or_insert(0) += 1;
-                    next.push(nb);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    // Cumulate: distance ≤ d.
-    let mut out: DistanceSignature = Vec::with_capacity(radius);
-    let mut acc: HashMap<Label, u32> = HashMap::new();
-    for layer in counts {
-        for (l, c) in layer {
-            *acc.entry(l).or_insert(0) += c;
-        }
-        let mut flat: Vec<(Label, u32)> = acc.iter().map(|(&l, &c)| (l, c)).collect();
-        flat.sort_unstable();
-        out.push(flat);
-    }
-    out
+/// Cumulative distance-wise label counts of every node of one graph, in
+/// one CSR layout: layer `d` (`1..=radius`) of node `v` is
+/// `pairs[offsets[v * radius + d - 1]..offsets[v * radius + d]]`, the
+/// `(label, nodes with that label within d hops)` pairs sorted by label.
+/// Every node has all `radius` layers; past its eccentricity a layer
+/// repeats the one before it.
+#[derive(Debug)]
+struct Signatures {
+    radius: usize,
+    offsets: Vec<u32>,
+    pairs: Vec<(Label, u32)>,
 }
 
-/// Whether the query signature fits under the target signature at every
-/// distance (cumulative counts, per label).
-fn signature_fits(qsig: &DistanceSignature, tsig: &DistanceSignature) -> bool {
-    for (d, qlayer) in qsig.iter().enumerate() {
-        let Some(tlayer) = tsig.get(d) else {
-            // Target has no nodes past this distance; query demands some.
-            return qlayer.is_empty();
-        };
-        for &(l, qc) in qlayer {
-            let tc =
-                tlayer.binary_search_by_key(&l, |&(tl, _)| tl).map(|i| tlayer[i].1).unwrap_or(0);
-            if qc > tc {
-                return false;
+impl Signatures {
+    /// One BFS per node out to `radius`. The BFS marks visits with the
+    /// source's ID in one stamp array shared by all sources, and counts
+    /// labels in a dense array indexed by label rank (labels are
+    /// arbitrary `u32`s, up to the overlay's tombstone `u32::MAX`), so the
+    /// build allocates nothing per node.
+    fn build(g: &Graph, radius: usize) -> Self {
+        let n = g.node_count();
+        let mut by_rank: Vec<Label> = g.labels().to_vec();
+        by_rank.sort_unstable();
+        by_rank.dedup();
+        let rank: Vec<u32> = g
+            .labels()
+            .iter()
+            .map(|l| by_rank.binary_search(l).expect("a label of the graph") as u32)
+            .collect();
+        let mut counts = vec![0u32; by_rank.len()];
+        // Ranks with a nonzero count in the current BFS.
+        let mut touched: Vec<u32> = Vec::new();
+        let mut stamp = vec![NodeId::MAX; n];
+        let (mut frontier, mut next) = (Vec::new(), Vec::new());
+        let mut offsets = Vec::with_capacity(n * radius + 1);
+        offsets.push(0);
+        let mut pairs = Vec::new();
+        for v in 0..n as NodeId {
+            stamp[v as usize] = v;
+            frontier.clear();
+            frontier.push(v);
+            for _ in 0..radius {
+                next.clear();
+                for &u in &frontier {
+                    for &x in g.neighbors(u) {
+                        if stamp[x as usize] != v {
+                            stamp[x as usize] = v;
+                            let r = rank[x as usize];
+                            if counts[r as usize] == 0 {
+                                touched.push(r);
+                            }
+                            counts[r as usize] += 1;
+                            next.push(x);
+                        }
+                    }
+                }
+                std::mem::swap(&mut frontier, &mut next);
+                // Rank order is label order.
+                touched.sort_unstable();
+                pairs.extend(touched.iter().map(|&r| (by_rank[r as usize], counts[r as usize])));
+                offsets.push(u32::try_from(pairs.len()).expect("signature pairs fit in u32"));
             }
+            for &r in &touched {
+                counts[r as usize] = 0;
+            }
+            touched.clear();
         }
+        Self { radius, offsets, pairs }
     }
-    true
+
+    /// Layer `d` (`1..=radius`) of node `v`.
+    #[inline]
+    fn layer(&self, v: NodeId, d: usize) -> &[(Label, u32)] {
+        let k = v as usize * self.radius + d - 1;
+        &self.pairs[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+
+    /// Whether query node `u`'s signature fits under target node `v`'s at
+    /// every distance: each label's cumulative count in the query layer is
+    /// at most the target's. Both signatures have the same radius.
+    fn fits(&self, u: NodeId, target: &Signatures, v: NodeId) -> bool {
+        debug_assert_eq!(self.radius, target.radius);
+        (1..=self.radius).all(|d| layer_fits(self.layer(u, d), target.layer(v, d)))
+    }
+}
+
+/// Merge walk of two label-sorted layers: every query label must appear in
+/// the target layer with at least the query's count.
+fn layer_fits(query: &[(Label, u32)], target: &[(Label, u32)]) -> bool {
+    if query.len() > target.len() {
+        return false;
+    }
+    let mut target = target.iter();
+    query.iter().all(|&(l, qc)| {
+        target.by_ref().find(|&&(tl, _)| tl >= l).is_some_and(|&(tl, tc)| tl == l && qc <= tc)
+    })
 }
 
 impl Matcher for SPath {
@@ -326,10 +361,13 @@ mod tests {
     use super::*;
     use crate::bruteforce;
     use crate::matcher::{is_valid_embedding, Embedding};
+    use psi_delta::TOMBSTONE_LABEL;
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
-    use rand::SeedableRng;
+    use psi_graph::GraphBuilder;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::hash_map::{Entry, HashMap};
 
     fn spa(t: Graph) -> SPath {
         SPath::prepare(Arc::new(t))
@@ -340,33 +378,161 @@ mod tests {
         v
     }
 
+    /// Reference signature: cumulative label counts per BFS distance,
+    /// `sig[d-1]` holding sorted `(label, count-of-nodes-within-distance-d)`
+    /// pairs, built with hash maps.
+    type DistanceSignature = Vec<Vec<(Label, u32)>>;
+
+    /// Reference BFS out to `radius`, one hash map per distance.
+    fn distance_signature(g: &Graph, v: NodeId, radius: usize) -> DistanceSignature {
+        let mut counts: Vec<HashMap<Label, u32>> = vec![HashMap::new(); radius];
+        let mut dist: HashMap<NodeId, usize> = HashMap::new();
+        dist.insert(v, 0);
+        let mut frontier = vec![v];
+        for d in 1..=radius {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for &nb in g.neighbors(u) {
+                    if let Entry::Vacant(e) = dist.entry(nb) {
+                        e.insert(d);
+                        *counts[d - 1].entry(g.label(nb)).or_insert(0) += 1;
+                        next.push(nb);
+                    }
+                }
+            }
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        // Cumulate: distance ≤ d.
+        let mut out: DistanceSignature = Vec::with_capacity(radius);
+        let mut acc: HashMap<Label, u32> = HashMap::new();
+        for layer in counts {
+            for (l, c) in layer {
+                *acc.entry(l).or_insert(0) += c;
+            }
+            let mut flat: Vec<(Label, u32)> = acc.iter().map(|(&l, &c)| (l, c)).collect();
+            flat.sort_unstable();
+            out.push(flat);
+        }
+        out
+    }
+
+    /// Reference fit: per label binary search at every distance.
+    fn signature_fits(qsig: &DistanceSignature, tsig: &DistanceSignature) -> bool {
+        qsig.iter().zip(tsig).all(|(qlayer, tlayer)| {
+            qlayer.iter().all(|&(l, qc)| {
+                let tc = tlayer
+                    .binary_search_by_key(&l, |&(tl, _)| tl)
+                    .map(|i| tlayer[i].1)
+                    .unwrap_or(0);
+                qc <= tc
+            })
+        })
+    }
+
+    /// A seeded random graph of two components with no edge between them
+    /// plus two isolated nodes, labelled from a pool that includes values
+    /// near `u32::MAX` and the overlay's tombstone.
+    fn split_graph(rng: &mut ChaCha8Rng) -> Graph {
+        const LABELS: [Label; 6] = [0, 3, 7, u32::MAX - 2, u32::MAX - 1, TOMBSTONE_LABEL];
+        let half = rng.random_range(1..12usize);
+        let n = 2 * half + 2;
+        let labels: Vec<Label> =
+            (0..n).map(|_| LABELS[rng.random_range(0..LABELS.len())]).collect();
+        let mut b = GraphBuilder::new();
+        b.add_nodes(&labels);
+        for _ in 0..rng.random_range(0..=3 * half) {
+            let base = if rng.random_bool(0.5) { 0 } else { half };
+            let u = (base + rng.random_range(0..half)) as NodeId;
+            let v = (base + rng.random_range(0..half)) as NodeId;
+            if u != v {
+                b.add_edge(u, v).expect("distinct endpoints");
+            }
+        }
+        b.build().expect("endpoints in range")
+    }
+
     #[test]
     fn distance_signature_of_path() {
         // 0 -1- 2 -3 chain labels a,b,c,d
         let g = graph_from_parts(&[10, 11, 12, 13], &[(0, 1), (1, 2), (2, 3)]);
-        let sig = distance_signature(&g, 0, 4);
-        assert_eq!(sig[0], vec![(11, 1)]); // within distance 1
-        assert_eq!(sig[1], vec![(11, 1), (12, 1)]); // within 2
-        assert_eq!(sig[2], vec![(11, 1), (12, 1), (13, 1)]);
+        let sigs = Signatures::build(&g, 4);
+        assert_eq!(sigs.layer(0, 1), [(11, 1)]); // within distance 1
+        assert_eq!(sigs.layer(0, 2), [(11, 1), (12, 1)]); // within 2
+        assert_eq!(sigs.layer(0, 3), [(11, 1), (12, 1), (13, 1)]);
         // Radius 4 exceeds eccentricity; the cumulative layer just repeats.
-        assert_eq!(sig.len(), 4);
-        assert_eq!(sig[3], sig[2]);
+        assert_eq!(sigs.layer(0, 4), sigs.layer(0, 3));
+        assert_eq!(sigs.layer(3, 1), [(12, 1)]);
+        assert_eq!(sigs.offsets.len(), 4 * 4 + 1);
     }
 
     #[test]
     fn signature_fits_cumulative_rule() {
-        let q = vec![vec![(1, 2)]]; // needs two label-1 within distance 1
-        let t_good = vec![vec![(1, 2), (2, 1)]];
-        let t_bad = vec![vec![(1, 1), (2, 5)]];
-        assert!(signature_fits(&q, &t_good));
-        assert!(!signature_fits(&q, &t_bad));
-        // Query demanding nodes beyond target's reach fails.
-        let q_deep = vec![vec![(1, 1)], vec![(1, 1), (2, 1)]];
-        let t_shallow = vec![vec![(1, 1)]];
-        assert!(!signature_fits(&q_deep, &t_shallow));
-        // ... unless the query has no demands there either.
-        let q_shallow = vec![vec![(1, 1)], vec![]];
-        assert!(signature_fits(&q_shallow, &t_shallow));
+        // Needs two label-1 within the distance.
+        assert!(layer_fits(&[(1, 2)], &[(1, 2), (2, 1)]));
+        assert!(!layer_fits(&[(1, 2)], &[(1, 1), (2, 5)]));
+        // A query label the target lacks fails, before or after its labels.
+        assert!(!layer_fits(&[(0, 1)], &[(1, 1), (2, 1)]));
+        assert!(!layer_fits(&[(1, 1), (3, 1)], &[(1, 1), (2, 1)]));
+        assert!(!layer_fits(&[(1, 1), (2, 1)], &[(1, 1)]));
+        // A query with no demands at a distance fits anything there.
+        assert!(layer_fits(&[], &[]));
+        assert!(layer_fits(&[], &[(1, 1)]));
+        assert!(layer_fits(
+            &[(2, 1), (TOMBSTONE_LABEL, 3)],
+            &[(1, 1), (2, 4), (TOMBSTONE_LABEL, 3)]
+        ));
+    }
+
+    #[test]
+    fn flat_signatures_match_the_hash_map_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4242);
+        for case in 0..60 {
+            let g = split_graph(&mut rng);
+            for radius in 1..=6 {
+                let sigs = Signatures::build(&g, radius);
+                assert_eq!(sigs.offsets.len(), g.node_count() * radius + 1);
+                for v in g.nodes() {
+                    let want = distance_signature(&g, v, radius);
+                    for d in 1..=radius {
+                        assert_eq!(sigs.layer(v, d), want[d - 1], "case {case} r {radius} v {v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_match_the_reference_signature_filter() {
+        let mut rng = ChaCha8Rng::seed_from_u64(977);
+        let budget = SearchBudget::unlimited();
+        for case in 0..40 {
+            let t = split_graph(&mut rng);
+            let q = split_graph(&mut rng);
+            for radius in [1, 2, 4, 6] {
+                let m = SPath::with_params(Arc::new(t.clone()), radius, DEFAULT_MAX_PATH_LEN);
+                let mut clock = budget.start();
+                let got = m.candidates(&q, GraphView::of_index(&m.index), &mut clock).unwrap();
+                let want: Vec<Vec<NodeId>> = q
+                    .nodes()
+                    .map(|u| {
+                        let qsig = distance_signature(&q, u, radius);
+                        m.index
+                            .candidates(q.label(u))
+                            .iter()
+                            .copied()
+                            .filter(|&v| {
+                                q.degree(u) <= t.degree(v)
+                                    && signature_fits(&qsig, &distance_signature(&t, v, radius))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(got, want, "case {case} radius {radius}");
+            }
+        }
     }
 
     #[test]
