@@ -93,15 +93,27 @@ impl QueryFeatures {
     /// Euclidean distance in (crudely) normalized feature space: counts are
     /// log-scaled so a 32-edge query isn't infinitely far from a 24-edge one.
     pub fn distance(&self, other: &Self) -> f64 {
-        let a = self.as_array();
-        let b = other.as_array();
-        let mut d2 = 0.0;
-        for i in 0..a.len() {
-            let (x, y) = if i < 2 { ((a[i] + 1.0).ln(), (b[i] + 1.0).ln()) } else { (a[i], b[i]) };
-            d2 += (x - y) * (x - y);
-        }
-        d2.sqrt()
+        squared_distance(&self.point(), &other.point()).sqrt()
     }
+
+    /// The features as a point of the distance space: the two counts
+    /// log-scaled, the rest as they are.
+    fn point(&self) -> [f64; 6] {
+        let mut p = self.as_array();
+        for x in &mut p[..2] {
+            *x = (*x + 1.0).ln();
+        }
+        p
+    }
+}
+
+/// Squared Euclidean distance between two points of the distance space.
+fn squared_distance(a: &[f64; 6], b: &[f64; 6]) -> f64 {
+    let mut d2 = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        d2 += (x - y) * (x - y);
+    }
+    d2
 }
 
 /// Lifetime win/loss/timeout record of one racing entrant, accumulated
@@ -153,6 +165,10 @@ impl EntrantTally {
 #[derive(Debug, Clone)]
 pub struct VariantPredictor {
     samples: Vec<(QueryFeatures, usize)>,
+    /// Each sample's [`QueryFeatures::point`], slot for slot with
+    /// `samples`: taken once per observation, so a prediction's scan
+    /// does no logarithms.
+    points: Vec<[f64; 6]>,
     /// Next ring slot to overwrite once `samples` reaches `window`.
     next: usize,
     /// Total observations ever recorded (can exceed `samples.len()`).
@@ -183,6 +199,7 @@ impl VariantPredictor {
         assert!(window >= 1, "window must be positive");
         Self {
             samples: Vec::new(),
+            points: Vec::new(),
             next: 0,
             observed: 0,
             tallies: Vec::new(),
@@ -216,8 +233,10 @@ impl VariantPredictor {
         self.tally_mut(winner).wins += 1;
         if self.samples.len() < self.window {
             self.samples.push((features, winner));
+            self.points.push(features.point());
         } else {
             self.samples[self.next] = (features, winner);
+            self.points[self.next] = features.point();
             self.next = (self.next + 1) % self.window;
         }
     }
@@ -290,6 +309,7 @@ impl VariantPredictor {
     ) {
         let skip = samples.len().saturating_sub(self.window);
         self.samples = samples[skip..].to_vec();
+        self.points = self.samples.iter().map(|(f, _)| f.point()).collect();
         self.next =
             if self.samples.len() < self.window { 0 } else { self.samples.len() % self.window };
         self.tallies = tallies;
@@ -375,12 +395,31 @@ impl VariantPredictor {
 
     /// The k nearest training samples to `features`, as
     /// `(distance, winner)` pairs ordered nearest first.
+    ///
+    /// One pass over the samples keeps the k best in a short sorted list,
+    /// so a prediction costs one squared distance per sample, not a sort
+    /// of the whole window. A sample is inserted after every kept one at
+    /// the same distance, so ties keep storage order, as a stable sort by
+    /// distance would.
     fn nearest(&self, features: &QueryFeatures) -> Vec<(f64, usize)> {
-        let mut by_dist: Vec<(f64, usize)> =
-            self.samples.iter().map(|(f, w)| (features.distance(f), *w)).collect();
-        by_dist.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
-        by_dist.truncate(self.k);
-        by_dist
+        let at = features.point();
+        // (distance, squared distance, winner), nearest first.
+        let mut best: Vec<(f64, f64, usize)> = Vec::with_capacity(self.k + 1);
+        for (p, &(_, w)) in self.points.iter().zip(&self.samples) {
+            let d2 = squared_distance(&at, p);
+            // Farther than the k-th kept sample: its distance is no less.
+            if best.len() == self.k && d2 > best[self.k - 1].1 {
+                continue;
+            }
+            let d = d2.sqrt();
+            debug_assert!(d.is_finite(), "distances are finite");
+            let pos = best.partition_point(|&(e, _, _)| e <= d);
+            if pos < self.k {
+                best.insert(pos, (d, d2, w));
+                best.truncate(self.k);
+            }
+        }
+        best.into_iter().map(|(d, _, w)| (d, w)).collect()
     }
 }
 
@@ -598,6 +637,56 @@ mod tests {
         p.bump_version();
         assert_eq!(p.version(), 2);
         assert_eq!(p.predict(&path_query()), Some(0), "samples survive the bump");
+    }
+
+    /// The scan before the bounded selection: every sample's distance,
+    /// stably sorted, cut to k.
+    fn nearest_by_sort(p: &VariantPredictor, features: &QueryFeatures) -> Vec<(f64, usize)> {
+        let mut by_dist: Vec<(f64, usize)> =
+            p.samples.iter().map(|(f, w)| (features.distance(f), *w)).collect();
+        by_dist.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
+        by_dist.truncate(p.k);
+        by_dist
+    }
+
+    /// Features on a coarse grid (two bits of `cells` per feature), so
+    /// that many samples lie at exactly the same distance from a probe
+    /// and tie order is exercised.
+    fn grid_features(cells: u64) -> QueryFeatures {
+        let c = |i: u32| ((cells >> (2 * i)) & 3) as f64;
+        QueryFeatures::from_array([
+            c(0) * 3.0,
+            c(1) * 2.0,
+            c(2) / 4.0,
+            c(3),
+            c(4) / 8.0,
+            c(5) / 3.0,
+        ])
+    }
+
+    proptest::proptest! {
+        /// The bounded scan keeps the same k samples, in the same order,
+        /// as a stable sort of the whole window, ring wrap and restore
+        /// included.
+        #[test]
+        fn nearest_matches_a_stable_sort(
+            k in 1usize..6,
+            window in 1usize..40,
+            observed in proptest::collection::vec((proptest::prelude::any::<u64>(), 0usize..3), 0..80),
+            probes in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..8),
+        ) {
+            let mut p = VariantPredictor::with_window(k, window);
+            for &(cells, w) in &observed {
+                p.observe(grid_features(cells), w);
+            }
+            let mut restored = VariantPredictor::with_window(k, window);
+            restored.restore(p.samples(), p.tallies().to_vec(), p.observations());
+            for &cells in &probes {
+                let f = grid_features(cells);
+                proptest::prop_assert_eq!(p.nearest(&f), nearest_by_sort(&p, &f));
+                proptest::prop_assert_eq!(restored.nearest(&f), nearest_by_sort(&restored, &f));
+            }
+        }
     }
 
     #[test]
