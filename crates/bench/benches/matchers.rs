@@ -2,9 +2,11 @@
 //! same (stored graph, query) pairs, decision and matching modes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psi_graph::datasets;
+use psi_graph::{datasets, Graph, TargetIndex};
 use psi_matchers::{Algorithm, Matcher, SearchBudget};
 use psi_workload::Workloads;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -51,6 +53,27 @@ fn bench_matchers(c: &mut Criterion) {
     }
     group.finish();
 
+    // The same regime as a stream: each iteration searches the next of
+    // 256 distinct queries, 7 to 24 nodes drawn as in `cold_search`, so
+    // the index's rule-1 candidate memo sees a realistic mix of seen and
+    // new query-vertex profiles (a single repeated query would only ever
+    // read a warm memo). Both matchers share one index, as racing
+    // entrants do.
+    let stream = cold_search_stream(&wordnet, 256);
+    let index = Arc::new(TargetIndex::build(Arc::clone(&wordnet)));
+    let mut group = c.benchmark_group("matchers_stream_wordnet");
+    for alg in [Algorithm::GraphQl, Algorithm::SPath] {
+        let m = alg.prepare_indexed(Arc::clone(&index));
+        let mut next = 0;
+        group.bench_function(alg.short_name(), |b| {
+            b.iter(|| {
+                next = (next + 1) % stream.len();
+                black_box(m.search(&stream[next], &SearchBudget::first_match()))
+            })
+        });
+    }
+    group.finish();
+
     let mut group = c.benchmark_group("matchers_matching_cap100");
     let query = Workloads::single_query(&stored, 12, 5).expect("generable");
     for (alg, m) in &prepared {
@@ -59,6 +82,26 @@ fn bench_matchers(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// `count` queries grown from `g`, each from its own seed, with 6 to 23
+/// edges and the smaller ones more often (`P(6 + k) ∝ 1 / (k + 1)`, the
+/// Zipf shape `cold_search` draws its query sizes from).
+fn cold_search_stream(g: &Graph, count: usize) -> Vec<Graph> {
+    let mut rng = ChaCha8Rng::seed_from_u64(WORDNET_SEED);
+    let weights: Vec<f64> = (1..=18).map(|k| 1.0 / f64::from(k)).collect();
+    let total: f64 = weights.iter().sum();
+    (0..count as u64)
+        .map(|seed| {
+            let mut draw = rng.random_range(0.0..total);
+            let mut k = 0;
+            while k + 1 < weights.len() && draw >= weights[k] {
+                draw -= weights[k];
+                k += 1;
+            }
+            Workloads::single_query(g, 6 + k, seed).expect("generable")
+        })
+        .collect()
 }
 
 fn bench_prepare(c: &mut Criterion) {

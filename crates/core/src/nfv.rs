@@ -539,6 +539,21 @@ mod tests {
     }
 
     #[test]
+    fn the_index_built_at_compaction_starts_with_an_empty_candidate_memo() {
+        let g = stored();
+        let q = query_from(&g);
+        let psi = PsiRunner::nfv_default(&g);
+        assert!(psi.race(&q, RaceBudget::decision()).found());
+        assert!(psi.live_index().candidate_memo_stats().misses > 0, "races fill the memo");
+        psi.apply_update(&GraphUpdate::new(vec![UpdateOp::AddNode { label: 0 }])).unwrap();
+        psi.compact().expect("an overlay to fold");
+        let fresh = psi.live_index();
+        assert_eq!(fresh.candidate_memo_stats(), Default::default());
+        assert!(psi.race(&q, RaceBudget::decision()).found());
+        assert!(fresh.candidate_memo_stats().misses > 0, "the new epoch fills its own memo");
+    }
+
+    #[test]
     fn with_config_reuses_and_extends() {
         let g = stored();
         let psi = PsiRunner::nfv_default(&g);

@@ -85,6 +85,15 @@ impl<'a> GraphView<'a> {
         self.index.is_some()
     }
 
+    /// The view's index when no overlay is attached: then every
+    /// candidate list, degree and signature the view answers is the
+    /// index's own, so answers derived from them (the index's candidate
+    /// memo) hold for the view. `None` with an overlay or without an
+    /// index.
+    pub fn base_index(&self) -> Option<&'a TargetIndex> {
+        self.index.filter(|_| self.overlay.is_none())
+    }
+
     /// Number of nodes in the view (base + appended; tombstones retain
     /// their IDs and stay counted).
     pub fn node_count(&self) -> usize {

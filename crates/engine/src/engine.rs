@@ -24,8 +24,9 @@
 //! 3. **Predictor fast heat** — once the k-NN predictor has seen enough
 //!    races and votes confidently, the race's first heat is the predicted
 //!    variant alone, run inline on the setup worker with the rest of the
-//!    field in reserve; an inconclusive heat escalates the reserve (the
-//!    race's insurance is never lost).
+//!    field in reserve; a heat that drains inconclusive, or whose leader
+//!    still runs one stage window after it started, escalates the
+//!    reserve.
 //! 4. **Pooled race** — every variant is one pool task sharing a
 //!    [`psi_core::RaceState`]; the first conclusive finisher cancels the rest
 //!    through the shared `CancelToken`, exactly as in

@@ -18,11 +18,13 @@
 //!   feedback, cache store, stats, ticket fulfillment — right there on
 //!   the pooled worker;
 //! * a heat that drains inconclusive escalates its reserve immediately
-//!   from the reporting task itself, and staged heats (never the fast
-//!   heat) also register a stage deadline with the engine's one
-//!   [`StageTimer`] thread, which fires undecided heats' reserves at the
-//!   right fraction of the race budget. A decided or cancelled race
-//!   prunes its reserve instead.
+//!   from the reporting task itself, and every heat with a reserve also
+//!   registers a stage deadline with the engine's one [`StageTimer`]
+//!   thread, which fires undecided heats' reserves: a staged heat's at
+//!   the right fraction of the race budget, a fast heat's one
+//!   [`UNTIMED_STAGE_WINDOW`] after its leader starts, so a stuck leader
+//!   cannot hold the race until the budget runs out. A decided or
+//!   cancelled race prunes its reserve instead.
 //!
 //! No thread belongs to any one query: N in-flight races cost N
 //! allocations, not N threads. Until the flight exists the query's
@@ -53,9 +55,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Notional race window used to place the stage deadline when the race
-/// budget has no wall-clock timeout. Conclusive heats on typical serving
-/// queries finish far inside this; only genuinely stuck heats escalate.
+/// budget has no wall-clock timeout, and a fast heat's deadline under any
+/// budget. Conclusive heats on typical serving queries finish far inside
+/// this; only genuinely stuck heats escalate.
 const UNTIMED_STAGE_WINDOW: Duration = Duration::from_millis(25);
+
+/// How late the stage timer may run a check: it sleeps until the earliest
+/// deadline plus this slack, so deadlines that fall within it of one
+/// another share one wake. Every fast heat registers a deadline, and
+/// nearly all of them finish long before it, so without the slack the
+/// timer would wake once per fast heat.
+const TIMER_SLACK: Duration = Duration::from_millis(2);
 
 /// Every Nth staged race runs the full field instead — an exploration
 /// probe. An uncontested heat win is self-fulfilling evidence (the
@@ -90,7 +100,8 @@ pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
     let core = &d.core;
 
     // The one plan decision. A confident prediction is a fast heat: the
-    // leader alone, the rest in reserve, no stage deadline. Otherwise
+    // leader alone, the rest in reserve until the leader drains
+    // inconclusive or outlives one stage window. Otherwise
     // Adaptive stages only when the predictor was consultable (trained
     // past its observation floor); every EXPLORATION_PERIODth would-be
     // staged race runs the full field instead, so contested evidence
@@ -182,6 +193,22 @@ pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
             permit,
         }),
     });
+    if let Some(timer) = timer.upgrade().filter(|_| staged || fast) {
+        // A staged heat with a timed budget anchors its stage deadline at
+        // admission — entrant deadlines are admission-anchored, so
+        // escalating any later than the race deadline would be useless.
+        // Every other heat anchors at the instant it begins executing
+        // (see `RaceFlight::current_stage_deadline`); the first check
+        // fires one window out and re-arms as needed. The fast heat
+        // registers before its leader runs inline below.
+        let first = match flight.budget.timeout {
+            Some(_) if staged => {
+                flight.budget.stage_deadline(admitted, escalate_after, UNTIMED_STAGE_WINDOW)
+            }
+            _ => Instant::now() + UNTIMED_STAGE_WINDOW,
+        };
+        timer.register(first, Arc::downgrade(&flight));
+    }
     if fast {
         // Inline: we are already on a worker, so the fast heat adds no
         // pool hop. The strong pool handle goes first — the heat may
@@ -202,19 +229,6 @@ pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
         } else {
             pool.submit(entrant_task(Arc::clone(&flight), idx, entrant));
         }
-    }
-    if let Some(timer) = timer.upgrade().filter(|_| staged) {
-        // Timed budgets anchor the stage deadline at admission — entrant
-        // deadlines are admission-anchored, so escalating any later than
-        // the race deadline would be useless. Untimed budgets anchor at
-        // the instant the heat actually begins executing (see
-        // `RaceFlight::stage_check`); the first check fires one window
-        // out and re-arms as needed.
-        let first = match flight.budget.timeout {
-            Some(_) => flight.budget.stage_deadline(admitted, escalate_after, UNTIMED_STAGE_WINDOW),
-            None => Instant::now() + UNTIMED_STAGE_WINDOW,
-        };
-        timer.register(first, Arc::downgrade(&flight));
     }
 }
 
@@ -254,7 +268,8 @@ pub(crate) struct RaceFlight {
     features: QueryFeatures,
     variants: Vec<Variant>,
     /// The plan was a fast heat: the predictor's leader alone, the rest
-    /// of the field in reserve until the leader drains inconclusive.
+    /// of the field in reserve until the leader drains inconclusive or
+    /// is still running one stage window after it started.
     fast: bool,
     escalate_after: f64,
     slot: Arc<CompletionSlot>,
@@ -418,19 +433,26 @@ fn run_slice(group: &Arc<SliceGroup>, slice: u32) {
 }
 
 impl RaceFlight {
-    /// The stage deadline as of now: admission-anchored for timed
-    /// budgets; anchored at the heat's first actual execution for
+    /// The stage deadline as of now. A fast heat's is one
+    /// [`UNTIMED_STAGE_WINDOW`] after its leader started, whatever the
+    /// budget: a leader still running then is a straggler, and its
+    /// reserve launches. A staged heat's is admission-anchored for timed
+    /// budgets and anchored at the heat's first actual execution for
     /// untimed ones (`None` while the heat is still queued), so pool
     /// queueing delay on a saturated pool cannot trigger spurious
     /// escalations before the heat has even run.
     fn current_stage_deadline(&self) -> Option<Instant> {
+        let begun = self.state.first_entrant_started();
+        if self.fast {
+            return begun.map(|begun| begun + UNTIMED_STAGE_WINDOW);
+        }
         match self.budget.timeout {
             Some(_) => Some(self.budget.stage_deadline(
                 self.admitted,
                 self.escalate_after,
                 UNTIMED_STAGE_WINDOW,
             )),
-            None => self.state.first_entrant_started().map(|begun| {
+            None => begun.map(|begun| {
                 self.budget.stage_deadline(begun, self.escalate_after, UNTIMED_STAGE_WINDOW)
             }),
         }
@@ -787,9 +809,9 @@ struct TimerShared {
 
 /// One timer thread per engine (shared across all graphs of a
 /// [`crate::MultiEngine`]) that fires stage-deadline checks for every
-/// staged race in flight. Entries hold the flight weakly: a race that
-/// finalized (or whose ticket was dropped and finalized early) simply
-/// never fires.
+/// staged race and fast heat in flight, at most [`TIMER_SLACK`] late.
+/// Entries hold the flight weakly: a race that finalized (or whose
+/// ticket was dropped and finalized early) simply never fires.
 pub(crate) struct StageTimer {
     shared: Arc<TimerShared>,
     handle: Option<JoinHandle<()>>,
@@ -854,7 +876,7 @@ fn timer_loop(shared: &TimerShared) {
                 match inner.queue.peek() {
                     Some(entry) if entry.at <= now => break,
                     Some(entry) => {
-                        let wait = entry.at - now;
+                        let wait = entry.at - now + TIMER_SLACK;
                         inner = shared.tick.wait_timeout(inner, wait).expect("stage timer lock").0;
                     }
                     None => inner = shared.tick.wait(inner).expect("stage timer lock"),

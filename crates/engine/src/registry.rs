@@ -762,6 +762,74 @@ mod tests {
         ));
     }
 
+    // ---- Fast-heat insurance ----
+
+    /// A confident prediction runs its leader alone, but a leader still
+    /// running one stage window after it started launches the reserve:
+    /// here the leader could not finish inside the 10 s budget, and the
+    /// reserve answers in milliseconds.
+    #[test]
+    fn a_stuck_fast_heat_leader_launches_its_reserve() {
+        use crate::engine::ServePath;
+        use psi_core::predictor::QueryFeatures;
+        use psi_core::Variant;
+        use psi_graph::graph::graph_from_parts;
+        use psi_matchers::Algorithm;
+        use psi_rewrite::Rewriting;
+        use std::time::Duration;
+
+        // Target: a 2000-node cycle, one label.
+        let n = 2000u32;
+        let ring: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let stored = graph_from_parts(&vec![0; n as usize], &ring);
+        // Query: a 12-node path numbered so that nodes 0..=5 are pairwise
+        // non-adjacent. Ullmann binds vertices in ID order, so it places
+        // those six anywhere on the ring (~2000^6 ways) before its first
+        // edge check; GraphQL follows edges and embeds the path at once.
+        let walk = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11];
+        let path: Vec<(u32, u32)> = walk.windows(2).map(|w| (w[0], w[1])).collect();
+        let query = graph_from_parts(&[0; 12], &path);
+        let runner = PsiRunner::new(
+            Arc::new(stored),
+            PsiConfig::new(vec![
+                Variant::new(Algorithm::Ullmann, Rewriting::Orig),
+                Variant::new(Algorithm::GraphQl, Rewriting::Orig),
+            ]),
+        );
+        let budget = Duration::from_secs(10);
+        let multi = MultiEngine::new(MultiEngineConfig {
+            workers: 2,
+            max_concurrent_races: 1,
+            tenant: EngineConfig {
+                cache_capacity: 0,
+                predictor_min_observations: 1,
+                predictor_confidence: 0.6,
+                default_budget: RaceBudget::decision().timeout(budget),
+                ..EngineConfig::default()
+            },
+        });
+        let id = multi.register("ring", runner).unwrap();
+        // Teach the predictor that Ullmann wins queries like this one.
+        {
+            let tenant = multi.registry.tenant(id).unwrap();
+            let core = &tenant.core;
+            let features = QueryFeatures::extract(&query, core.runner.label_stats());
+            let mut predictor = core.predictor.lock().unwrap();
+            for _ in 0..4 {
+                predictor.observe(features, 0);
+            }
+        }
+        let started = Instant::now();
+        let r = multi.submit(id, &query).unwrap();
+        let elapsed = started.elapsed();
+        assert!(r.conclusive && r.found(), "the reserve's GraphQL answers");
+        assert_eq!(r.path, ServePath::Race, "an escalated fast heat answers as a race");
+        assert!(elapsed < budget / 5, "finished in {elapsed:?}, far below the {budget:?} budget");
+        let stats = multi.graph_stats(id).unwrap();
+        assert_eq!((stats.fast_paths, stats.fast_path_fallbacks), (0, 1));
+        assert_eq!(stats.inconclusive, 0);
+    }
+
     #[test]
     fn registry_directory_tracks_registration_order() {
         use psi_graph::graph::graph_from_parts;

@@ -21,7 +21,12 @@
 //!   a 64-bit label-presence mask for an O(1) containment pre-filter;
 //! * **`has_edge(u, v)`** — a dense adjacency **bitset** fast path for
 //!   small or hub-heavy graphs (`O(1)` per probe), falling back to the
-//!   CSR binary search when the bitset would be too large.
+//!   CSR binary search when the bitset would be too large;
+//! * **`rule_one_candidates(query, u)`** — GraphQL's rule 1 (label,
+//!   degree and neighbour-label containment) for one query vertex,
+//!   answered from a bounded memo keyed by the vertex's label and sorted
+//!   neighbour-label multiset, so a profile seen before (by any entrant
+//!   of any query) is filtered once, not once per search.
 //!
 //! The index is pure derived state: it holds an `Arc<Graph>` and can be
 //! rebuilt from it at any time, which is exactly what makes it the
@@ -29,10 +34,14 @@
 //! structure is stored as **flat arrays** (offset/value pairs instead of
 //! nested `Vec`s or hash maps), so a snapshot of the index is a handful
 //! of contiguous sections and loading one is [`TargetIndex::from_parts`]
-//! — validate + move, no rebuild.
+//! — validate + move, no rebuild. The candidate memo is the one piece of
+//! mutable state: a cache of answers derived from the sections, never
+//! persisted, and empty in every freshly built or loaded index.
 
 use crate::graph::{Graph, Label, NodeId};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Memory cap for the dense adjacency bitset: `n² / 8` bytes must fit
@@ -50,6 +59,108 @@ pub const HUB_DEGREE_THRESHOLD: usize = 64;
 /// carrying an older version is ignored and the index rebuilt from the
 /// graph instead.
 pub const INDEX_LAYOUT_VERSION: u32 = 1;
+
+/// Byte cap of one index's rule-1 candidate memo
+/// ([`TargetIndex::rule_one_candidates`]). An insert that would cross it
+/// clears the memo first.
+pub const CANDIDATE_MEMO_MAX_BYTES: usize = 1 << 20;
+
+/// Bytes charged per memo entry on top of its key and bitset: the
+/// hash-table slot (two boxed-slice headers) and two allocation headers.
+const MEMO_ENTRY_OVERHEAD: usize = 64;
+
+/// Counters of a [`TargetIndex`]'s rule-1 candidate memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CandidateMemoStats {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that scanned the label list.
+    pub misses: u64,
+    /// Times the memo was emptied because an insert would cross its cap.
+    pub clears: u64,
+    /// Bytes the memo's entries are charged (keys, bitsets, per-entry
+    /// overhead), at most the cap.
+    pub bytes: usize,
+}
+
+/// Rule-1 answers keyed by query-vertex profile. The key is the vertex's
+/// label followed by its sorted neighbour-label multiset; the value has
+/// bit `i` set iff `candidates(label)[i]` passes rule 1 for that key.
+struct CandidateMemo {
+    entries: HashMap<Box<[Label]>, Box<[u64]>>,
+    cap: usize,
+    stats: CandidateMemoStats,
+}
+
+impl CandidateMemo {
+    fn new() -> Self {
+        Self { entries: HashMap::new(), cap: CANDIDATE_MEMO_MAX_BYTES, stats: Default::default() }
+    }
+
+    /// Stores `bits` under `key`, clearing the memo first if the entry
+    /// would cross the cap. An entry larger than the whole cap is not
+    /// stored; a key a concurrent miss stored first is kept as it is.
+    fn insert(&mut self, key: Box<[Label]>, bits: Box<[u64]>) {
+        let size = size_of_val(&*key) + size_of_val(&*bits) + MEMO_ENTRY_OVERHEAD;
+        if size > self.cap || self.entries.contains_key(&key) {
+            return;
+        }
+        if self.stats.bytes + size > self.cap {
+            self.entries.clear();
+            self.stats.bytes = 0;
+            self.stats.clears += 1;
+        }
+        self.stats.bytes += size;
+        self.entries.insert(key, bits);
+    }
+}
+
+impl fmt::Debug for CandidateMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CandidateMemo")
+            .field("entries", &self.entries.len())
+            .field("stats", &self.stats)
+            .finish()
+    }
+}
+
+/// GraphQL's rule 1 for one target vertex: a query vertex with sorted
+/// neighbour-label multiset `query_sig` (mask `query_mask`, see
+/// [`TargetIndex::mask_of`]) may map to a vertex of `degree`, label mask
+/// `mask` and signature `signature` only if the degree suffices and the
+/// signature contains the query's. The mask test is necessary for
+/// containment, so it only skips doomed multiset walks.
+#[inline]
+pub fn rule_one_fits(
+    query_sig: &[Label],
+    query_mask: u64,
+    degree: usize,
+    mask: u64,
+    signature: &[Label],
+) -> bool {
+    query_sig.len() <= degree && query_mask & !mask == 0 && multiset_contains(signature, query_sig)
+}
+
+/// Whether sorted multiset `needle` is contained in sorted multiset `hay`.
+fn multiset_contains(hay: &[Label], needle: &[Label]) -> bool {
+    let mut i = 0;
+    for &x in needle {
+        loop {
+            if i >= hay.len() {
+                return false;
+            }
+            if hay[i] == x {
+                i += 1;
+                break;
+            }
+            if hay[i] > x {
+                return false;
+            }
+            i += 1;
+        }
+    }
+    true
+}
 
 /// Dense row-major adjacency bits: bit `u * n + v` is set iff `(u, v)`
 /// is an edge. Symmetric (undirected graphs), so either orientation of a
@@ -111,7 +222,8 @@ pub struct IndexParts {
 
 /// Shared, immutable derived state of one stored graph. Build once at
 /// registration ([`TargetIndex::build`]), share via `Arc` across every
-/// matcher, race and query.
+/// matcher, race and query. Its only mutable part is the internally
+/// locked rule-1 candidate memo.
 #[derive(Debug)]
 pub struct TargetIndex {
     graph: Arc<Graph>,
@@ -142,6 +254,8 @@ pub struct TargetIndex {
     bits: Option<DenseBits>,
     /// Wall-clock cost of building this index, microseconds.
     build_micros: u64,
+    /// Rule-1 candidate lists by query-vertex profile; never persisted.
+    memo: Mutex<CandidateMemo>,
 }
 
 impl TargetIndex {
@@ -221,6 +335,7 @@ impl TargetIndex {
             label_masks,
             bits,
             build_micros: t0.elapsed().as_micros().min(u64::MAX as u128) as u64,
+            memo: Mutex::new(CandidateMemo::new()),
         }
     }
 
@@ -328,6 +443,7 @@ impl TargetIndex {
             label_masks,
             bits,
             build_micros: 0,
+            memo: Mutex::new(CandidateMemo::new()),
         })
     }
 
@@ -438,6 +554,66 @@ impl TargetIndex {
         }
     }
 
+    /// GraphQL's rule 1 for query vertex `u`: the vertices of
+    /// `candidates(query.label(u))`, in that order, that pass
+    /// [`rule_one_fits`] for `u`'s sorted neighbour-label multiset.
+    ///
+    /// The answer depends only on `u`'s label and multiset (the degree
+    /// of a vertex of a simple graph is its multiset's size), so it is
+    /// memoized under that key: a seen key is answered from a bitset
+    /// over the label list without scanning it. A miss scans, calling
+    /// `tick` once per scanned vertex; an `Err` from `tick` aborts the
+    /// scan and stores nothing. The memo is bounded by
+    /// [`CANDIDATE_MEMO_MAX_BYTES`] and clears when an insert would cross
+    /// it.
+    pub fn rule_one_candidates<E>(
+        &self,
+        query: &Graph,
+        u: NodeId,
+        mut tick: impl FnMut() -> Result<(), E>,
+    ) -> Result<Vec<NodeId>, E> {
+        let label = query.label(u);
+        let mut key = Vec::with_capacity(query.degree(u) + 1);
+        key.push(label);
+        key.extend(query.neighbors(u).iter().map(|&n| query.label(n)));
+        key[1..].sort_unstable();
+        let list = self.candidates(label);
+        {
+            let mut memo = self.lock_memo();
+            if let Some(bits) = memo.entries.get(&key[..]) {
+                let out = decode_positions(bits, list);
+                memo.stats.hits += 1;
+                return Ok(out);
+            }
+            memo.stats.misses += 1;
+        }
+        let sig = &key[1..];
+        let mask = Self::mask_of(sig);
+        let mut bits = vec![0u64; list.len().div_ceil(64)];
+        let mut out = Vec::new();
+        for (i, &v) in list.iter().enumerate() {
+            tick()?;
+            if rule_one_fits(sig, mask, self.degree(v), self.label_mask(v), self.signature(v)) {
+                bits[i / 64] |= 1 << (i % 64);
+                out.push(v);
+            }
+        }
+        self.lock_memo().insert(key.into_boxed_slice(), bits.into_boxed_slice());
+        Ok(out)
+    }
+
+    /// Hit, miss and clear counts and the charged size of the rule-1
+    /// candidate memo.
+    pub fn candidate_memo_stats(&self) -> CandidateMemoStats {
+        self.lock_memo().stats
+    }
+
+    /// The memo holds only derived answers, each inserted whole, so a
+    /// panic elsewhere while it was locked cannot leave it inconsistent.
+    fn lock_memo(&self) -> MutexGuard<'_, CandidateMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Wall-clock cost of building this index, in microseconds. Zero for
     /// an index loaded from a snapshot ([`TargetIndex::from_parts`]) —
     /// nothing was built.
@@ -447,8 +623,9 @@ impl TargetIndex {
     }
 
     /// Approximate resident size of the index in bytes (excluding the
-    /// graph itself): degrees + orders + signatures + masks + label
-    /// lists + bitset words. Documented in `docs/architecture.md` as the
+    /// graph itself and the candidate memo, which
+    /// [`TargetIndex::candidate_memo_stats`] reports): degrees + orders +
+    /// signatures + masks + label lists + bitset words. Documented in `docs/architecture.md` as the
     /// per-graph memory cost of registration.
     pub fn memory_bytes(&self) -> usize {
         self.degrees.len() * size_of::<u32>()
@@ -463,16 +640,128 @@ impl TargetIndex {
     }
 }
 
+/// The entries of `list` at the set bit positions of `bits`, in order.
+fn decode_positions(bits: &[u64], list: &[NodeId]) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            out.push(list[w * 64 + word.trailing_zeros() as usize]);
+            word &= word - 1;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{random_connected_graph, LabelDist};
     use crate::graph::graph_from_parts;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn index(g: Graph) -> TargetIndex {
         TargetIndex::build(Arc::new(g))
+    }
+
+    fn rule_one(ix: &TargetIndex, query: &Graph, u: NodeId) -> Vec<NodeId> {
+        ix.rule_one_candidates(query, u, || Ok::<(), ()>(())).unwrap()
+    }
+
+    /// Rule 1 by label-list scan with per-label neighbour counts: the
+    /// reference the memoized answers are held to.
+    fn scanned_rule_one(ix: &TargetIndex, query: &Graph, u: NodeId) -> Vec<NodeId> {
+        let counts = |g: &Graph, v: NodeId| {
+            let mut c = std::collections::BTreeMap::<Label, usize>::new();
+            for &n in g.neighbors(v) {
+                *c.entry(g.label(n)).or_default() += 1;
+            }
+            c
+        };
+        let want = counts(query, u);
+        ix.candidates(query.label(u))
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let have = counts(ix.graph(), v);
+                want.iter().all(|(l, &n)| have.get(l).is_some_and(|&h| h >= n))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multiset_contains_works() {
+        assert!(multiset_contains(&[1, 1, 2, 3], &[1, 2]));
+        assert!(multiset_contains(&[1, 1, 2, 3], &[1, 1]));
+        assert!(!multiset_contains(&[1, 2, 3], &[1, 1]));
+        assert!(!multiset_contains(&[1, 2], &[4]));
+        assert!(multiset_contains(&[1, 2], &[]));
+        assert!(!multiset_contains(&[], &[1]));
+    }
+
+    #[test]
+    fn candidate_memo_counts_hits_misses_and_clears() {
+        // Star: hub 0 (label 1) with leaves labelled 2, 2, 3.
+        let ix = index(graph_from_parts(&[1, 2, 2, 3], &[(0, 1), (0, 2), (0, 3)]));
+        assert_eq!(ix.candidate_memo_stats(), CandidateMemoStats::default());
+        let q = graph_from_parts(&[1, 2, 2], &[(0, 1), (0, 2)]);
+        assert_eq!(rule_one(&ix, &q, 0), [0]);
+        let cold = ix.candidate_memo_stats();
+        assert_eq!((cold.hits, cold.misses, cold.clears), (0, 1, 0));
+        // Key [1, 2, 2], one bitset word, the per-entry overhead.
+        assert_eq!(cold.bytes, 3 * 4 + 8 + MEMO_ENTRY_OVERHEAD);
+        assert_eq!(rule_one(&ix, &q, 0), [0], "a hit answers as the scan did");
+        // Vertices 1 and 2 share the profile (label 2, neighbours [1]).
+        assert_eq!(rule_one(&ix, &q, 1), [1, 2]);
+        assert_eq!(rule_one(&ix, &q, 2), [1, 2]);
+        let warm = ix.candidate_memo_stats();
+        assert_eq!((warm.hits, warm.misses, warm.clears), (2, 2, 0));
+        assert_eq!(warm.bytes, cold.bytes + 2 * 4 + 8 + MEMO_ENTRY_OVERHEAD);
+        // A cap that holds one entry: each new key clears the other.
+        ix.lock_memo().cap = cold.bytes;
+        assert_eq!(rule_one(&ix, &q, 0), [0], "still a hit: the cap applies on insert");
+        let q2 = graph_from_parts(&[2, 1], &[(0, 1)]);
+        assert_eq!(rule_one(&ix, &q2, 1), [0]);
+        let tight = ix.candidate_memo_stats();
+        assert_eq!((tight.hits, tight.misses, tight.clears), (3, 3, 1));
+        assert_eq!(tight.bytes, 2 * 4 + 8 + MEMO_ENTRY_OVERHEAD);
+        // An aborted scan counts its miss but stores nothing.
+        let q3 = graph_from_parts(&[2, 3], &[(0, 1)]);
+        assert_eq!(ix.rule_one_candidates(&q3, 0, || Err("stop")), Err("stop"));
+        assert_eq!(ix.candidate_memo_stats().misses, 4);
+        assert_eq!(ix.candidate_memo_stats().bytes, tight.bytes);
+    }
+
+    proptest! {
+        /// Memoized rule-1 lists equal a fresh scan, cold and warm, under
+        /// caps from nothing to a few entries: queries drawn from three
+        /// labels repeat profiles, and the tiny caps force clears.
+        #[test]
+        fn memoized_rule_one_matches_a_fresh_scan(seed in any::<u64>(), cap in 0usize..640) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let labels = LabelDist::Uniform { num_labels: 3 }.sampler();
+            let n = rng.random_range(2..40);
+            let m = rng.random_range(n - 1..=2 * n);
+            let ix = index(random_connected_graph(n, m, &labels, &mut rng));
+            ix.lock_memo().cap = cap;
+            let mut lookups = 0;
+            for _ in 0..6 {
+                let qn = rng.random_range(1..7);
+                let qm = rng.random_range(qn - 1..=qn * (qn - 1) / 2);
+                let q = random_connected_graph(qn, qm, &labels, &mut rng);
+                for _pass in 0..2 {
+                    for u in q.nodes() {
+                        prop_assert_eq!(rule_one(&ix, &q, u), scanned_rule_one(&ix, &q, u));
+                        lookups += 1;
+                    }
+                }
+            }
+            let stats = ix.candidate_memo_stats();
+            prop_assert_eq!(stats.hits + stats.misses, lookups);
+            prop_assert!(stats.bytes <= cap);
+        }
     }
 
     #[test]
@@ -596,6 +885,7 @@ mod tests {
                 }
             }
             assert_eq!(loaded.build_micros(), 0, "loaded indexes built nothing");
+            assert_eq!(loaded.candidate_memo_stats(), CandidateMemoStats::default());
         }
     }
 

@@ -54,6 +54,8 @@ pub mod permute;
 pub mod stats;
 
 pub use graph::{Graph, GraphBuilder, GraphError, Label, NodeId};
-pub use index::{IndexParts, TargetIndex, INDEX_LAYOUT_VERSION};
+pub use index::{
+    CandidateMemoStats, IndexParts, TargetIndex, CANDIDATE_MEMO_MAX_BYTES, INDEX_LAYOUT_VERSION,
+};
 pub use permute::Permutation;
 pub use stats::{DbStats, GraphStats, LabelStats};

@@ -25,6 +25,7 @@ use crate::matcher::{Algorithm, Matcher, SearchStats};
 use crate::scratch;
 use crate::slice::SliceSetup;
 use psi_delta::GraphView;
+use psi_graph::index::rule_one_fits;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -42,8 +43,10 @@ const JOIN_SELECTIVITY: f64 = 0.5;
 /// label lists GraphQL indexes are exactly the shared [`TargetIndex`]'s
 /// structures — computed once per stored graph at matcher construction
 /// (never inside `search`), and shared with every other matcher when the
-/// index is. `search` only ever computes the *query's* signatures, which
-/// necessarily vary per call.
+/// index is. Rule 1's answer for a query vertex depends only on its label
+/// and neighbour-label multiset, so the index memoizes it per such
+/// profile across entrants and queries; refinement (rule 2) and the join
+/// order (rule 3) run per search.
 #[derive(Debug)]
 pub struct GraphQl {
     index: Arc<TargetIndex>,
@@ -76,39 +79,37 @@ impl GraphQl {
     }
 
     /// Rule 1: initial candidate lists by label + signature containment.
-    /// Target signatures are index lookups (built once at construction);
-    /// only the query's signatures are computed here. The 64-bit
-    /// label-mask pre-filter rejects most infeasible candidates before
-    /// the multiset walk. Ticks the budget clock
-    /// so racing cancellation reaches even the pre-search phase promptly.
+    /// On a view without an overlay each query vertex's list comes from
+    /// the index's candidate memo ([`TargetIndex::rule_one_candidates`]),
+    /// which scans the label list only for a label and neighbour-label
+    /// multiset it has not seen. An overlay changes degrees and
+    /// signatures, so there the label list is scanned through the view.
+    /// Scans tick the budget clock so racing cancellation reaches even
+    /// the pre-search phase promptly.
     fn initial_candidates(
         &self,
         query: &Graph,
         view: GraphView<'_>,
         clock: &mut BudgetClock<'_>,
     ) -> Result<Vec<Vec<NodeId>>, StopReason> {
-        let qsigs: Vec<Vec<Label>> =
-            (0..query.node_count() as NodeId).map(|u| signature(query, u)).collect();
+        let mut tick = || clock.tick().map_or(Ok(()), Err);
+        if let Some(index) = view.base_index() {
+            return query.nodes().map(|u| index.rule_one_candidates(query, u, &mut tick)).collect();
+        }
         let mut out = Vec::with_capacity(query.node_count());
-        for u in 0..query.node_count() as NodeId {
-            let qsig = &qsigs[u as usize];
-            let qmask = TargetIndex::mask_of(qsig);
-            let qdeg = query.degree(u);
+        for u in query.nodes() {
+            let qsig = signature(query, u);
+            let qmask = TargetIndex::mask_of(&qsig);
             let mut cands = Vec::new();
             for &v in view.candidates(query.label(u)) {
-                if let Some(r) = clock.tick() {
-                    return Err(r);
-                }
-                if qdeg > view.degree(v) {
-                    continue;
-                }
-                // Mask subset is necessary for multiset containment, so
-                // the pre-filter never changes the candidate set — it
-                // only skips doomed multiset walks.
-                if qmask & !view.label_mask(v) != 0 {
-                    continue;
-                }
-                if multiset_contains(view.signature(v), qsig) {
+                tick()?;
+                if rule_one_fits(
+                    &qsig,
+                    qmask,
+                    view.degree(v),
+                    view.label_mask(v),
+                    view.signature(v),
+                ) {
                     cands.push(v);
                 }
             }
@@ -211,27 +212,6 @@ fn signature(g: &Graph, v: NodeId) -> Vec<Label> {
     let mut s: Vec<Label> = g.neighbors(v).iter().map(|&n| g.label(n)).collect();
     s.sort_unstable();
     s
-}
-
-/// Whether sorted multiset `needle` is contained in sorted multiset `hay`.
-fn multiset_contains(hay: &[Label], needle: &[Label]) -> bool {
-    let mut i = 0;
-    for &x in needle {
-        loop {
-            if i >= hay.len() {
-                return false;
-            }
-            if hay[i] == x {
-                i += 1;
-                break;
-            }
-            if hay[i] > x {
-                return false;
-            }
-            i += 1;
-        }
-    }
-    true
 }
 
 /// Kuhn's augmenting-path bipartite matching with its working memory:
@@ -362,16 +342,6 @@ mod tests {
     fn sorted(mut v: Vec<Embedding>) -> Vec<Embedding> {
         v.sort();
         v
-    }
-
-    #[test]
-    fn multiset_contains_works() {
-        assert!(multiset_contains(&[1, 1, 2, 3], &[1, 2]));
-        assert!(multiset_contains(&[1, 1, 2, 3], &[1, 1]));
-        assert!(!multiset_contains(&[1, 2, 3], &[1, 1]));
-        assert!(!multiset_contains(&[1, 2], &[4]));
-        assert!(multiset_contains(&[1, 2], &[]));
-        assert!(!multiset_contains(&[], &[1]));
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //!   labels match and, for every distance `d`, the query's *cumulative*
 //!   label counts within `d` hops of `u` fit under the target's (sound for
 //!   non-induced sub-iso because embeddings can only shorten distances).
+//!   Distance 1 plus the degree test is GraphQL's rule 1, so the filter
+//!   starts from the shared index's memoized rule-1 list and checks
+//!   distances `2..=radius` only.
 //! * **Query decomposition**: greedy cover of the query's edges by paths of
 //!   length ≤ `max_path_len`, each path starting at the most selective
 //!   available vertex (fewest candidates, ties by node ID — the ID
@@ -98,6 +101,12 @@ impl SPath {
     /// signature containment. Ticks the budget clock so racing cancellation
     /// reaches the pre-search phase promptly.
     ///
+    /// On a simple graph the degree test plus the distance-1 layer is
+    /// exactly GraphQL's rule 1 (layer 1 counts the neighbours' labels),
+    /// so each list starts from the index's memoized rule-1 list
+    /// ([`TargetIndex::rule_one_candidates`]) and is filtered with layers
+    /// `2..=radius` only.
+    ///
     /// The distance signatures were computed over the *base* graph at
     /// preparation time; a delta overlay can shorten or lengthen BFS
     /// distances arbitrarily, so on overlay views the signature filter is
@@ -109,20 +118,34 @@ impl SPath {
         view: GraphView<'_>,
         clock: &mut BudgetClock<'_>,
     ) -> Result<Vec<Vec<NodeId>>, StopReason> {
-        let qsigs = (!view.has_overlay()).then(|| Signatures::build(query, self.radius()));
+        let mut tick = || clock.tick().map_or(Ok(()), Err);
         let mut out = Vec::with_capacity(query.node_count());
-        for u in 0..query.node_count() as NodeId {
-            let mut cands = Vec::new();
-            for &v in view.candidates(query.label(u)) {
-                if let Some(r) = clock.tick() {
-                    return Err(r);
+        let Some(index) = view.base_index() else {
+            for u in query.nodes() {
+                let mut cands = Vec::new();
+                for &v in view.candidates(query.label(u)) {
+                    tick()?;
+                    if query.degree(u) <= view.degree(v) {
+                        cands.push(v);
+                    }
                 }
-                if query.degree(u) <= view.degree(v)
-                    && qsigs.as_ref().is_none_or(|q| q.fits(u, &self.signatures, v))
-                {
-                    cands.push(v);
+                out.push(cands);
+            }
+            return Ok(out);
+        };
+        let qsigs = Signatures::build(query, self.radius());
+        for u in query.nodes() {
+            let mut cands = index.rule_one_candidates(query, u, &mut tick)?;
+            let mut kept = 0;
+            for i in 0..cands.len() {
+                tick()?;
+                let v = cands[i];
+                if qsigs.fits_beyond_one(u, &self.signatures, v) {
+                    cands[kept] = v;
+                    kept += 1;
                 }
             }
+            cands.truncate(kept);
             out.push(cands);
         }
         Ok(out)
@@ -279,11 +302,12 @@ impl Signatures {
     }
 
     /// Whether query node `u`'s signature fits under target node `v`'s at
-    /// every distance: each label's cumulative count in the query layer is
-    /// at most the target's. Both signatures have the same radius.
-    fn fits(&self, u: NodeId, target: &Signatures, v: NodeId) -> bool {
+    /// every distance from 2 on (distance 1 is rule 1's, checked before):
+    /// each label's cumulative count in the query layer is at most the
+    /// target's. Both signatures have the same radius.
+    fn fits_beyond_one(&self, u: NodeId, target: &Signatures, v: NodeId) -> bool {
         debug_assert_eq!(self.radius, target.radius);
-        (1..=self.radius).all(|d| layer_fits(self.layer(u, d), target.layer(v, d)))
+        (2..=self.radius).all(|d| layer_fits(self.layer(u, d), target.layer(v, d)))
     }
 }
 
@@ -360,8 +384,9 @@ impl Planner for SPath {
 mod tests {
     use super::*;
     use crate::bruteforce;
+    use crate::graphql::GraphQl;
     use crate::matcher::{is_valid_embedding, Embedding};
-    use psi_delta::TOMBSTONE_LABEL;
+    use psi_delta::{DeltaOverlay, UpdateOp, TOMBSTONE_LABEL};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use psi_graph::GraphBuilder;
@@ -533,6 +558,85 @@ mod tests {
                 assert_eq!(got, want, "case {case} radius {radius}");
             }
         }
+    }
+
+    /// The filter before the rule-1 memo: scan the label list with the
+    /// degree test and every layer `1..=radius`. `SPath::candidates` is
+    /// held to it.
+    fn label_scan_candidates(m: &SPath, q: &Graph) -> Vec<Vec<NodeId>> {
+        let qsigs = Signatures::build(q, m.radius());
+        q.nodes()
+            .map(|u| {
+                m.index
+                    .candidates(q.label(u))
+                    .iter()
+                    .copied()
+                    .filter(|&v| {
+                        q.degree(u) <= m.index.degree(v)
+                            && (1..=m.radius())
+                                .all(|d| layer_fits(qsigs.layer(u, d), m.signatures.layer(v, d)))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn candidates_match_the_label_scan_cold_and_warm() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5150);
+        let budget = SearchBudget::unlimited();
+        for case in 0..30 {
+            let t = Arc::new(split_graph(&mut rng));
+            let queries: Vec<Graph> = (0..4).map(|_| split_graph(&mut rng)).collect();
+            for radius in [1, 2, 4] {
+                // One index per radius, so each starts cold; the second
+                // pass over the queries reads a warm memo.
+                let m = SPath::with_params(Arc::clone(&t), radius, DEFAULT_MAX_PATH_LEN);
+                for pass in 0..2 {
+                    for (i, q) in queries.iter().enumerate() {
+                        let mut clock = budget.start();
+                        let got =
+                            m.candidates(q, GraphView::of_index(&m.index), &mut clock).unwrap();
+                        assert_eq!(
+                            got,
+                            label_scan_candidates(&m, q),
+                            "case {case} radius {radius} pass {pass} query {i}"
+                        );
+                    }
+                }
+                let stats = m.index.candidate_memo_stats();
+                assert!(stats.hits >= stats.misses, "the warm pass hits: {stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn overlay_views_bypass_the_candidate_memo() {
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let labels = LabelDist::Uniform { num_labels: 2 }.sampler();
+        let t = random_connected_graph(20, 40, &labels, &mut rng);
+        let q = random_connected_graph(4, 4, &labels, &mut rng);
+        let index = Arc::new(TargetIndex::build(Arc::new(t.clone())));
+        let ops = [UpdateOp::AddNode { label: 0 }, UpdateOp::AddEdge { u: 20, v: 3, label: None }];
+        let overlay = DeltaOverlay::build(&t, Some(&index), &ops).unwrap();
+        let view = GraphView::of_index(&index).with_overlay(Some(&overlay));
+        assert!(view.base_index().is_none());
+        let matchers: [Box<dyn Matcher>; 2] = [
+            Box::new(GraphQl::with_index(Arc::clone(&index))),
+            Box::new(SPath::with_index(Arc::clone(&index))),
+        ];
+        let live = overlay.materialize(&t);
+        for m in &matchers {
+            let got = m.search_view(&q, view, &SearchBudget::unlimited());
+            let want = bruteforce::enumerate(&q, &live, &SearchBudget::unlimited());
+            assert_eq!(sorted(got.embeddings), sorted(want.embeddings), "{:?}", m.algorithm());
+        }
+        assert_eq!(index.candidate_memo_stats(), Default::default(), "no read, no write");
+        // The same matchers over the bare index do use it.
+        for m in &matchers {
+            m.search(&q, &SearchBudget::unlimited());
+        }
+        assert!(index.candidate_memo_stats().misses > 0);
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! different times because each algorithm breaks ties by query-node ID)
 //! rests on exactly these traces staying put.
 //!
+//! Every case runs twice through the same prepared matchers and must
+//! print the same lines both times: the second pass reads candidate
+//! lists from the index's warm rule-1 memo instead of scanning.
+//!
 //! Wall-clock budgets are left out on purpose: they cut searches at
 //! machine-dependent points.
 
@@ -182,8 +186,11 @@ fn line(case: &str, who: &str, r: &MatchResult) -> String {
     )
 }
 
-fn traces() -> Vec<String> {
-    let mut out = Vec::new();
+/// Every case's lines, twice: each case's matchers are prepared once and
+/// run the case two times, so the second pass reads the index's warm
+/// rule-1 candidate memo. Returns the cold and the warm pass.
+fn traces() -> (Vec<String>, Vec<String>) {
+    let mut passes = [Vec::new(), Vec::new()];
     for case in cases() {
         let budget = match case.cap {
             Some(cap) => SearchBudget::with_max_matches(cap),
@@ -196,18 +203,21 @@ fn traces() -> Vec<String> {
         };
         let overlay = (!ops.is_empty())
             .then(|| DeltaOverlay::build(&case.target, Some(&index), &ops).expect("valid ops"));
-        for alg in ALGORITHMS {
-            let m = alg.prepare_indexed(Arc::clone(&index));
-            let view = GraphView::of_index(&index).with_overlay(overlay.as_ref());
-            let r = m.search_view(&case.query, view, &budget);
-            out.push(line(case.name, alg.short_name(), &r));
-        }
-        if overlay.is_none() {
-            let r = vf2_search(&case.query, &case.target, &budget);
-            out.push(line(case.name, "VF2-free", &r));
+        let matchers = ALGORITHMS.map(|alg| (alg, alg.prepare_indexed(Arc::clone(&index))));
+        for out in &mut passes {
+            for (alg, m) in &matchers {
+                let view = GraphView::of_index(&index).with_overlay(overlay.as_ref());
+                let r = m.search_view(&case.query, view, &budget);
+                out.push(line(case.name, alg.short_name(), &r));
+            }
+            if overlay.is_none() {
+                let r = vf2_search(&case.query, &case.target, &budget);
+                out.push(line(case.name, "VF2-free", &r));
+            }
         }
     }
-    out
+    let [cold, warm] = passes;
+    (cold, warm)
 }
 
 const GOLDEN: &str = "\
@@ -333,15 +343,17 @@ overlay-cap SPA limit n=3 digest=ad4fdab64ae52561 expanded=6 pruned=0 backtracks
 
 #[test]
 fn every_matcher_reproduces_its_recorded_search_trace() {
-    let got = traces();
+    let (cold, warm) = traces();
     if std::env::var_os("PSI_PRINT_TRACES").is_some() {
-        for l in &got {
+        for l in &cold {
             println!("{l}");
         }
     }
     let want: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(got.len(), want.len(), "number of trace lines");
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g, w, "search trace diverged");
+    for (pass, got) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(got.len(), want.len(), "number of {pass} trace lines");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "{pass} search trace diverged");
+        }
     }
 }
