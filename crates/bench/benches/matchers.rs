@@ -10,8 +10,9 @@ use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Seed of servebench's `cold_search` stored graph, `wordnet_like(0.25)`.
-const WORDNET_SEED: u64 = 7;
+/// Seed of servebench's stored graphs: `cold_search`'s
+/// `wordnet_like(0.25)` and `hot_repeat`'s `yeast_like(1.0)`.
+const DATASET_SEED: u64 = 7;
 
 fn bench_matchers(c: &mut Criterion) {
     let stored = Arc::new(datasets::yeast_like(0.2, 42));
@@ -40,7 +41,7 @@ fn bench_matchers(c: &mut Criterion) {
     // `cold_search`'s regime: wordnet's 5 labels give every query vertex
     // a long label list, so the raced matchers' prework (candidate
     // filtering, refinement) dominates their search.
-    let wordnet = Arc::new(datasets::wordnet_like(0.25, WORDNET_SEED));
+    let wordnet = Arc::new(datasets::wordnet_like(0.25, DATASET_SEED));
     let mut group = c.benchmark_group("matchers_decision_wordnet");
     for alg in [Algorithm::GraphQl, Algorithm::SPath] {
         let m = alg.prepare(Arc::clone(&wordnet));
@@ -59,20 +60,19 @@ fn bench_matchers(c: &mut Criterion) {
     // new query-vertex profiles (a single repeated query would only ever
     // read a warm memo). Both matchers share one index, as racing
     // entrants do.
-    let stream = cold_search_stream(&wordnet, 256);
-    let index = Arc::new(TargetIndex::build(Arc::clone(&wordnet)));
-    let mut group = c.benchmark_group("matchers_stream_wordnet");
-    for alg in [Algorithm::GraphQl, Algorithm::SPath] {
-        let m = alg.prepare_indexed(Arc::clone(&index));
-        let mut next = 0;
-        group.bench_function(alg.short_name(), |b| {
-            b.iter(|| {
-                next = (next + 1) % stream.len();
-                black_box(m.search(&stream[next], &SearchBudget::first_match()))
-            })
-        });
-    }
-    group.finish();
+    bench_stream(c, "matchers_stream_wordnet", &wordnet, &cold_search_stream(&wordnet, 256));
+
+    // The other side: `hot_repeat`'s yeast graph has 184 Zipf labels, so
+    // most of sPath's signature layers name labels outside its eight
+    // lanes and take the overflow walk. 256 queries of 4 to 10 edges,
+    // near `hot_repeat`'s queries of 4 to 10 nodes.
+    let yeast = Arc::new(datasets::yeast_like(1.0, DATASET_SEED));
+    let stream: Vec<Graph> = (0..256)
+        .map(|seed| {
+            Workloads::single_query(&yeast, 4 + seed as usize % 7, seed).expect("generable")
+        })
+        .collect();
+    bench_stream(c, "matchers_stream_yeast", &yeast, &stream);
 
     let mut group = c.benchmark_group("matchers_matching_cap100");
     let query = Workloads::single_query(&stored, 12, 5).expect("generable");
@@ -84,11 +84,29 @@ fn bench_matchers(c: &mut Criterion) {
     group.finish();
 }
 
+/// GraphQL and sPath over one shared index of `g`, each iteration
+/// searching the next query of `stream`.
+fn bench_stream(c: &mut Criterion, name: &str, g: &Arc<Graph>, stream: &[Graph]) {
+    let index = Arc::new(TargetIndex::build(Arc::clone(g)));
+    let mut group = c.benchmark_group(name);
+    for alg in [Algorithm::GraphQl, Algorithm::SPath] {
+        let m = alg.prepare_indexed(Arc::clone(&index));
+        let mut next = 0;
+        group.bench_function(alg.short_name(), |b| {
+            b.iter(|| {
+                next = (next + 1) % stream.len();
+                black_box(m.search(&stream[next], &SearchBudget::first_match()))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// `count` queries grown from `g`, each from its own seed, with 6 to 23
 /// edges and the smaller ones more often (`P(6 + k) ∝ 1 / (k + 1)`, the
 /// Zipf shape `cold_search` draws its query sizes from).
 fn cold_search_stream(g: &Graph, count: usize) -> Vec<Graph> {
-    let mut rng = ChaCha8Rng::seed_from_u64(WORDNET_SEED);
+    let mut rng = ChaCha8Rng::seed_from_u64(DATASET_SEED);
     let weights: Vec<f64> = (1..=18).map(|k| 1.0 / f64::from(k)).collect();
     let total: f64 = weights.iter().sum();
     (0..count as u64)
@@ -115,7 +133,7 @@ fn bench_prepare(c: &mut Criterion) {
         });
     }
     // sPath's radius-4 signatures over `cold_search`'s stored graph.
-    let wordnet = Arc::new(datasets::wordnet_like(0.25, WORDNET_SEED));
+    let wordnet = Arc::new(datasets::wordnet_like(0.25, DATASET_SEED));
     group.bench_function("SPA/wordnet", |b| {
         b.iter(|| black_box(Algorithm::SPath.prepare(Arc::clone(&wordnet))))
     });

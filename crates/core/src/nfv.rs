@@ -278,12 +278,18 @@ impl PsiRunner {
             ))
         };
         live.stats = Arc::new(live_label_stats(index.graph(), overlay.as_deref()));
-        live.index = index;
+        let replaced = std::mem::replace(&mut live.index, index);
         live.matchers = Arc::new(matchers);
         live.overlay = overlay;
         live.ops = tail;
         live.epoch = epoch + 1;
-        Some(Compaction { epoch: live.epoch, folded_ops, duration })
+        let compaction = Compaction { epoch: live.epoch, folded_ops, duration };
+        drop(live);
+        // No new query reads the replaced index; the registration-epoch
+        // one stays referenced by `self.index`, so its memo would
+        // otherwise stay resident for good.
+        replaced.release_candidate_memo();
+        Some(compaction)
     }
 
     /// The shared per-graph [`TargetIndex`], built once at construction
@@ -451,6 +457,7 @@ mod tests {
     use super::*;
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
+    use psi_graph::CandidateMemoStats;
     use psi_matchers::matcher::is_valid_embedding;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -544,11 +551,19 @@ mod tests {
         let q = query_from(&g);
         let psi = PsiRunner::nfv_default(&g);
         assert!(psi.race(&q, RaceBudget::decision()).found());
-        assert!(psi.live_index().candidate_memo_stats().misses > 0, "races fill the memo");
+        let registered = psi.live_index();
+        assert!(Arc::ptr_eq(&registered, psi.target_index()));
+        let filled = registered.candidate_memo_stats();
+        assert!(filled.misses > 0 && filled.bytes > 0, "races fill the memo");
         psi.apply_update(&GraphUpdate::new(vec![UpdateOp::AddNode { label: 0 }])).unwrap();
         psi.compact().expect("an overlay to fold");
         let fresh = psi.live_index();
         assert_eq!(fresh.candidate_memo_stats(), Default::default());
+        assert_eq!(
+            registered.candidate_memo_stats(),
+            CandidateMemoStats { bytes: 0, ..filled },
+            "the replaced index's memo is released, its counters kept"
+        );
         assert!(psi.race(&q, RaceBudget::decision()).found());
         assert!(fresh.candidate_memo_stats().misses > 0, "the new epoch fills its own memo");
     }

@@ -608,6 +608,16 @@ impl TargetIndex {
         self.lock_memo().stats
     }
 
+    /// Empties the rule-1 candidate memo and frees its table, keeping the
+    /// hit, miss and clear counts: for an index that new queries no
+    /// longer read, such as one a compaction replaced. A race still
+    /// pinned to it misses, and may store entries again, until it ends.
+    pub fn release_candidate_memo(&self) {
+        let mut memo = self.lock_memo();
+        memo.entries = HashMap::new();
+        memo.stats.bytes = 0;
+    }
+
     /// The memo holds only derived answers, each inserted whole, so a
     /// panic elsewhere while it was locked cannot leave it inconsistent.
     fn lock_memo(&self) -> MutexGuard<'_, CandidateMemo> {
@@ -732,6 +742,11 @@ mod tests {
         assert_eq!(ix.rule_one_candidates(&q3, 0, || Err("stop")), Err("stop"));
         assert_eq!(ix.candidate_memo_stats().misses, 4);
         assert_eq!(ix.candidate_memo_stats().bytes, tight.bytes);
+        // Releasing drops every entry and keeps the counters.
+        ix.release_candidate_memo();
+        assert_eq!(ix.candidate_memo_stats(), CandidateMemoStats { bytes: 0, misses: 4, ..tight });
+        assert_eq!(rule_one(&ix, &q2, 1), [0], "the next lookup scans again");
+        assert_eq!(ix.candidate_memo_stats().misses, 5);
     }
 
     proptest! {

@@ -15,15 +15,27 @@
 //! * **Index**: for every stored node, the count of each label at every BFS
 //!   distance `1..=radius` (the "distance-wise decomposition" of shortest
 //!   paths; paper default radius 4).
-//! * **Layout**: all nodes' signatures live in two flat arrays. `pairs`
-//!   holds sorted `(label, cumulative count)` pairs; `offsets` has one
-//!   entry per (node, distance) and delimits that layer's run of `pairs`.
-//!   The build runs one BFS per node, marking visits in one stamp array
+//! * **Layout**: every (node, distance) layer is one `u64` *lane word*
+//!   plus an *overflow run*. The lane word holds eight 7-bit saturating
+//!   counts, one per *slot*: the target's eight most frequent labels,
+//!   ties broken by label value. A lane at 127 means "127 or more". The
+//!   overflow run holds the exact `(label, cumulative count)` pairs,
+//!   sorted by label, of every label that is not a slot and of every slot
+//!   whose count reached 127. All lane words live in one flat array, all
+//!   overflow runs in another with one offset per (node, distance). The
+//!   build runs one BFS per node, marking visits in one stamp array
 //!   shared by every source and counting labels in a dense array indexed
 //!   by label rank (labels are arbitrary `u32`s, up to the overlay's
 //!   tombstone `u32::MAX`), so it allocates nothing per node. The query
-//!   side uses the same builder, and the fit test is a merge walk of two
-//!   sorted layers.
+//!   side uses the same builder against the target's slots.
+//! * **Fit**: a query layer fits a target layer iff every lane fits —
+//!   one subtraction over the word with each lane's top bit set as a
+//!   borrow guard ("SIMD within a register") — and the query overflow
+//!   run fits the target's by a merge walk. Exact for any alphabet and
+//!   any count: a query count up to 126 fits its lane iff it fits the
+//!   target's exact count; a query count of 127 or more also sits in the
+//!   query's overflow run, and only a target count at least as large
+//!   fits it, which then sits in the target's overflow run too.
 //! * **Candidates**: query node `u` can map to stored node `v` only if
 //!   labels match and, for every distance `d`, the query's *cumulative*
 //!   label counts within `d` hops of `u` fit under the target's (sound for
@@ -88,7 +100,7 @@ impl SPath {
     fn build(index: Arc<TargetIndex>, radius: usize, max_path_len: usize) -> Self {
         assert!(radius >= 1, "radius must be at least 1");
         assert!(max_path_len >= 1, "path length must be at least 1");
-        let signatures = Signatures::build(index.graph(), radius);
+        let signatures = Signatures::of_target(index.graph(), radius);
         Self { index, signatures, max_path_len }
     }
 
@@ -133,17 +145,15 @@ impl SPath {
             }
             return Ok(out);
         };
-        let qsigs = Signatures::build(query, self.radius());
+        let qsigs = Signatures::build(query, self.radius(), self.signatures.slots.clone());
         for u in query.nodes() {
             let mut cands = index.rule_one_candidates(query, u, &mut tick)?;
             let mut kept = 0;
             for i in 0..cands.len() {
                 tick()?;
                 let v = cands[i];
-                if qsigs.fits_beyond_one(u, &self.signatures, v) {
-                    cands[kept] = v;
-                    kept += 1;
-                }
+                cands[kept] = v;
+                kept += usize::from(qsigs.fits_beyond_one(u, &self.signatures, v));
             }
             cands.truncate(kept);
             out.push(cands);
@@ -224,26 +234,58 @@ fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     (a.min(b), a.max(b))
 }
 
-/// Cumulative distance-wise label counts of every node of one graph, in
-/// one CSR layout: layer `d` (`1..=radius`) of node `v` is
-/// `pairs[offsets[v * radius + d - 1]..offsets[v * radius + d]]`, the
-/// `(label, nodes with that label within d hops)` pairs sorted by label.
-/// Every node has all `radius` layers; past its eccentricity a layer
-/// repeats the one before it.
+/// Lanes in a signature lane word, so slot labels per signature.
+const SLOTS: usize = 8;
+/// The largest count a lane holds; a lane at this value means "this many
+/// or more", and the exact count is in the overflow run.
+const SATURATED: u32 = 127;
+/// Every lane's top bit: the guard that catches one lane's borrow.
+const GUARDS: u64 = 0x8080_8080_8080_8080;
+
+/// Cumulative distance-wise label counts of every node of one graph:
+/// layer `d` (`1..=radius`) of node `v` counts, per label, the nodes with
+/// that label within `d` hops of `v`. The layer is the lane word
+/// `lanes[v * radius + d - 1]` (one saturating count per slot label)
+/// plus the label-sorted overflow run
+/// `overflow[offsets[v * radius + d - 1]..offsets[v * radius + d]]`
+/// (exact counts of non-slot labels and of saturated slots). Every node
+/// has all `radius` layers; past its eccentricity a layer repeats the one
+/// before it.
 #[derive(Debug)]
 struct Signatures {
     radius: usize,
+    /// The slot labels, lane `i` counting `slots[i]`.
+    slots: Vec<Label>,
+    lanes: Vec<u64>,
     offsets: Vec<u32>,
-    pairs: Vec<(Label, u32)>,
+    overflow: Vec<(Label, u32)>,
 }
 
 impl Signatures {
-    /// One BFS per node out to `radius`. The BFS marks visits with the
-    /// source's ID in one stamp array shared by all sources, and counts
-    /// labels in a dense array indexed by label rank (labels are
-    /// arbitrary `u32`s, up to the overlay's tombstone `u32::MAX`), so the
-    /// build allocates nothing per node.
-    fn build(g: &Graph, radius: usize) -> Self {
+    /// A target's signatures, its slots being its [`SLOTS`] most frequent
+    /// labels (ties to the smaller label).
+    fn of_target(g: &Graph, radius: usize) -> Self {
+        let mut freq: Vec<(Label, usize)> = Vec::new();
+        let mut labels = g.labels().to_vec();
+        labels.sort_unstable();
+        for l in labels {
+            match freq.last_mut() {
+                Some((last, n)) if *last == l => *n += 1,
+                _ => freq.push((l, 1)),
+            }
+        }
+        freq.sort_by_key(|&(l, n)| (std::cmp::Reverse(n), l));
+        let slots = freq.iter().take(SLOTS).map(|&(l, _)| l).collect();
+        Self::build(g, radius, slots)
+    }
+
+    /// One BFS per node out to `radius`, its lanes counting `slots`. The
+    /// BFS marks visits with the source's ID in one stamp array shared by
+    /// all sources and counts labels in a dense array indexed by label
+    /// rank (labels are arbitrary `u32`s, up to the overlay's tombstone
+    /// `u32::MAX`), so the build allocates nothing per node. A visit only
+    /// counts; each layer is packed when the BFS closes it.
+    fn build(g: &Graph, radius: usize, slots: Vec<Label>) -> Self {
         let n = g.node_count();
         let mut by_rank: Vec<Label> = g.labels().to_vec();
         by_rank.sort_unstable();
@@ -253,14 +295,21 @@ impl Signatures {
             .iter()
             .map(|l| by_rank.binary_search(l).expect("a label of the graph") as u32)
             .collect();
+        // Per rank, its lane's unit (`1 << 8 * slot`), or 0 for a label
+        // that is not a slot.
+        let unit: Vec<u64> = by_rank
+            .iter()
+            .map(|l| slots.iter().position(|s| s == l).map_or(0, |i| 1 << (8 * i)))
+            .collect();
         let mut counts = vec![0u32; by_rank.len()];
         // Ranks with a nonzero count in the current BFS.
         let mut touched: Vec<u32> = Vec::new();
         let mut stamp = vec![NodeId::MAX; n];
         let (mut frontier, mut next) = (Vec::new(), Vec::new());
+        let mut lanes = Vec::with_capacity(n * radius);
         let mut offsets = Vec::with_capacity(n * radius + 1);
         offsets.push(0);
-        let mut pairs = Vec::new();
+        let mut overflow = Vec::new();
         for v in 0..n as NodeId {
             stamp[v as usize] = v;
             frontier.clear();
@@ -283,36 +332,53 @@ impl Signatures {
                 std::mem::swap(&mut frontier, &mut next);
                 // Rank order is label order.
                 touched.sort_unstable();
-                pairs.extend(touched.iter().map(|&r| (by_rank[r as usize], counts[r as usize])));
-                offsets.push(u32::try_from(pairs.len()).expect("signature pairs fit in u32"));
+                let mut lane = 0;
+                for &r in &touched {
+                    let (c, unit) = (counts[r as usize], unit[r as usize]);
+                    lane += unit * u64::from(c.min(SATURATED));
+                    if unit == 0 || c >= SATURATED {
+                        overflow.push((by_rank[r as usize], c));
+                    }
+                }
+                lanes.push(lane);
+                offsets.push(u32::try_from(overflow.len()).expect("overflow pairs fit in u32"));
             }
             for &r in &touched {
                 counts[r as usize] = 0;
             }
             touched.clear();
         }
-        Self { radius, offsets, pairs }
+        Self { radius, slots, lanes, offsets, overflow }
     }
 
-    /// Layer `d` (`1..=radius`) of node `v`.
+    /// The overflow run of layer `d` (`1..=radius`) of node `v`.
     #[inline]
-    fn layer(&self, v: NodeId, d: usize) -> &[(Label, u32)] {
+    fn overflow(&self, v: NodeId, d: usize) -> &[(Label, u32)] {
         let k = v as usize * self.radius + d - 1;
-        &self.pairs[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+        &self.overflow[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
     /// Whether query node `u`'s signature fits under target node `v`'s at
     /// every distance from 2 on (distance 1 is rule 1's, checked before):
     /// each label's cumulative count in the query layer is at most the
-    /// target's. Both signatures have the same radius.
+    /// target's. Both signatures have the same radius and slots.
+    #[inline]
     fn fits_beyond_one(&self, u: NodeId, target: &Signatures, v: NodeId) -> bool {
         debug_assert_eq!(self.radius, target.radius);
-        (2..=self.radius).all(|d| layer_fits(self.layer(u, d), target.layer(v, d)))
+        debug_assert_eq!(self.slots, target.slots);
+        let (qk, tk) = (u as usize * self.radius, v as usize * self.radius);
+        let (q, t) =
+            (&self.lanes[qk + 1..qk + self.radius], &target.lanes[tk + 1..tk + self.radius]);
+        let lanes = q.iter().zip(t).fold(GUARDS, |acc, (&q, &t)| acc & ((t | GUARDS) - q));
+        lanes == GUARDS
+            && (self.offsets[qk + 1] == self.offsets[qk + self.radius]
+                || (2..=self.radius)
+                    .all(|d| layer_fits(self.overflow(u, d), target.overflow(v, d))))
     }
 }
 
-/// Merge walk of two label-sorted layers: every query label must appear in
-/// the target layer with at least the query's count.
+/// Merge walk of two label-sorted runs: every query label must appear in
+/// the target run with at least the query's count.
 fn layer_fits(query: &[(Label, u32)], target: &[(Label, u32)]) -> bool {
     if query.len() > target.len() {
         return false;
@@ -457,15 +523,67 @@ mod tests {
         })
     }
 
+    /// Layer `d` of node `v` as exact label-sorted pairs, rebuilt from
+    /// its lane word and overflow run; checks that a lane holds its exact
+    /// count below [`SATURATED`] and that a saturated lane's exact count
+    /// is in the overflow run.
+    fn layer(sigs: &Signatures, v: NodeId, d: usize) -> Vec<(Label, u32)> {
+        let lane = sigs.lanes[v as usize * sigs.radius + d - 1];
+        let overflow = sigs.overflow(v, d);
+        assert_eq!(lane & GUARDS, 0, "a lane spilled into its guard bit");
+        let unused = lane.checked_shr(8 * sigs.slots.len() as u32).unwrap_or(0);
+        assert_eq!(unused, 0, "only slot lanes count");
+        let mut out = overflow.to_vec();
+        for (i, &l) in sigs.slots.iter().enumerate() {
+            let exact = overflow.iter().find(|&&(ol, _)| ol == l).map(|&(_, c)| c);
+            match (lane >> (8 * i)) as u32 & 0x7f {
+                SATURATED => assert!(exact >= Some(SATURATED), "{l} saturated: {exact:?}"),
+                c => {
+                    assert_eq!(exact, None, "slot {l} below saturation overflows");
+                    if c > 0 {
+                        out.push((l, c));
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
     /// A seeded random graph of two components with no edge between them
-    /// plus two isolated nodes, labelled from a pool that includes values
-    /// near `u32::MAX` and the overlay's tombstone.
+    /// plus two isolated nodes, labelled from a skewed pool of ten labels
+    /// (weights tie in pairs, so label frequencies often tie too) that
+    /// includes values near `u32::MAX` and the overlay's tombstone; with
+    /// more than eight labels some layers name labels outside the lanes.
     fn split_graph(rng: &mut ChaCha8Rng) -> Graph {
-        const LABELS: [Label; 6] = [0, 3, 7, u32::MAX - 2, u32::MAX - 1, TOMBSTONE_LABEL];
-        let half = rng.random_range(1..12usize);
+        const LABELS: [(Label, u32); 10] = [
+            (u32::MAX - 1, 6),
+            (7, 6),
+            (TOMBSTONE_LABEL, 4),
+            (0, 4),
+            (u32::MAX - 2, 2),
+            (3, 2),
+            (12, 1),
+            (9, 1),
+            (20, 1),
+            (11, 1),
+        ];
+        let total: u32 = LABELS.iter().map(|&(_, w)| w).sum();
+        let pick = |rng: &mut ChaCha8Rng| {
+            let mut draw = rng.random_range(0..total);
+            LABELS
+                .iter()
+                .find(|&&(_, w)| {
+                    let hit = draw < w;
+                    draw = draw.wrapping_sub(w);
+                    hit
+                })
+                .expect("a draw below the total")
+                .0
+        };
+        let half = rng.random_range(1..20usize);
         let n = 2 * half + 2;
-        let labels: Vec<Label> =
-            (0..n).map(|_| LABELS[rng.random_range(0..LABELS.len())]).collect();
+        let labels: Vec<Label> = (0..n).map(|_| pick(rng)).collect();
         let mut b = GraphBuilder::new();
         b.add_nodes(&labels);
         for _ in 0..rng.random_range(0..=3 * half) {
@@ -479,18 +597,94 @@ mod tests {
         b.build().expect("endpoints in range")
     }
 
+    /// Adds a label-1 hub with `leaves` label-2 leaves; returns the hub.
+    fn add_star(b: &mut GraphBuilder, leaves: usize) -> NodeId {
+        let hub = b.add_node(1);
+        for _ in 0..leaves {
+            let leaf = b.add_node(2);
+            b.add_edge(hub, leaf).expect("distinct endpoints");
+        }
+        hub
+    }
+
+    /// Adds two joined label-1 hubs with `a` and `b` label-2 leaves: a
+    /// leaf counts `a - 1 + b` label-2 nodes within three hops.
+    fn add_double_star(g: &mut GraphBuilder, a: usize, b: usize) {
+        let (x, y) = (add_star(g, a), add_star(g, b));
+        g.add_edge(x, y).expect("distinct endpoints");
+    }
+
+    /// Label 2's cumulative counts across the lane cap on both sides. The
+    /// target chains label-1 hubs with 126 to 129 label-2 leaves (a leaf
+    /// of hub `k` counts `k - 1` label-2 nodes within two hops), holds
+    /// double stars whose leaves count 126 to 128 within three hops, and
+    /// hangs a path of labels 3 to 12 off the 128-leaf hub (labels 9 to
+    /// 12 tie 3 to 8 in frequency and lose the slots to them). The queries
+    /// are stars of 126 to 129 leaves, a double star whose leaves count
+    /// 127 within three hops, and a 128-leaf star with the path.
+    fn saturation_input() -> (Graph, Vec<Graph>) {
+        let tail = |g: &mut GraphBuilder, hub: NodeId| {
+            let mut prev = hub;
+            for l in 3..=12 {
+                let x = g.add_node(l);
+                g.add_edge(prev, x).expect("distinct endpoints");
+                prev = x;
+            }
+        };
+        let mut t = GraphBuilder::new();
+        let mut prev = None;
+        for k in 126..=129 {
+            let hub = add_star(&mut t, k);
+            if let Some(p) = prev {
+                t.add_edge(p, hub).expect("distinct endpoints");
+            }
+            if k == 128 {
+                tail(&mut t, hub);
+            }
+            prev = Some(hub);
+        }
+        for (a, b) in [(63, 64), (64, 64), (64, 65)] {
+            add_double_star(&mut t, a, b);
+        }
+        let mut queries = Vec::new();
+        for m in 126..=129 {
+            let mut q = GraphBuilder::new();
+            add_star(&mut q, m);
+            queries.push(q.build().expect("a star"));
+        }
+        let mut q = GraphBuilder::new();
+        add_double_star(&mut q, 64, 64);
+        queries.push(q.build().expect("a double star"));
+        let mut q = GraphBuilder::new();
+        let hub = add_star(&mut q, 128);
+        tail(&mut q, hub);
+        queries.push(q.build().expect("a star with a tail"));
+        (t.build().expect("a saturated target"), queries)
+    }
+
     #[test]
     fn distance_signature_of_path() {
         // 0 -1- 2 -3 chain labels a,b,c,d
         let g = graph_from_parts(&[10, 11, 12, 13], &[(0, 1), (1, 2), (2, 3)]);
-        let sigs = Signatures::build(&g, 4);
-        assert_eq!(sigs.layer(0, 1), [(11, 1)]); // within distance 1
-        assert_eq!(sigs.layer(0, 2), [(11, 1), (12, 1)]); // within 2
-        assert_eq!(sigs.layer(0, 3), [(11, 1), (12, 1), (13, 1)]);
+        let sigs = Signatures::of_target(&g, 4);
+        assert_eq!(sigs.slots, [10, 11, 12, 13], "frequency ties go to the smaller label");
+        assert_eq!(layer(&sigs, 0, 1), [(11, 1)]); // within distance 1
+        assert_eq!(layer(&sigs, 0, 2), [(11, 1), (12, 1)]); // within 2
+        assert_eq!(layer(&sigs, 0, 3), [(11, 1), (12, 1), (13, 1)]);
         // Radius 4 exceeds eccentricity; the cumulative layer just repeats.
-        assert_eq!(sigs.layer(0, 4), sigs.layer(0, 3));
-        assert_eq!(sigs.layer(3, 1), [(12, 1)]);
+        assert_eq!(layer(&sigs, 0, 4), layer(&sigs, 0, 3));
+        assert_eq!(layer(&sigs, 3, 1), [(12, 1)]);
+        assert_eq!(sigs.lanes[1], 0x0001_0100, "lanes 1 and 2 count one node each");
         assert_eq!(sigs.offsets.len(), 4 * 4 + 1);
+        assert!(sigs.overflow.is_empty(), "four labels all have lanes");
+    }
+
+    #[test]
+    fn slots_are_the_most_frequent_labels() {
+        // Label 5 three times, 9 and 2 twice, then seven single labels.
+        let labels = [5, 9, 5, 2, 9, 5, 2, 40, 30, 31, 32, 33, 34, 35];
+        let g = graph_from_parts(&labels, &[]);
+        assert_eq!(Signatures::of_target(&g, 1).slots, [5, 2, 9, 30, 31, 32, 33, 34]);
     }
 
     #[test]
@@ -514,84 +708,125 @@ mod tests {
     #[test]
     fn flat_signatures_match_the_hash_map_reference() {
         let mut rng = ChaCha8Rng::seed_from_u64(4242);
-        for case in 0..60 {
-            let g = split_graph(&mut rng);
-            for radius in 1..=6 {
-                let sigs = Signatures::build(&g, radius);
+        let (sat, sat_queries) = saturation_input();
+        let graphs = (0..60).map(|_| split_graph(&mut rng)).chain([sat]).chain(sat_queries);
+        for (case, g) in graphs.enumerate() {
+            let radii = if g.node_count() > 100 { 4..=4 } else { 1..=6 };
+            for radius in radii {
+                let sigs = Signatures::of_target(&g, radius);
+                assert_eq!(sigs.lanes.len(), g.node_count() * radius);
                 assert_eq!(sigs.offsets.len(), g.node_count() * radius + 1);
                 for v in g.nodes() {
                     let want = distance_signature(&g, v, radius);
                     for d in 1..=radius {
-                        assert_eq!(sigs.layer(v, d), want[d - 1], "case {case} r {radius} v {v}");
+                        assert_eq!(layer(&sigs, v, d), want[d - 1], "case {case} r {radius} v {v}");
                     }
                 }
             }
         }
     }
 
+    /// The reference filter: label, degree and [`signature_fits`] over
+    /// hash-map signatures, `tsigs` holding every target node's. Query
+    /// nodes alike in all three share one scan.
+    fn reference_candidates(t: &Graph, tsigs: &[DistanceSignature], q: &Graph) -> Vec<Vec<NodeId>> {
+        let radius = tsigs.first().map_or(0, Vec::len);
+        let mut seen = HashMap::new();
+        q.nodes()
+            .map(|u| {
+                let (label, degree) = (q.label(u), q.degree(u));
+                let qsig = distance_signature(q, u, radius);
+                let scan = || {
+                    t.nodes()
+                        .filter(|&v| {
+                            t.label(v) == label
+                                && degree <= t.degree(v)
+                                && signature_fits(&qsig, &tsigs[v as usize])
+                        })
+                        .collect::<Vec<_>>()
+                };
+                seen.entry((label, degree, qsig.clone())).or_insert_with(scan).clone()
+            })
+            .collect()
+    }
+
+    /// Targets, each with its queries and the radii to filter them at.
+    type Cases = Vec<(Arc<Graph>, Vec<Graph>, &'static [usize])>;
+
+    /// `count` seeded split-graph targets with `queries` queries each,
+    /// filtered at `radii`, then the saturation input at the paper's
+    /// radius.
+    fn cases(seed: u64, count: usize, queries: usize, radii: &'static [usize]) -> Cases {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut out: Cases = (0..count)
+            .map(|_| {
+                let t = Arc::new(split_graph(&mut rng));
+                (t, (0..queries).map(|_| split_graph(&mut rng)).collect(), radii)
+            })
+            .collect();
+        let (t, queries) = saturation_input();
+        out.push((Arc::new(t), queries, &[DEFAULT_RADIUS]));
+        out
+    }
+
     #[test]
     fn candidates_match_the_reference_signature_filter() {
-        let mut rng = ChaCha8Rng::seed_from_u64(977);
         let budget = SearchBudget::unlimited();
-        for case in 0..40 {
-            let t = split_graph(&mut rng);
-            let q = split_graph(&mut rng);
-            for radius in [1, 2, 4, 6] {
-                let m = SPath::with_params(Arc::new(t.clone()), radius, DEFAULT_MAX_PATH_LEN);
-                let mut clock = budget.start();
-                let got = m.candidates(&q, GraphView::of_index(&m.index), &mut clock).unwrap();
-                let want: Vec<Vec<NodeId>> = q
-                    .nodes()
-                    .map(|u| {
-                        let qsig = distance_signature(&q, u, radius);
-                        m.index
-                            .candidates(q.label(u))
-                            .iter()
-                            .copied()
-                            .filter(|&v| {
-                                q.degree(u) <= t.degree(v)
-                                    && signature_fits(&qsig, &distance_signature(&t, v, radius))
-                            })
-                            .collect()
-                    })
-                    .collect();
-                assert_eq!(got, want, "case {case} radius {radius}");
+        for (case, (t, queries, radii)) in cases(977, 40, 1, &[1, 2, 4, 6]).iter().enumerate() {
+            for &radius in *radii {
+                let m = SPath::with_params(Arc::clone(t), radius, DEFAULT_MAX_PATH_LEN);
+                let tsigs: Vec<_> = t.nodes().map(|v| distance_signature(t, v, radius)).collect();
+                for (i, q) in queries.iter().enumerate() {
+                    let mut clock = budget.start();
+                    let got = m.candidates(q, GraphView::of_index(&m.index), &mut clock).unwrap();
+                    let want = reference_candidates(t, &tsigs, q);
+                    assert_eq!(got, want, "case {case} radius {radius} query {i}");
+                }
             }
         }
     }
 
-    /// The filter before the rule-1 memo: scan the label list with the
-    /// degree test and every layer `1..=radius`. `SPath::candidates` is
-    /// held to it.
+    /// The filter before the rule-1 memo and the lanes: scan the label
+    /// list with the degree test and a merge walk of every exact layer
+    /// `1..=radius`. `SPath::candidates` is held to it. Query nodes alike
+    /// in label, degree and layers share one scan.
     fn label_scan_candidates(m: &SPath, q: &Graph) -> Vec<Vec<NodeId>> {
-        let qsigs = Signatures::build(q, m.radius());
+        let qsigs = Signatures::build(q, m.radius(), m.signatures.slots.clone());
+        let layers = |sigs: &Signatures, v| (1..=m.radius()).map(|d| layer(sigs, v, d)).collect();
+        let target: Vec<Vec<_>> =
+            m.index.graph().nodes().map(|v| layers(&m.signatures, v)).collect();
+        let mut seen = HashMap::new();
         q.nodes()
             .map(|u| {
-                m.index
-                    .candidates(q.label(u))
-                    .iter()
-                    .copied()
-                    .filter(|&v| {
-                        q.degree(u) <= m.index.degree(v)
-                            && (1..=m.radius())
-                                .all(|d| layer_fits(qsigs.layer(u, d), m.signatures.layer(v, d)))
-                    })
-                    .collect()
+                let (label, degree) = (q.label(u), q.degree(u));
+                let query: Vec<_> = layers(&qsigs, u);
+                let scan = || {
+                    m.index
+                        .candidates(label)
+                        .iter()
+                        .copied()
+                        .filter(|&v| {
+                            degree <= m.index.degree(v)
+                                && query
+                                    .iter()
+                                    .zip(&target[v as usize])
+                                    .all(|(q, t)| layer_fits(q, t))
+                        })
+                        .collect::<Vec<_>>()
+                };
+                seen.entry((label, degree, query.clone())).or_insert_with(scan).clone()
             })
             .collect()
     }
 
     #[test]
     fn candidates_match_the_label_scan_cold_and_warm() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5150);
         let budget = SearchBudget::unlimited();
-        for case in 0..30 {
-            let t = Arc::new(split_graph(&mut rng));
-            let queries: Vec<Graph> = (0..4).map(|_| split_graph(&mut rng)).collect();
-            for radius in [1, 2, 4] {
+        for (case, (t, queries, radii)) in cases(5150, 30, 4, &[1, 2, 4]).iter().enumerate() {
+            for &radius in *radii {
                 // One index per radius, so each starts cold; the second
                 // pass over the queries reads a warm memo.
-                let m = SPath::with_params(Arc::clone(&t), radius, DEFAULT_MAX_PATH_LEN);
+                let m = SPath::with_params(Arc::clone(t), radius, DEFAULT_MAX_PATH_LEN);
                 for pass in 0..2 {
                     for (i, q) in queries.iter().enumerate() {
                         let mut clock = budget.start();
@@ -607,6 +842,22 @@ mod tests {
                 let stats = m.index.candidate_memo_stats();
                 assert!(stats.hits >= stats.misses, "the warm pass hits: {stats:?}");
             }
+        }
+    }
+
+    #[test]
+    fn star_leaves_fit_across_the_lane_cap() {
+        let (t, queries) = saturation_input();
+        let m = SPath::prepare(Arc::new(t));
+        assert_eq!(m.signatures.slots, [2, 1, 3, 4, 5, 6, 7, 8]);
+        let budget = SearchBudget::unlimited();
+        // A leaf of an `s`-leaf star counts `s - 1` label-2 nodes within
+        // two hops, as a leaf of target hub `k` counts `k - 1`: it fits
+        // exactly the hubs with `k >= s`.
+        for (q, s) in queries.iter().zip(126..=129) {
+            let mut clock = budget.start();
+            let got = m.candidates(q, GraphView::of_index(&m.index), &mut clock).unwrap();
+            assert_eq!(got[1].len(), (s..=129).sum::<usize>(), "star of {s}");
         }
     }
 

@@ -69,6 +69,55 @@ fn with_edge_labels(g: &Graph, seed: u64) -> Graph {
     b.build().unwrap()
 }
 
+/// The subgraph of `g` induced by the first `k` nodes of a BFS from
+/// `root`, renumbered in BFS order: a connected query with at least one
+/// embedding.
+fn bfs_subgraph(g: &Graph, root: NodeId, k: usize) -> Graph {
+    let mut order = vec![root];
+    let mut i = 0;
+    while order.len() < k && i < order.len() {
+        for &x in g.neighbors(order[i]) {
+            if order.len() < k && !order.contains(&x) {
+                order.push(x);
+            }
+        }
+        i += 1;
+    }
+    let mut b = GraphBuilder::new();
+    for &v in &order {
+        b.add_node(g.label(v));
+    }
+    for (a, &u) in order.iter().enumerate() {
+        for (c, &v) in order.iter().enumerate().skip(a + 1) {
+            if g.has_edge(u, v) {
+                b.add_edge(a as NodeId, c as NodeId).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Two label-0 hubs with `big` and `small` label-1 leaves, joined
+/// through a label-2 node, and a label-0 star query with `leaves`
+/// label-1 leaves. Leaf counts past 126 put label 1's cumulative counts
+/// at the saturation edge of sPath's signature lanes on both sides.
+fn hubs_and_star(big: usize, small: usize, leaves: usize) -> (Graph, Graph) {
+    let mut t = GraphBuilder::new();
+    let (a, m, b) = (t.add_node(0), t.add_node(2), t.add_node(0));
+    t.add_edge(a, m).unwrap();
+    t.add_edge(m, b).unwrap();
+    for (hub, n) in [(a, big), (b, small)] {
+        for _ in 0..n {
+            let leaf = t.add_node(1);
+            t.add_edge(hub, leaf).unwrap();
+        }
+    }
+    let star: Vec<(NodeId, NodeId)> = (1..=leaves as NodeId).map(|l| (0, l)).collect();
+    let mut labels = vec![1; leaves + 1];
+    labels[0] = 0;
+    (graph_from_parts(&labels, &star), t.build().unwrap())
+}
+
 /// The disjoint union of `a` and `b` (b's IDs shifted past a's).
 fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
     let mut g = GraphBuilder::new();
@@ -123,6 +172,12 @@ fn cases() -> Vec<Case> {
     push("size-reject", (q, t), None, Shape::Plain);
     let (_, t) = pair(14, 2, 16, 24, 3, 2);
     push("no-label", (graph_from_parts(&[0, 7], &[(0, 1)]), t), None, Shape::Plain);
+
+    // Twelve labels: sPath's signature keeps eight of them in lanes, so
+    // the query's outer layers name labels that live outside the lanes.
+    let (_, t) = pair(16, 12, 60, 120, 2, 1);
+    push("many-labels", (bfs_subgraph(&t, 5, 7), t), None, Shape::Plain);
+    push("hub-star-cap", hubs_and_star(140, 128, 129), Some(3), Shape::Plain);
 
     push("overlay", pair(15, 2, 24, 46, 4, 3), None, Shape::Overlay);
     push("overlay-cap", pair(15, 2, 24, 46, 4, 3), Some(3), Shape::Overlay);
@@ -329,6 +384,18 @@ no-label QSI complete n=0 digest=cbf29ce484222325 expanded=0 pruned=0 backtracks
 no-label GQL complete n=0 digest=cbf29ce484222325 expanded=0 pruned=0 backtracks=0 bitset=0
 no-label SPA complete n=0 digest=cbf29ce484222325 expanded=0 pruned=0 backtracks=0 bitset=0
 no-label VF2-free complete n=0 digest=cbf29ce484222325 expanded=10 pruned=0 backtracks=10 bitset=0
+many-labels VF2 complete n=2 digest=4c07c47d6bc322b1 expanded=17 pruned=1 backtracks=16 bitset=11
+many-labels ULL complete n=2 digest=4c07c47d6bc322b1 expanded=8 pruned=28 backtracks=8 bitset=7
+many-labels QSI complete n=2 digest=4c07c47d6bc322b1 expanded=10 pruned=0 backtracks=10 bitset=7
+many-labels GQL complete n=2 digest=4c07c47d6bc322b1 expanded=8 pruned=5 backtracks=8 bitset=7
+many-labels SPA complete n=2 digest=4c07c47d6bc322b1 expanded=8 pruned=0 backtracks=8 bitset=7
+many-labels VF2-free complete n=2 digest=4c07c47d6bc322b1 expanded=17 pruned=1 backtracks=16 bitset=0
+hub-star-cap VF2 limit n=3 digest=8f947e471ad77375 expanded=132 pruned=0 backtracks=2 bitset=131
+hub-star-cap ULL limit n=3 digest=8f947e471ad77375 expanded=132 pruned=0 backtracks=2 bitset=131
+hub-star-cap QSI limit n=3 digest=8f947e471ad77375 expanded=132 pruned=0 backtracks=2 bitset=131
+hub-star-cap GQL limit n=3 digest=8f947e471ad77375 expanded=132 pruned=16512 backtracks=2 bitset=131
+hub-star-cap SPA limit n=3 digest=8f947e471ad77375 expanded=132 pruned=0 backtracks=2 bitset=131
+hub-star-cap VF2-free limit n=3 digest=8f947e471ad77375 expanded=132 pruned=0 backtracks=2 bitset=0
 overlay VF2 complete n=68 digest=b0a83d46692c80f5 expanded=128 pruned=1 backtracks=127 bitset=16
 overlay ULL complete n=68 digest=4de6b26b2799ddb5 expanded=3969 pruned=3255 backtracks=725 bitset=1053
 overlay QSI complete n=68 digest=b0a83d46692c80f5 expanded=127 pruned=0 backtracks=127 bitset=15
