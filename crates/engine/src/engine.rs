@@ -13,12 +13,13 @@
 //!    occupy the pool at once. Over-limit non-blocking submissions
 //!    *park* in a bounded waiting room ([`EngineConfig::waiting_room`]): the ticket
 //!    returns immediately and the query launches when the fair gate
-//!    grants it a slot (FIFO per priority, fed through the same grant
-//!    chain as blocking waiters; dropping the ticket frees the parked
-//!    slot). Only when the room is full does admission refuse, with
+//!    hands it a slot (FIFO per priority, in the same queue as blocking
+//!    waiters; dropping the ticket frees the parked slot). Only when
+//!    the room is full does admission refuse, with
 //!    [`AdmissionError::QueueFull`] — or [`AdmissionError::Busy`] when
-//!    the room is disabled. [`crate::Submit::submit_queued`] blocks for
-//!    a slot instead, ordered by [`crate::Priority`] and then arrival.
+//!    the room is disabled. [`crate::Submit::submit_queued`] blocks
+//!    instead, ordered by [`crate::Priority`] and then arrival, until the
+//!    thread that frees a slot hands it over.
 //!    This bounds in-flight work to `max_concurrent_races × variants`
 //!    tasks no matter how many callers pile on.
 //! 3. **Predictor fast heat** — once the k-NN predictor has seen enough
@@ -101,7 +102,7 @@ pub enum RaceStrategy {
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Bounded waiting room for over-limit **non-blocking** submissions:
-    /// up to this many parked requests queue per graph for a slot grant
+    /// up to this many parked requests queue per graph for a slot
     /// instead of bouncing, so short bursts absorb rather than error.
     /// `0` restores hard rejection ([`AdmissionError::Busy`]); a full
     /// room refuses with [`AdmissionError::QueueFull`]. Default 1024.
@@ -583,7 +584,7 @@ impl Tenant {
     /// the epoch it landed in. The write goes through the same
     /// admission gate as queries — it occupies one race slot for its
     /// (short) duration, so a stream of writes is arbitrated by the
-    /// fair-grant machinery like any other tenant traffic and can
+    /// fair gate like any other tenant traffic and can
     /// neither starve nor be starved by reads. The batch is atomic: on
     /// any [`psi_core::UpdateError`] the live graph is untouched.
     ///

@@ -29,7 +29,7 @@ pub enum HistogramKind {
     Latency,
     /// Admission → race setup (queue wait).
     QueueWait,
-    /// Time spent parked in the waiting room (submission → slot grant).
+    /// Time spent parked in the waiting room (submission → slot hand-off).
     ParkWait,
     /// Race setup → finalize start.
     RaceStage,
@@ -249,7 +249,7 @@ pub struct GraphMetricsSnapshot {
     pub latency: HistogramSnapshot,
     /// Queue-wait stage histogram (admission → setup).
     pub queue_wait: HistogramSnapshot,
-    /// Waiting-room park time histogram (submission → slot grant).
+    /// Waiting-room park time histogram (submission → slot hand-off).
     pub park_wait: HistogramSnapshot,
     /// Race stage histogram (setup → finalize start).
     pub race_stage: HistogramSnapshot,

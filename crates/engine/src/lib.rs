@@ -24,7 +24,8 @@
 //!   in-flight work ≤ `max_concurrent_races × variants` — blocking
 //!   submissions queue by [`Priority`]; non-blocking submissions over
 //!   the limit park in a bounded per-graph **waiting room** (FIFO within
-//!   priority, fed by the same fair grant chain) and only bounce — with
+//!   priority, in the same fair queue; the thread that frees a slot
+//!   hands it to the next waiter of either kind) and only bounce — with
 //!   a typed [`AdmissionError`] — once the room overflows; the predictor
 //!   fast heat (a confident prediction races its leader alone, inline,
 //!   with the rest of the field in reserve for an inconclusive heat);

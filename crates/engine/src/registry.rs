@@ -448,12 +448,6 @@ impl MultiEngine {
         &self.registry
     }
 
-    /// Resolves a graph name to its id (shorthand for
-    /// `registry().graph_id(name)`).
-    pub fn graph_id(&self, name: &str) -> Option<GraphId> {
-        self.registry.graph_id(name)
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &MultiEngineConfig {
         &self.config
@@ -619,7 +613,7 @@ mod tests {
         });
         let g = graph_from_parts(&[0, 1], &[(0, 1)]);
         let id = multi.register("alpha", PsiRunner::nfv_default(&g)).expect("first registration");
-        assert_eq!(multi.graph_id("alpha"), Some(id));
+        assert_eq!(multi.registry().graph_id("alpha"), Some(id));
         assert_eq!(
             multi.register("alpha", PsiRunner::nfv_default(&g)),
             Err(RegistryError::DuplicateName("alpha".into()))

@@ -304,7 +304,7 @@ pub(crate) struct StatsCollector {
     pub latency: LatencyHistogram,
     /// Admission → setup-start queue wait.
     pub queue_wait: LatencyHistogram,
-    /// Waiting-room park time: submission → slot grant, for queries that
+    /// Waiting-room park time: submission → slot hand-off, for queries that
     /// parked (disjoint from `queue_wait`, which starts at admission).
     pub park_wait: LatencyHistogram,
     /// Setup-start → finalize-start race stage.
@@ -520,7 +520,7 @@ pub struct EngineStats {
     /// from the admission gate at snapshot time; for a registry tenant
     /// this is the shared gate's total across graphs).
     pub waiting_room_depth: u64,
-    /// Median waiting-room park time (submission → slot grant) over all
+    /// Median waiting-room park time (submission → slot hand-off) over all
     /// parked queries.
     pub park_wait_p50: Duration,
     /// 99th-percentile waiting-room park time.

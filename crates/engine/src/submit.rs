@@ -21,7 +21,7 @@
 //! Backpressure is still surfaced at *ticket creation*, but in two
 //! stages: over-limit [`Submit::submit_nonblocking`] calls park in the
 //! engine's bounded waiting room (the ticket returns immediately and the
-//! query launches when the fair gate grants it a slot), and only a full
+//! query launches when the fair gate hands it a slot), and only a full
 //! room refuses — with a typed [`crate::AdmissionError`] — so a network
 //! layer multiplexing thousands of clients absorbs short bursts and
 //! sheds only sustained overload.

@@ -68,7 +68,7 @@ pub enum TraceEvent {
     },
     /// The engine was at its concurrent-race limit: the query parked in
     /// the bounded waiting room instead of bouncing. Followed by
-    /// [`TraceEvent::Unparked`] when a slot grant launches it, or
+    /// [`TraceEvent::Unparked`] when a slot hand-off launches it, or
     /// directly by a cancelled [`TraceEvent::Finalized`] if its ticket
     /// is dropped while parked.
     Parked {
@@ -78,11 +78,11 @@ pub enum TraceEvent {
         /// parking (counts this entry, so ≥ 1).
         depth: u32,
     },
-    /// A parked query received a slot grant and launched.
+    /// A parked query was handed a slot and launched.
     Unparked {
         /// Engine-assigned query id.
         query: u64,
-        /// Time spent parked (submission → slot grant), µs.
+        /// Time spent parked (submission → slot hand-off), µs.
         waited_us: u64,
     },
     /// A worker picked the query up and began race setup; `queue_us` is

@@ -224,7 +224,7 @@ fn multi_engine_routes_tickets_and_reports_routing_errors() {
         SubmitError::Route(RouteError::NoGraph)
     );
     // ...nor can one naming a graph that was never registered.
-    let bogus = multi.graph_id("nope");
+    let bogus = multi.registry().graph_id("nope");
     assert_eq!(bogus, None);
     // A routed ticket serves normally and per-graph stats account for it.
     let ticket =
