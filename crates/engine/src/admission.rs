@@ -82,8 +82,12 @@ impl WaitEntry {
 /// **Invariant:** a waiter is queued only while every slot is taken —
 /// a submission queues only when the fast path is closed, and each
 /// freed slot goes straight to the next waiter — so a release frees
-/// exactly the one slot its winner takes.
-struct FairCore {
+/// exactly the one slot its winner takes. Every tenant's [`TenantGate`]
+/// shares the engine's one `FairCore` behind a mutex.
+#[derive(Default)]
+pub(crate) struct FairCore {
+    /// The slot cap: races (and writes) in flight across every graph.
+    max: usize,
     in_flight_total: usize,
     /// Races in flight per graph slot.
     in_flight: Vec<usize>,
@@ -97,8 +101,8 @@ struct FairCore {
 }
 
 impl FairCore {
-    fn new() -> Self {
-        Self { in_flight_total: 0, in_flight: Vec::new(), waiters: Vec::new(), next_ticket: 0 }
+    pub(crate) fn new(max: usize) -> Self {
+        Self { max: max.max(1), ..Self::default() }
     }
 
     fn add_graph(&mut self) -> usize {
@@ -120,6 +124,23 @@ impl FairCore {
         let at = queue.partition_point(|e| (e.rank, e.ticket) <= (rank, ticket));
         queue.insert(at, WaitEntry { rank, ticket, waiter });
         ticket
+    }
+
+    /// Parks `launch` in `graph`'s waiting room of `room` parked entries:
+    /// `Ok((ticket, depth))` with the room's occupancy after parking, or
+    /// the launch handed back when the room is full (or `room` is 0).
+    fn park(
+        &mut self,
+        graph: usize,
+        rank: u8,
+        launch: Box<DeferredLaunch>,
+        room: usize,
+    ) -> Result<(u64, usize), Box<DeferredLaunch>> {
+        if self.parked(graph) >= room {
+            return Err(launch);
+        }
+        let ticket = self.enqueue(graph, rank, Waiter::Parked { since: Instant::now(), launch });
+        Ok((ticket, self.parked(graph)))
     }
 
     /// Parked entries queued for `graph` (the waiting-room occupancy the
@@ -149,8 +170,8 @@ impl FairCore {
 
     /// Whether a submission may bypass the queue entirely: capacity free
     /// and nobody waiting.
-    fn can_fast_path(&self, max: usize) -> bool {
-        self.in_flight_total < max && self.waiters.iter().all(|q| q.is_empty())
+    fn can_fast_path(&self) -> bool {
+        self.in_flight_total < self.max && self.waiters.iter().all(|q| q.is_empty())
     }
 
     /// Dispenses free capacity: among graphs with waiters, the one with
@@ -158,9 +179,9 @@ impl FairCore {
     /// chosen load level, higher priority wins; ties go to the oldest
     /// ticket. Each winner leaves the queue holding a slot taken on its
     /// behalf; the caller hands the winners over **outside** the lock.
-    fn schedule(&mut self, max: usize) -> Vec<WaitEntry> {
+    fn schedule(&mut self) -> Vec<WaitEntry> {
         let mut winners = Vec::new();
-        while self.in_flight_total < max {
+        while self.in_flight_total < self.max {
             let Some(graph) = self
                 .waiters
                 .iter()
@@ -177,42 +198,29 @@ impl FairCore {
         winners
     }
 
-    fn release(&mut self, graph: usize, max: usize) -> Vec<WaitEntry> {
+    fn release(&mut self, graph: usize) -> Vec<WaitEntry> {
         self.in_flight_total -= 1;
         self.in_flight[graph] -= 1;
-        self.schedule(max)
-    }
-}
-
-/// The shared cross-graph admission gate (see module docs): the locked
-/// scheduling core and the slot cap every tenant's [`TenantGate`] shares.
-pub(crate) struct FairAdmission {
-    core: Mutex<FairCore>,
-    max: usize,
-}
-
-impl FairAdmission {
-    pub(crate) fn new(max: usize) -> Self {
-        Self { core: Mutex::new(FairCore::new()), max: max.max(1) }
+        self.schedule()
     }
 }
 
 /// The shared fair gate bound to one tenant's slot: where that tenant
 /// gets permission to occupy the worker pool with a race or a write.
 pub(crate) struct TenantGate {
-    shared: Arc<FairAdmission>,
+    shared: Arc<Mutex<FairCore>>,
     pub(crate) graph: usize,
 }
 
 impl TenantGate {
     /// Registers a new graph slot with `shared` and binds to it.
-    pub(crate) fn new(shared: Arc<FairAdmission>) -> Self {
-        let graph = shared.core.lock().expect("fair admission lock").add_graph();
+    pub(crate) fn new(shared: Arc<Mutex<FairCore>>) -> Self {
+        let graph = shared.lock().expect("fair admission lock").add_graph();
         Self { shared, graph }
     }
 
     fn core(&self) -> MutexGuard<'_, FairCore> {
-        self.shared.core.lock().expect("fair admission lock")
+        self.shared.lock().expect("fair admission lock")
     }
 
     /// Blocks until this thread is handed a race slot; among waiters,
@@ -220,7 +228,7 @@ impl TenantGate {
     pub(crate) fn acquire(&self, priority: Priority) {
         let woken = {
             let mut core = self.core();
-            if core.can_fast_path(self.shared.max) {
+            if core.can_fast_path() {
                 core.take(self.graph);
                 return;
             }
@@ -235,7 +243,7 @@ impl TenantGate {
     /// Returns a previously acquired slot, handing it to the next waiter
     /// if there is one.
     pub(crate) fn release(&self) {
-        let winners = self.core().release(self.graph, self.shared.max);
+        let winners = self.core().release(self.graph);
         winners.into_iter().for_each(WaitEntry::hand_off);
     }
 
@@ -246,16 +254,14 @@ impl TenantGate {
     /// fires from whichever thread frees the slot handed to it.
     pub(crate) fn admit(&self, priority: Priority, launch: DeferredLaunch, room: usize) -> Admit {
         let mut core = self.core();
-        if core.can_fast_path(self.shared.max) {
+        if core.can_fast_path() {
             core.take(self.graph);
             return Admit::Ready(launch);
         }
-        if core.parked(self.graph) >= room {
-            return Admit::Full(launch);
+        match core.park(self.graph, priority.rank(), Box::new(launch), room) {
+            Ok((ticket, depth)) => Admit::Parked { ticket, depth },
+            Err(launch) => Admit::Full(*launch),
         }
-        let waiter = Waiter::Parked { since: Instant::now(), launch: Box::new(launch) };
-        let ticket = core.enqueue(self.graph, priority.rank(), waiter);
-        Admit::Parked { ticket, depth: core.parked(self.graph) }
     }
 
     /// Removes a parked launch by its park ticket, abandoning its query
@@ -281,8 +287,8 @@ pub(crate) enum Admit {
     /// A slot was taken; launch now.
     Ready(DeferredLaunch),
     /// Parked in the waiting room; the gate owns the launch and will fire
-    /// it on hand-off. `ticket` cancels the parking; `depth` is the queue
-    /// position observed at park time (for the `Parked` trace event).
+    /// it on hand-off. `ticket` cancels the parking; `depth` is the room's
+    /// occupancy right after parking (for the `Parked` trace event).
     Parked { ticket: u64, depth: usize },
     /// Waiting room full (or disabled); the launch comes back untouched
     /// so the caller can discard it without side effects.
@@ -442,9 +448,8 @@ mod tests {
 
     #[test]
     fn fair_core_hands_light_graph_the_slot_before_older_heavy_waiter() {
-        let mut core = FairCore::new();
+        let mut core = FairCore::new(2);
         let (g0, g1) = (core.add_graph(), core.add_graph());
-        let max = 2;
         // g0 saturates both slots, then queues another race *before*
         // g1's first ever arrives.
         core.take(g0);
@@ -453,16 +458,15 @@ mod tests {
         let light = core.enqueue(g1, Priority::Normal.rank(), thread_waiter().0);
         // A slot frees: the light graph (0 in flight) beats the older
         // ticket of the heavy graph (1 still in flight).
-        assert_eq!(tickets(&core.release(g0, max)), vec![light]);
-        assert_eq!(tickets(&core.release(g0, max)), vec![heavy]);
+        assert_eq!(tickets(&core.release(g0)), vec![light]);
+        assert_eq!(tickets(&core.release(g0)), vec![heavy]);
         assert_eq!(core.in_flight, vec![1, 1]);
     }
 
     #[test]
     fn priority_reorders_within_a_graph_but_fairness_stays_primary() {
-        let mut core = FairCore::new();
+        let mut core = FairCore::new(2);
         let (g0, g1) = (core.add_graph(), core.add_graph());
-        let max = 2;
         core.take(g0);
         core.take(g0);
         // Within g0: a later High waiter beats an earlier Low one.
@@ -472,9 +476,9 @@ mod tests {
         // below) beats g0's High waiter even at Low priority — max–min
         // fairness is primary.
         let g1_low = core.enqueue(g1, Priority::Low.rank(), thread_waiter().0);
-        assert_eq!(tickets(&core.release(g0, max)), vec![g1_low], "fairness before priority");
-        assert_eq!(tickets(&core.release(g1, max)), vec![g0_high], "priority within g0");
-        assert_eq!(tickets(&core.release(g0, max)), vec![g0_low]);
+        assert_eq!(tickets(&core.release(g0)), vec![g1_low], "fairness before priority");
+        assert_eq!(tickets(&core.release(g1)), vec![g0_high], "priority within g0");
+        assert_eq!(tickets(&core.release(g0)), vec![g0_low]);
     }
 
     #[test]
@@ -484,20 +488,19 @@ mod tests {
         // thread has woken — sorts ahead of nothing that matters: the
         // slot is already the Normal waiter's, and the High waiter
         // queues for the next one.
-        let mut core = FairCore::new();
+        let mut core = FairCore::new(1);
         let g0 = core.add_graph();
-        let max = 1;
         core.take(g0);
         let (waiter, woken) = thread_waiter();
         let normal = core.enqueue(g0, Priority::Normal.rank(), waiter);
-        let winners = core.release(g0, max);
+        let winners = core.release(g0);
         assert_eq!(tickets(&winners), vec![normal]);
         let high = core.enqueue(g0, Priority::High.rank(), thread_waiter().0);
-        assert!(!core.can_fast_path(max), "the handed-over slot is taken");
+        assert!(!core.can_fast_path(), "the handed-over slot is taken");
         winners.into_iter().for_each(WaitEntry::hand_off);
         assert_eq!(woken.try_recv(), Ok(()), "the Normal waiter wakes holding the slot");
         assert_eq!(core.in_flight, vec![1]);
-        assert_eq!(tickets(&core.release(g0, max)), vec![high], "High is next in line");
+        assert_eq!(tickets(&core.release(g0)), vec![high], "High is next in line");
     }
 
     // ---- FairCore against a reference model ----
@@ -560,7 +563,7 @@ mod tests {
             woken: &mut HashMap<u64, Receiver<()>>,
             handed: &mut Vec<u64>,
         ) -> Result<(), TestCaseError> {
-            let winners = core.release(graph, MAX);
+            let winners = core.release(graph);
             prop_assert_eq!(
                 tickets(&winners),
                 model.release(graph).into_iter().collect::<Vec<_>>()
@@ -594,7 +597,7 @@ mod tests {
                     1..64,
                 ),
             ) {
-                let mut core = FairCore::new();
+                let mut core = FairCore::new(MAX);
                 for _ in 0..GRAPHS {
                     core.add_graph();
                 }
@@ -610,21 +613,31 @@ mod tests {
                     match kind {
                         0 | 1 => {
                             let fast = model.total() < MAX && model.queue.is_empty();
-                            prop_assert_eq!(core.can_fast_path(MAX), fast);
-                            if fast {
+                            prop_assert_eq!(core.can_fast_path(), fast);
+                            let ticket = if fast {
                                 core.take(graph);
                                 model.in_flight[graph] += 1;
-                            } else if parked && model.parked(graph) >= ROOM {
-                                // Room full: the submission is refused.
+                                None
+                            } else if parked {
+                                // Through the gate's own room check: a
+                                // full room hands the launch back.
+                                let outcome = core.park(graph, rank, Box::new(DeferredLaunch::disarmed()), ROOM);
+                                let room_full = model.parked(graph) >= ROOM;
+                                prop_assert_eq!(outcome.is_err(), room_full);
+                                match outcome {
+                                    Ok((ticket, depth)) => {
+                                        prop_assert_eq!(depth, model.parked(graph) + 1);
+                                        Some(ticket)
+                                    }
+                                    Err(_) => None,
+                                }
                             } else {
-                                let (waiter, rx) = if parked {
-                                    (parked_waiter(), None)
-                                } else {
-                                    let (waiter, rx) = thread_waiter();
-                                    (waiter, Some(rx))
-                                };
+                                let (waiter, rx) = thread_waiter();
                                 let ticket = core.enqueue(graph, rank, waiter);
-                                woken.extend(rx.map(|rx| (ticket, rx)));
+                                woken.insert(ticket, rx);
+                                Some(ticket)
+                            };
+                            if let Some(ticket) = ticket {
                                 let arrival = model.arrivals;
                                 model.arrivals += 1;
                                 model.queue.push(Queued { graph, rank, arrival, ticket, parked });
@@ -673,11 +686,40 @@ mod tests {
         }
     }
 
-    // ---- TenantGate under real threads ----
+    // ---- TenantGate ----
+
+    #[test]
+    fn admit_parks_up_to_the_room_then_hands_the_launch_back() {
+        let gate = TenantGate::new(Arc::new(Mutex::new(FairCore::new(1))));
+        // The one slot is taken and held for the whole test.
+        assert!(matches!(
+            gate.admit(Priority::Normal, DeferredLaunch::disarmed(), 2),
+            Admit::Ready(_)
+        ));
+        let depths: Vec<usize> = (0..3)
+            .filter_map(|_| match gate.admit(Priority::Normal, DeferredLaunch::disarmed(), 2) {
+                Admit::Parked { depth, .. } => Some(depth),
+                Admit::Ready(_) => panic!("the slot is held"),
+                Admit::Full(_) => None,
+            })
+            .collect();
+        assert_eq!(
+            depths,
+            vec![1, 2],
+            "depth reports occupancy after parking; the third is refused"
+        );
+        assert_eq!(gate.waiting(), 2);
+        let other = TenantGate::new(Arc::clone(&gate.shared));
+        assert!(
+            matches!(other.admit(Priority::High, DeferredLaunch::disarmed(), 0), Admit::Full(_)),
+            "a room of 0 parks nothing"
+        );
+        assert_eq!(gate.waiting(), 2);
+    }
 
     #[test]
     fn blocking_acquire_eventually_admits_everyone() {
-        let fair = Arc::new(FairAdmission::new(2));
+        let fair = Arc::new(Mutex::new(FairCore::new(2)));
         let gates = [TenantGate::new(Arc::clone(&fair)), TenantGate::new(Arc::clone(&fair))];
         let admitted = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -693,7 +735,7 @@ mod tests {
             }
         });
         assert_eq!(admitted.load(Ordering::Relaxed), 16);
-        let core = fair.core.lock().unwrap();
+        let core = fair.lock().unwrap();
         assert_eq!(core.in_flight_total, 0);
         assert!(core.waiters.iter().all(|q| q.is_empty()));
     }

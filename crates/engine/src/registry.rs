@@ -20,7 +20,7 @@
 //! max–min fair gate with a bounded waiting room (`admission.rs`), so a
 //! tenant flooding the engine cannot starve a light one.
 
-use crate::admission::{FairAdmission, TenantGate};
+use crate::admission::{FairCore, TenantGate};
 use crate::engine::{ApplyError, EngineConfig, EngineResponse, RouteError, SubmitError, Tenant};
 use crate::export::{GraphMetricsSnapshot, MetricsExporter};
 use crate::flight::StageTimer;
@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Identity of a registered graph, returned by [`MultiEngine::register`].
@@ -256,7 +256,7 @@ impl GraphRegistry {
 /// ```
 pub struct MultiEngine {
     pool: Arc<WorkerPool>,
-    admission: Arc<FairAdmission>,
+    admission: Arc<Mutex<FairCore>>,
     /// One stage-deadline timer shared by every tenant's staged races.
     timer: Arc<StageTimer>,
     registry: GraphRegistry,
@@ -270,7 +270,7 @@ impl MultiEngine {
     pub fn new(config: MultiEngineConfig) -> Self {
         Self {
             pool: Arc::new(WorkerPool::new(config.workers)),
-            admission: Arc::new(FairAdmission::new(config.max_concurrent_races)),
+            admission: Arc::new(Mutex::new(FairCore::new(config.max_concurrent_races))),
             timer: Arc::new(StageTimer::new()),
             registry: GraphRegistry::new(),
             config,

@@ -2,12 +2,9 @@
 # Prints each workspace crate's non-test line count: every `src/*.rs`
 # file (recursively) counted up to its first line that starts with
 # `#[cfg(test)]`, summed per crate, then the total. Run from anywhere
-# inside the repository; `--files` also lists the per-file counts.
+# inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-files=0
-[ "${1:-}" = "--files" ] && files=1
 
 count() {
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
@@ -19,9 +16,7 @@ for src in crates/*/src src; do
     crate=$(sed -n 's/^name *= *"\(.*\)"/\1/p' "$src/../Cargo.toml" | head -n 1)
     sum=0
     while IFS= read -r file; do
-        n=$(count "$file")
-        sum=$((sum + n))
-        [ "$files" = 1 ] && printf '  %6d  %s\n' "$n" "$file"
+        sum=$((sum + $(count "$file")))
     done < <(find "$src" -name '*.rs' | sort)
     printf '%6d  %s\n' "$sum" "$crate"
     total=$((total + sum))
