@@ -22,11 +22,15 @@
 //! * **`has_edge(u, v)`** — a dense adjacency **bitset** fast path for
 //!   small or hub-heavy graphs (`O(1)` per probe), falling back to the
 //!   CSR binary search when the bitset would be too large;
-//! * **`rule_one_candidates(query, u)`** — GraphQL's rule 1 (label,
-//!   degree and neighbour-label containment) for one query vertex,
+//! * **`position(v)`** — `v`'s position in its label's list, so a set of
+//!   same-label vertices can be a bitset over list positions whose
+//!   membership test is one bit;
+//! * **`rule_one_bits(query, u)`** — GraphQL's rule 1 (label, degree and
+//!   neighbour-label containment) for one query vertex as such a bitset,
 //!   answered from a bounded memo keyed by the vertex's label and sorted
 //!   neighbour-label multiset, so a profile seen before (by any entrant
-//!   of any query) is filtered once, not once per search.
+//!   of any query) is filtered once, not once per search. A hit shares
+//!   the memo's bitset; `rule_one_candidates` decodes it to a list.
 //!
 //! The index is pure derived state: it holds an `Arc<Graph>` and can be
 //! rebuilt from it at any time, which is exactly what makes it the
@@ -61,12 +65,13 @@ pub const HUB_DEGREE_THRESHOLD: usize = 64;
 pub const INDEX_LAYOUT_VERSION: u32 = 1;
 
 /// Byte cap of one index's rule-1 candidate memo
-/// ([`TargetIndex::rule_one_candidates`]). An insert that would cross it
+/// ([`TargetIndex::rule_one_bits`]). An insert that would cross it
 /// clears the memo first.
 pub const CANDIDATE_MEMO_MAX_BYTES: usize = 1 << 20;
 
 /// Bytes charged per memo entry on top of its key and bitset: the
-/// hash-table slot (two boxed-slice headers) and two allocation headers.
+/// hash-table slot (two slice headers), two allocation headers and the
+/// bitset's reference counts.
 const MEMO_ENTRY_OVERHEAD: usize = 64;
 
 /// Counters of a [`TargetIndex`]'s rule-1 candidate memo.
@@ -85,9 +90,10 @@ pub struct CandidateMemoStats {
 
 /// Rule-1 answers keyed by query-vertex profile. The key is the vertex's
 /// label followed by its sorted neighbour-label multiset; the value has
-/// bit `i` set iff `candidates(label)[i]` passes rule 1 for that key.
+/// bit `i` set iff `candidates(label)[i]` passes rule 1 for that key,
+/// shared with every lookup that hit it.
 struct CandidateMemo {
-    entries: HashMap<Box<[Label]>, Box<[u64]>>,
+    entries: HashMap<Box<[Label]>, Arc<[u64]>>,
     cap: usize,
     stats: CandidateMemoStats,
 }
@@ -100,7 +106,7 @@ impl CandidateMemo {
     /// Stores `bits` under `key`, clearing the memo first if the entry
     /// would cross the cap. An entry larger than the whole cap is not
     /// stored; a key a concurrent miss stored first is kept as it is.
-    fn insert(&mut self, key: Box<[Label]>, bits: Box<[u64]>) {
+    fn insert(&mut self, key: Box<[Label]>, bits: Arc<[u64]>) {
         let size = size_of_val(&*key) + size_of_val(&*bits) + MEMO_ENTRY_OVERHEAD;
         if size > self.cap || self.entries.contains_key(&key) {
             return;
@@ -236,6 +242,10 @@ pub struct TargetIndex {
     /// (the order the matchers' seed implementations enumerated
     /// candidates in, so indexed searches visit candidates identically).
     label_nodes: Vec<NodeId>,
+    /// Per node, its position in its label's list: `v` is
+    /// `candidates(label(v))[positions[v]]`. Derived from the label lists
+    /// on build and on load; never persisted.
+    positions: Vec<u32>,
     /// Degree per node, dense.
     degrees: Vec<u32>,
     /// Node IDs sorted by degree descending (ties by ID ascending).
@@ -308,9 +318,11 @@ impl TargetIndex {
         }
         let mut cursor = label_offsets[..label_keys.len()].to_vec();
         let mut label_nodes = vec![0 as NodeId; n];
+        let mut positions = vec![0u32; n];
         for v in graph.nodes() {
             let k = label_keys.binary_search(&graph.label(v)).expect("label key present");
             label_nodes[cursor[k] as usize] = v;
+            positions[v as usize] = cursor[k] - label_offsets[k];
             cursor[k] += 1;
         }
         let mut degree_desc: Vec<NodeId> = (0..n as NodeId).collect();
@@ -328,6 +340,7 @@ impl TargetIndex {
             label_keys,
             label_offsets,
             label_nodes,
+            positions,
             degrees,
             degree_desc,
             sig_offsets,
@@ -358,10 +371,12 @@ impl TargetIndex {
 
     /// Reassembles an index from flat sections — the load path of the
     /// persistence layer. Validation is `O(n + total section length)`:
-    /// shapes, offset monotonicity, IDs in range, and `degree_desc`
-    /// being a permutation of `0..n`. Contents that pass these checks
-    /// but were maliciously permuted cannot cause memory unsafety — at
-    /// worst wrong answers, which the snapshot checksum already guards.
+    /// shapes, offset monotonicity, IDs in range, `degree_desc` being a
+    /// permutation of `0..n`, and every node sitting exactly once in its
+    /// own label's list (which derives `positions`). Contents that pass
+    /// these checks but were maliciously permuted cannot cause memory
+    /// unsafety — at worst wrong answers, which the snapshot checksum
+    /// already guards.
     ///
     /// Returns `Err` with a description when any section is malformed;
     /// callers fall back to [`TargetIndex::build`].
@@ -417,8 +432,18 @@ impl TargetIndex {
         if label_nodes.len() != n {
             return Err(format!("label_nodes.len() = {}, expected {n}", label_nodes.len()));
         }
-        if label_nodes.iter().any(|&v| v as usize >= n) {
-            return Err("label_nodes entry out of range".into());
+        let mut positions = vec![u32::MAX; n];
+        for (k, &label) in label_keys.iter().enumerate() {
+            let lo = label_offsets[k] as usize;
+            for (i, &v) in label_nodes[lo..label_offsets[k + 1] as usize].iter().enumerate() {
+                if v as usize >= n || positions[v as usize] != u32::MAX {
+                    return Err(format!("label_nodes entry {v} out of range or repeated"));
+                }
+                if graph.label(v) != label {
+                    return Err(format!("node {v} listed under label {label}"));
+                }
+                positions[v as usize] = i as u32;
+            }
         }
         let bits = match bitset_words {
             Some(words) => {
@@ -436,6 +461,7 @@ impl TargetIndex {
             label_keys,
             label_offsets,
             label_nodes,
+            positions,
             degrees,
             degree_desc,
             sig_offsets,
@@ -471,6 +497,14 @@ impl TargetIndex {
             }
             Err(_) => &[],
         }
+    }
+
+    /// `v`'s position in its label's list: `candidates(label(v))[position(v)]`
+    /// is `v`. Bit `position(v)` of a bitset over that list (such as
+    /// [`TargetIndex::rule_one_bits`]'s) says whether `v` is in the set.
+    #[inline]
+    pub fn position(&self, v: NodeId) -> usize {
+        self.positions[v as usize] as usize
     }
 
     /// Degree of `v` (array read; no CSR offset arithmetic).
@@ -556,50 +590,65 @@ impl TargetIndex {
 
     /// GraphQL's rule 1 for query vertex `u`: the vertices of
     /// `candidates(query.label(u))`, in that order, that pass
-    /// [`rule_one_fits`] for `u`'s sorted neighbour-label multiset.
-    ///
-    /// The answer depends only on `u`'s label and multiset (the degree
-    /// of a vertex of a simple graph is its multiset's size), so it is
-    /// memoized under that key: a seen key is answered from a bitset
-    /// over the label list without scanning it. A miss scans, calling
-    /// `tick` once per scanned vertex; an `Err` from `tick` aborts the
-    /// scan and stores nothing. The memo is bounded by
-    /// [`CANDIDATE_MEMO_MAX_BYTES`] and clears when an insert would cross
-    /// it.
+    /// [`rule_one_fits`] for `u`'s sorted neighbour-label multiset —
+    /// [`TargetIndex::rule_one_bits`] decoded to a list, outside the memo
+    /// lock.
     pub fn rule_one_candidates<E>(
         &self,
         query: &Graph,
         u: NodeId,
-        mut tick: impl FnMut() -> Result<(), E>,
+        tick: impl FnMut() -> Result<(), E>,
     ) -> Result<Vec<NodeId>, E> {
+        let bits = self.rule_one_bits(query, u, tick)?;
+        Ok(decode_positions(&bits, self.candidates(query.label(u))))
+    }
+
+    /// GraphQL's rule 1 for query vertex `u` as a bitset over
+    /// `candidates(query.label(u))`: bit `i` is set iff the list's `i`-th
+    /// vertex passes [`rule_one_fits`] for `u`'s sorted neighbour-label
+    /// multiset.
+    ///
+    /// The answer depends only on `u`'s label and multiset (the degree
+    /// of a vertex of a simple graph is its multiset's size), so it is
+    /// memoized under that key: a seen key is answered with the memo's
+    /// own bitset, shared, without scanning the list. A miss scans,
+    /// calling `tick` once per scanned vertex; an `Err` from `tick` aborts
+    /// the scan and stores nothing. The memo is bounded by
+    /// [`CANDIDATE_MEMO_MAX_BYTES`] and clears when an insert would cross
+    /// it.
+    pub fn rule_one_bits<E>(
+        &self,
+        query: &Graph,
+        u: NodeId,
+        mut tick: impl FnMut() -> Result<(), E>,
+    ) -> Result<Arc<[u64]>, E> {
         let label = query.label(u);
         let mut key = Vec::with_capacity(query.degree(u) + 1);
         key.push(label);
         key.extend(query.neighbors(u).iter().map(|&n| query.label(n)));
         key[1..].sort_unstable();
-        let list = self.candidates(label);
         {
             let mut memo = self.lock_memo();
             if let Some(bits) = memo.entries.get(&key[..]) {
-                let out = decode_positions(bits, list);
+                let bits = Arc::clone(bits);
                 memo.stats.hits += 1;
-                return Ok(out);
+                return Ok(bits);
             }
             memo.stats.misses += 1;
         }
         let sig = &key[1..];
         let mask = Self::mask_of(sig);
+        let list = self.candidates(label);
         let mut bits = vec![0u64; list.len().div_ceil(64)];
-        let mut out = Vec::new();
         for (i, &v) in list.iter().enumerate() {
             tick()?;
-            if rule_one_fits(sig, mask, self.degree(v), self.label_mask(v), self.signature(v)) {
-                bits[i / 64] |= 1 << (i % 64);
-                out.push(v);
-            }
+            let fits =
+                rule_one_fits(sig, mask, self.degree(v), self.label_mask(v), self.signature(v));
+            bits[i / 64] |= u64::from(fits) << (i % 64);
         }
-        self.lock_memo().insert(key.into_boxed_slice(), bits.into_boxed_slice());
-        Ok(out)
+        let bits: Arc<[u64]> = bits.into();
+        self.lock_memo().insert(key.into_boxed_slice(), Arc::clone(&bits));
+        Ok(bits)
     }
 
     /// Hit, miss and clear counts and the charged size of the rule-1
@@ -635,7 +684,7 @@ impl TargetIndex {
     /// Approximate resident size of the index in bytes (excluding the
     /// graph itself and the candidate memo, which
     /// [`TargetIndex::candidate_memo_stats`] reports): degrees + orders +
-    /// signatures + masks + label lists + bitset words. Documented in `docs/architecture.md` as the
+    /// signatures + masks + label lists + list positions + bitset words. Documented in `docs/architecture.md` as the
     /// per-graph memory cost of registration.
     pub fn memory_bytes(&self) -> usize {
         self.degrees.len() * size_of::<u32>()
@@ -646,12 +695,13 @@ impl TargetIndex {
             + self.label_keys.len() * size_of::<Label>()
             + self.label_offsets.len() * size_of::<u32>()
             + self.label_nodes.len() * size_of::<NodeId>()
+            + self.positions.len() * size_of::<u32>()
             + self.bits.as_ref().map_or(0, |b| b.words.len() * size_of::<u64>())
     }
 }
 
 /// The entries of `list` at the set bit positions of `bits`, in order.
-fn decode_positions(bits: &[u64], list: &[NodeId]) -> Vec<NodeId> {
+pub fn decode_positions(bits: &[u64], list: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
     for (w, &word) in bits.iter().enumerate() {
         let mut word = word;
@@ -777,6 +827,25 @@ mod tests {
             prop_assert_eq!(stats.hits + stats.misses, lookups);
             prop_assert!(stats.bytes <= cap);
         }
+
+        /// Every node sits at its position in its label's list, for
+        /// labels across the whole `u32` range: small ones, values near
+        /// `u32::MAX`, and `u32::MAX` itself (the overlay's tombstone).
+        #[test]
+        fn positions_index_each_nodes_label_list(seed in any::<u64>()) {
+            const POOL: [Label; 7] = [0, 1, 2, u32::MAX - 2, u32::MAX - 1, u32::MAX, 3];
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.random_range(0..60usize);
+            let labels: Vec<Label> =
+                (0..n).map(|_| POOL[rng.random_range(0..POOL.len())]).collect();
+            let edges: Vec<(NodeId, NodeId)> = (1..n)
+                .map(|v| (rng.random_range(0..v) as NodeId, v as NodeId))
+                .collect();
+            let ix = index(graph_from_parts(&labels, &edges));
+            for v in ix.graph().nodes() {
+                prop_assert_eq!(ix.candidates(ix.graph().label(v))[ix.position(v)], v);
+            }
+        }
     }
 
     #[test]
@@ -886,6 +955,7 @@ mod tests {
         {
             let loaded = TargetIndex::from_parts(Arc::clone(&g), built.to_parts()).unwrap();
             assert_eq!(loaded.has_bitset(), built.has_bitset());
+            assert_eq!(loaded.positions, built.positions, "positions are rebuilt on load");
             assert_eq!(loaded.degree_descending(), built.degree_descending());
             assert_eq!(loaded.memory_bytes(), built.memory_bytes());
             for l in 0..6 {
@@ -922,6 +992,8 @@ mod tests {
         reject(&|p| p.label_keys.reverse()); // unsorted keys
         reject(&|p| p.label_nodes[0] = 99);
         reject(&|p| p.label_nodes.pop().map(|_| ()).unwrap());
+        reject(&|p| p.label_nodes.swap(0, 1)); // node 0 listed under label 0
+        reject(&|p| p.label_nodes[1] = p.label_nodes[2]); // node 2 listed twice
         reject(&|p| {
             if let Some(w) = p.bitset_words.as_mut() {
                 w.pop();

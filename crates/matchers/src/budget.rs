@@ -176,6 +176,15 @@ impl BudgetClock<'_> {
         self.check_now()
     }
 
+    /// `n` calls to [`BudgetClock::tick`] at once, checked after the last.
+    #[inline]
+    pub fn tick_n(&mut self, n: u32) -> Option<StopReason> {
+        let before = self.ticks;
+        self.ticks = before.wrapping_add(n);
+        let crossed = n > CHECK_STRIDE || (before ^ self.ticks) & !CHECK_STRIDE != 0;
+        crossed.then(|| self.check_now()).flatten()
+    }
+
     /// Forces an immediate check (used at search entry and after long
     /// non-tick phases like index probes).
     #[inline]
@@ -263,6 +272,24 @@ mod tests {
         let b = SearchBudget::default().timeout(Duration::from_secs(3600));
         let clock = b.start();
         assert_eq!(clock.check_now(), None);
+    }
+
+    /// `tick_n(n)` stops exactly when one of `n` single ticks from the
+    /// same count would have, and leaves the same count behind.
+    #[test]
+    fn tick_n_checks_as_n_ticks_would() {
+        let t = CancelToken::new();
+        t.cancel();
+        let b = SearchBudget::default().cancellable(t);
+        for start in [0, 1, 200, 254, 255, 256, u32::MAX - 3] {
+            for n in [0, 1, 2, 63, 64, 255, 256, 257, 600] {
+                let (mut batch, mut single) = (b.start(), b.start());
+                (batch.ticks, single.ticks) = (start, start);
+                let stopped = (0..n).fold(false, |s, _| single.tick().is_some() || s);
+                assert_eq!(batch.tick_n(n).is_some(), stopped, "start {start} n {n}");
+                assert_eq!(batch.ticks, single.ticks);
+            }
+        }
     }
 
     #[test]

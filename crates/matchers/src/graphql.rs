@@ -316,8 +316,7 @@ impl Planner for GraphQl {
         let steps = order
             .into_iter()
             .map(|qv| {
-                let domain = Cow::Owned(std::mem::take(&mut cands[qv as usize]));
-                Step::new(qv, Source::Domain, domain)
+                Step::new(qv, Source::Domain(Cow::Owned(std::mem::take(&mut cands[qv as usize]))))
             })
             .collect();
         Ok(Plan::new(query, steps, ()))

@@ -10,7 +10,7 @@
 //! * its candidate [`Source`] — the step's own domain list, or the
 //!   neighbourhood of an already-matched neighbour's image;
 //! * the cheap filters applied before a candidate counts as expanded:
-//!   vertex label, minimum degree, membership in the domain.
+//!   vertex label, minimum degree, one-bit membership in [`Members`].
 //!
 //! The kernel owns everything else: the entry guard (budget, empty query,
 //! size reject), the pooled scratch buffers, the DFS with its edge and
@@ -31,7 +31,7 @@ use crate::matcher::{Embedding, MatchResult, SearchStats};
 use crate::scratch;
 use crate::slice::{ChunkOutcome, SliceSession, SliceSetup};
 use psi_delta::GraphView;
-use psi_graph::{Graph, Label, NodeId};
+use psi_graph::{Graph, Label, NodeId, TargetIndex};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
@@ -40,10 +40,10 @@ use std::time::Instant;
 const UNMAPPED: NodeId = NodeId::MAX;
 
 /// Where a step draws its candidate target vertices from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Source {
-    /// The step's own domain list.
-    Domain,
+pub(crate) enum Source<'a> {
+    /// The step's own domain: the vertex's candidates in ascending ID
+    /// order.
+    Domain(Cow<'a, [NodeId]>),
     /// The neighbourhood of the image of this query vertex, which an
     /// earlier step binds.
     Neighbor(NodeId),
@@ -57,16 +57,14 @@ pub(crate) struct Step<'a> {
     /// The query vertex this step binds.
     pub vertex: NodeId,
     /// Where candidates come from.
-    pub source: Source,
-    /// The vertex's candidate list in ascending ID order: the source of a
-    /// [`Source::Domain`] step, the filter of an `in_domain` one.
-    pub domain: Cow<'a, [NodeId]>,
+    pub source: Source<'a>,
     /// Reject candidates whose label differs.
     pub label: Option<Label>,
     /// Reject candidates of smaller degree.
     pub min_degree: usize,
-    /// Reject candidates outside `domain`.
-    pub in_domain: bool,
+    /// Reject candidates outside this set of `label` vertices (a step with
+    /// members sets `label`, so no other label reaches the bit test).
+    pub members: Option<Members<'a>>,
     /// This step's back edges: a range of the plan's back-edge list, set
     /// by [`Plan::new`].
     pub back: Range<usize>,
@@ -74,16 +72,26 @@ pub(crate) struct Step<'a> {
 
 impl<'a> Step<'a> {
     /// A step with no filters.
-    pub fn new(vertex: NodeId, source: Source, domain: Cow<'a, [NodeId]>) -> Self {
-        Self { vertex, source, domain, label: None, min_degree: 0, in_domain: false, back: 0..0 }
+    pub fn new(vertex: NodeId, source: Source<'a>) -> Self {
+        Self { vertex, source, label: None, min_degree: 0, members: None, back: 0..0 }
     }
 
     #[inline]
     fn admits(&self, view: &GraphView<'_>, tv: NodeId) -> bool {
         self.label.is_none_or(|l| view.label(tv) == l)
             && (self.min_degree == 0 || view.degree(tv) >= self.min_degree)
-            && (!self.in_domain || self.domain.binary_search(&tv).is_ok())
+            && self.members.as_ref().is_none_or(|m| {
+                let p = m.index.position(tv);
+                m.bits[p / 64] >> (p % 64) & 1 != 0
+            })
     }
+}
+
+/// Vertices of one label as a bitset over that label's list in the index:
+/// `v` is a member iff bit [`TargetIndex::position`]`(v)` is set.
+pub(crate) struct Members<'a> {
+    pub bits: Vec<u64>,
+    pub index: &'a TargetIndex,
 }
 
 /// Extra feasibility rules run after a candidate passed the edge checks,
@@ -125,7 +133,10 @@ impl<'a, H: Hook> Plan<'a, H> {
     /// domain) to `query`'s edges.
     pub fn new(query: &Graph, mut steps: Vec<Step<'a>>, hook: H) -> Self {
         debug_assert_eq!(steps.len(), query.node_count());
-        debug_assert!(matches!(steps[0].source, Source::Domain), "step 0 has no matched neighbour");
+        debug_assert!(
+            matches!(steps[0].source, Source::Domain(_)),
+            "step 0 has no matched neighbour"
+        );
         let mut depth = scratch::u32_buf(query.node_count(), u32::MAX);
         for (i, s) in steps.iter().enumerate() {
             depth[s.vertex as usize] = i as u32;
@@ -263,7 +274,8 @@ struct Session<'a, H> {
 
 impl<H: Hook> SliceSession for Session<'_, H> {
     fn domain(&self) -> usize {
-        self.plan.steps[0].domain.len()
+        let Source::Domain(d) = &self.plan.steps[0].source else { unreachable!("see Plan::new") };
+        d.len()
     }
 
     fn run_chunk(&mut self, range: Range<usize>, budget: &SearchBudget) -> ChunkOutcome {
@@ -318,13 +330,12 @@ impl<H: Hook> Dfs<'_, '_, H> {
         };
         let view = self.view;
         let back = &self.back[step.back.clone()];
-        let candidates: &[NodeId] = match step.source {
-            Source::Domain if depth == 0 => {
-                let d = &step.domain[..];
+        let candidates: &[NodeId] = match &step.source {
+            Source::Domain(d) if depth == 0 => {
                 &d[self.root.start.min(d.len())..self.root.end.min(d.len())]
             }
-            Source::Domain => &step.domain,
-            Source::Neighbor(qn) => view.neighbors(self.assignment[qn as usize]),
+            Source::Domain(d) => d,
+            Source::Neighbor(qn) => view.neighbors(self.assignment[*qn as usize]),
             Source::SmallestNeighbor => {
                 let anchor = back
                     .iter()
@@ -379,5 +390,13 @@ impl<H: Hook> Dfs<'_, '_, H> {
                 &mut stats.edge_probes_binary,
             ) && (!self.edge_labeled || label == self.view.edge_label(tv, tn))
         })
+    }
+}
+
+#[cfg(test)]
+impl<'a, H> Plan<'a, H> {
+    /// The steps in plan order, for tests that check a matcher's plan.
+    pub fn steps(&self) -> &[Step<'a>] {
+        &self.steps
     }
 }

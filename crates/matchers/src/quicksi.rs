@@ -21,7 +21,6 @@ use crate::matcher::{Algorithm, Matcher, SearchStats};
 use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -182,8 +181,8 @@ impl Planner for QuickSi {
             .map(|&(qv, parent)| {
                 let label = query.label(qv);
                 let step = match parent {
-                    Some(p) => Step::new(qv, Source::Neighbor(seq[p].0), Cow::Borrowed(&[])),
-                    None => Step::new(qv, Source::Domain, label_domain(view, label)),
+                    Some(p) => Step::new(qv, Source::Neighbor(seq[p].0)),
+                    None => Step::new(qv, Source::Domain(label_domain(view, label))),
                 };
                 Step { label: Some(label), min_degree: query.degree(qv), ..step }
             })

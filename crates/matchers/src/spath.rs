@@ -41,8 +41,16 @@
 //!   label counts within `d` hops of `u` fit under the target's (sound for
 //!   non-induced sub-iso because embeddings can only shorten distances).
 //!   Distance 1 plus the degree test is GraphQL's rule 1, so the filter
-//!   starts from the shared index's memoized rule-1 list and checks
-//!   distances `2..=radius` only.
+//!   walks the index's memoized rule-1 bitset over the label list and
+//!   writes a filtered bitset of the same shape, testing distances
+//!   `2..=radius` only: the guard-bit subtraction over the candidate's
+//!   lane words against the query's (read once per query vertex), and the
+//!   overflow walk only if the query's runs are not all empty.
+//! * **Domains**: a bitset's popcount is its vertex's size in the path
+//!   order. A path start decodes its bitset to a list; an anchored vertex
+//!   keeps it, with its label, as the kernel's one-bit membership test.
+//!   Over a delta overlay (no list positions) it filters by label and
+//!   degree, the overlay's filter.
 //! * **Query decomposition**: greedy cover of the query's edges by paths of
 //!   length ≤ `max_path_len`, each path starting at the most selective
 //!   available vertex (fewest candidates, ties by node ID — the ID
@@ -51,10 +59,11 @@
 //!   verification against previously bound neighbors.
 
 use crate::budget::{BudgetClock, SearchBudget, StopReason};
-use crate::kernel::{self, Plan, Planner, Source, Step};
+use crate::kernel::{self, Members, Plan, Planner, Source, Step};
 use crate::matcher::{Algorithm, Matcher, SearchStats};
 use crate::slice::SliceSetup;
 use psi_delta::GraphView;
+use psi_graph::index::decode_positions;
 use psi_graph::{Graph, Label, NodeId, TargetIndex};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -109,14 +118,15 @@ impl SPath {
         self.signatures.radius
     }
 
-    /// Candidate lists per query node via label + cumulative distance-wise
-    /// signature containment. Ticks the budget clock so racing cancellation
-    /// reaches the pre-search phase promptly.
+    /// Candidates per query node via label + cumulative distance-wise
+    /// signature containment, as bitsets over `view.candidates(label)`.
+    /// Ticks the budget clock once per tested vertex so racing
+    /// cancellation reaches the pre-search phase promptly.
     ///
     /// On a simple graph the degree test plus the distance-1 layer is
     /// exactly GraphQL's rule 1 (layer 1 counts the neighbours' labels),
-    /// so each list starts from the index's memoized rule-1 list
-    /// ([`TargetIndex::rule_one_candidates`]) and is filtered with layers
+    /// so each bitset starts from the index's memoized rule-1 bitset
+    /// ([`TargetIndex::rule_one_bits`]) and is filtered with layers
     /// `2..=radius` only.
     ///
     /// The distance signatures were computed over the *base* graph at
@@ -129,47 +139,74 @@ impl SPath {
         query: &Graph,
         view: GraphView<'_>,
         clock: &mut BudgetClock<'_>,
-    ) -> Result<Vec<Vec<NodeId>>, StopReason> {
-        let mut tick = || clock.tick().map_or(Ok(()), Err);
-        let mut out = Vec::with_capacity(query.node_count());
+    ) -> Result<Vec<Vec<u64>>, StopReason> {
         let Some(index) = view.base_index() else {
-            for u in query.nodes() {
-                let mut cands = Vec::new();
-                for &v in view.candidates(query.label(u)) {
-                    tick()?;
-                    if query.degree(u) <= view.degree(v) {
-                        cands.push(v);
+            let mut tick = || clock.tick().map_or(Ok(()), Err);
+            return query
+                .nodes()
+                .map(|u| {
+                    let list = view.candidates(query.label(u));
+                    let mut bits = vec![0u64; list.len().div_ceil(64)];
+                    for (i, &v) in list.iter().enumerate() {
+                        tick()?;
+                        bits[i / 64] |= u64::from(query.degree(u) <= view.degree(v)) << (i % 64);
                     }
-                }
-                out.push(cands);
-            }
-            return Ok(out);
+                    Ok(bits)
+                })
+                .collect();
         };
-        let qsigs = Signatures::build(query, self.radius(), self.signatures.slots.clone());
-        for u in query.nodes() {
-            let mut cands = index.rule_one_candidates(query, u, &mut tick)?;
-            let mut kept = 0;
-            for i in 0..cands.len() {
-                tick()?;
-                let v = cands[i];
-                cands[kept] = v;
-                kept += usize::from(qsigs.fits_beyond_one(u, &self.signatures, v));
-            }
-            cands.truncate(kept);
-            out.push(cands);
-        }
-        Ok(out)
+        let radius = self.radius();
+        let qsigs = Signatures::build(query, radius, self.signatures.slots.clone());
+        query
+            .nodes()
+            .map(|u| {
+                let rule_one =
+                    index.rule_one_bits(query, u, || clock.tick().map_or(Ok(()), Err))?;
+                let list = index.candidates(query.label(u));
+                let (t, k) = (&self.signatures, u as usize * radius);
+                let q = &qsigs.lanes[k + 1..k + radius];
+                let walk = qsigs.offsets[k + 1] != qsigs.offsets[k + radius];
+                // Layers `2..=radius` of `u` fit under `v`'s (see the module docs).
+                let fits = |v: NodeId| {
+                    let k = v as usize * radius;
+                    let lanes = q.iter().zip(&t.lanes[k + 1..k + radius]);
+                    let fit =
+                        lanes.fold(GUARDS, |acc, (&q, &t)| acc & ((t | GUARDS) - q)) == GUARDS;
+                    // Branching on `walk` (fixed per vertex) rather than
+                    // on `fit` keeps the lane-only test free of mispredicts.
+                    if walk {
+                        fit && (2..=radius)
+                            .all(|d| layer_fits(qsigs.overflow(u, d), t.overflow(v, d)))
+                    } else {
+                        fit
+                    }
+                };
+                let mut bits = vec![0u64; rule_one.len()];
+                for (w, &word) in rule_one.iter().enumerate() {
+                    let (mut rest, mut kept) = (word, 0u64);
+                    clock.tick_n(word.count_ones()).map_or(Ok(()), Err)?;
+                    while rest != 0 {
+                        let b = rest.trailing_zeros();
+                        let v = list[w * 64 + b as usize];
+                        kept |= u64::from(fits(v)) << b;
+                        rest &= rest - 1;
+                    }
+                    bits[w] = kept;
+                }
+                Ok(bits)
+            })
+            .collect()
     }
 
     /// Decomposes the query into a selectivity-ordered edge cover by paths
     /// of length ≤ `max_path_len`, returning the vertex matching order (each
     /// vertex once, in first-traversal order).
     ///
-    /// The first path starts at the vertex with the fewest candidates;
-    /// subsequent paths prefer starting at an already-covered vertex with
-    /// remaining edges (keeping the join connected), again most-selective
-    /// first with node-ID tie-breaks.
-    fn path_order(&self, query: &Graph, cands: &[Vec<NodeId>]) -> Vec<NodeId> {
+    /// The first path starts at the vertex with the fewest candidates
+    /// (`sizes`); subsequent paths prefer starting at an already-covered
+    /// vertex with remaining edges (keeping the join connected), again
+    /// most-selective first with node-ID tie-breaks.
+    fn path_order(&self, query: &Graph, sizes: &[usize]) -> Vec<NodeId> {
         let nq = query.node_count();
         let mut remaining: std::collections::HashSet<(NodeId, NodeId)> = query.edges().collect();
         let mut order: Vec<NodeId> = Vec::with_capacity(nq);
@@ -181,7 +218,7 @@ impl SPath {
             }
         };
 
-        let selectivity = |v: NodeId| (cands[v as usize].len(), v);
+        let selectivity = |v: NodeId| (sizes[v as usize], v);
         let has_remaining = |v: NodeId, remaining: &std::collections::HashSet<(NodeId, NodeId)>| {
             query.neighbors(v).iter().any(|&n| remaining.contains(&key(v, n)))
         };
@@ -357,24 +394,6 @@ impl Signatures {
         let k = v as usize * self.radius + d - 1;
         &self.overflow[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
-
-    /// Whether query node `u`'s signature fits under target node `v`'s at
-    /// every distance from 2 on (distance 1 is rule 1's, checked before):
-    /// each label's cumulative count in the query layer is at most the
-    /// target's. Both signatures have the same radius and slots.
-    #[inline]
-    fn fits_beyond_one(&self, u: NodeId, target: &Signatures, v: NodeId) -> bool {
-        debug_assert_eq!(self.radius, target.radius);
-        debug_assert_eq!(self.slots, target.slots);
-        let (qk, tk) = (u as usize * self.radius, v as usize * self.radius);
-        let (q, t) =
-            (&self.lanes[qk + 1..qk + self.radius], &target.lanes[tk + 1..tk + self.radius]);
-        let lanes = q.iter().zip(t).fold(GUARDS, |acc, (&q, &t)| acc & ((t | GUARDS) - q));
-        lanes == GUARDS
-            && (self.offsets[qk + 1] == self.offsets[qk + self.radius]
-                || (2..=self.radius)
-                    .all(|d| layer_fits(self.overflow(u, d), target.overflow(v, d))))
-    }
 }
 
 /// Merge walk of two label-sorted runs: every query label must appear in
@@ -423,22 +442,28 @@ impl Planner for SPath {
         _: &mut SearchStats,
     ) -> Result<Plan<'a, ()>, StopReason> {
         let mut cands = self.candidates(query, view, clock)?;
-        if cands.iter().any(|c| c.is_empty()) {
+        let sizes: Vec<usize> =
+            cands.iter().map(|b| b.iter().map(|w| w.count_ones() as usize).sum()).collect();
+        if sizes.contains(&0) {
             return Err(StopReason::Complete);
         }
-        let order = self.path_order(query, &cands);
+        let order = self.path_order(query, &sizes);
+        let index = view.base_index();
         let mut bound = vec![false; query.node_count()];
         let steps = order
             .into_iter()
             .map(|qv| {
                 let anchor = query.neighbors(qv).iter().copied().find(|&qn| bound[qn as usize]);
                 bound[qv as usize] = true;
-                let domain = Cow::Owned(std::mem::take(&mut cands[qv as usize]));
-                match anchor {
-                    Some(qn) => {
-                        Step { in_domain: true, ..Step::new(qv, Source::Neighbor(qn), domain) }
-                    }
-                    None => Step::new(qv, Source::Domain, domain),
+                let (label, bits) = (query.label(qv), std::mem::take(&mut cands[qv as usize]));
+                let Some(qn) = anchor else {
+                    let domain = decode_positions(&bits, view.candidates(label));
+                    return Step::new(qv, Source::Domain(Cow::Owned(domain)));
+                };
+                let step = Step { label: Some(label), ..Step::new(qv, Source::Neighbor(qn)) };
+                match index {
+                    Some(index) => Step { members: Some(Members { bits, index }), ..step },
+                    None => Step { min_degree: query.degree(qv), ..step },
                 }
             })
             .collect();
@@ -750,6 +775,18 @@ mod tests {
             .collect()
     }
 
+    /// `m`'s candidates for `q` over `view` — the bitsets `plan` reads —
+    /// each decoded against its label's list as `plan` decodes a path
+    /// start's.
+    fn decoded(m: &SPath, q: &Graph, view: GraphView<'_>) -> Vec<Vec<NodeId>> {
+        let budget = SearchBudget::unlimited();
+        let bits = m.candidates(q, view, &mut budget.start()).unwrap();
+        q.nodes()
+            .zip(bits)
+            .map(|(u, b)| decode_positions(&b, view.candidates(q.label(u))))
+            .collect()
+    }
+
     /// Targets, each with its queries and the radii to filter them at.
     type Cases = Vec<(Arc<Graph>, Vec<Graph>, &'static [usize])>;
 
@@ -771,14 +808,12 @@ mod tests {
 
     #[test]
     fn candidates_match_the_reference_signature_filter() {
-        let budget = SearchBudget::unlimited();
         for (case, (t, queries, radii)) in cases(977, 40, 1, &[1, 2, 4, 6]).iter().enumerate() {
             for &radius in *radii {
                 let m = SPath::with_params(Arc::clone(t), radius, DEFAULT_MAX_PATH_LEN);
                 let tsigs: Vec<_> = t.nodes().map(|v| distance_signature(t, v, radius)).collect();
                 for (i, q) in queries.iter().enumerate() {
-                    let mut clock = budget.start();
-                    let got = m.candidates(q, GraphView::of_index(&m.index), &mut clock).unwrap();
+                    let got = decoded(&m, q, GraphView::of_index(&m.index));
                     let want = reference_candidates(t, &tsigs, q);
                     assert_eq!(got, want, "case {case} radius {radius} query {i}");
                 }
@@ -821,7 +856,6 @@ mod tests {
 
     #[test]
     fn candidates_match_the_label_scan_cold_and_warm() {
-        let budget = SearchBudget::unlimited();
         for (case, (t, queries, radii)) in cases(5150, 30, 4, &[1, 2, 4]).iter().enumerate() {
             for &radius in *radii {
                 // One index per radius, so each starts cold; the second
@@ -829,9 +863,7 @@ mod tests {
                 let m = SPath::with_params(Arc::clone(t), radius, DEFAULT_MAX_PATH_LEN);
                 for pass in 0..2 {
                     for (i, q) in queries.iter().enumerate() {
-                        let mut clock = budget.start();
-                        let got =
-                            m.candidates(q, GraphView::of_index(&m.index), &mut clock).unwrap();
+                        let got = decoded(&m, q, GraphView::of_index(&m.index));
                         assert_eq!(
                             got,
                             label_scan_candidates(&m, q),
@@ -850,13 +882,11 @@ mod tests {
         let (t, queries) = saturation_input();
         let m = SPath::prepare(Arc::new(t));
         assert_eq!(m.signatures.slots, [2, 1, 3, 4, 5, 6, 7, 8]);
-        let budget = SearchBudget::unlimited();
         // A leaf of an `s`-leaf star counts `s - 1` label-2 nodes within
         // two hops, as a leaf of target hub `k` counts `k - 1`: it fits
         // exactly the hubs with `k >= s`.
         for (q, s) in queries.iter().zip(126..=129) {
-            let mut clock = budget.start();
-            let got = m.candidates(q, GraphView::of_index(&m.index), &mut clock).unwrap();
+            let got = decoded(&m, q, GraphView::of_index(&m.index));
             assert_eq!(got[1].len(), (s..=129).sum::<usize>(), "star of {s}");
         }
     }
@@ -888,6 +918,55 @@ mod tests {
             m.search(&q, &SearchBudget::unlimited());
         }
         assert!(index.candidate_memo_stats().misses > 0);
+    }
+
+    /// An anchored step keeps its candidates by label and members over an
+    /// index view. Over an overlay view, which has no list positions, it
+    /// keeps them by label and the query vertex's degree: exactly the
+    /// overlay's label-and-degree candidates.
+    #[test]
+    fn anchored_steps_filter_by_members_or_by_label_and_degree() {
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let labels = LabelDist::Uniform { num_labels: 2 }.sampler();
+        let t = random_connected_graph(20, 40, &labels, &mut rng);
+        let q = random_connected_graph(4, 4, &labels, &mut rng);
+        let index = Arc::new(TargetIndex::build(Arc::new(t.clone())));
+        let ops = [UpdateOp::AddNode { label: 0 }, UpdateOp::AddEdge { u: 20, v: 3, label: None }];
+        let overlay = DeltaOverlay::build(&t, Some(&index), &ops).unwrap();
+        let m = SPath::with_index(Arc::clone(&index));
+        let budget = SearchBudget::unlimited();
+        let base = GraphView::of_index(&index);
+        for view in [base, base.with_overlay(Some(&overlay))] {
+            let mut stats = SearchStats::default();
+            let Ok(plan) = m.plan(&q, view, &mut budget.start(), &mut stats) else {
+                panic!("the query has candidates everywhere");
+            };
+            let anchored: Vec<_> =
+                plan.steps().iter().filter(|s| !matches!(s.source, Source::Domain(_))).collect();
+            assert_eq!(anchored.len(), q.node_count() - 1, "a connected query has one start");
+            for (i, s) in anchored.into_iter().enumerate() {
+                let overlaid = view.has_overlay();
+                assert_eq!(s.label, Some(q.label(s.vertex)), "step {i}");
+                assert_eq!(s.members.is_some(), !overlaid, "step {i}");
+                assert_eq!(s.min_degree, if overlaid { q.degree(s.vertex) } else { 0 }, "step {i}");
+            }
+        }
+    }
+
+    /// Label-2 vertex 1 and label-3 vertex 2 both sit first in their
+    /// label's list and both neighbour the hub. Query vertex 1 (label 2)
+    /// is anchored on the hub's image with bit 0 set in its members; the
+    /// step's label must keep vertex 2 out.
+    #[test]
+    fn members_admit_only_their_own_label() {
+        let t = graph_from_parts(&[1, 2, 3], &[(0, 1), (0, 2)]);
+        let q = graph_from_parts(&[1, 2], &[(0, 1)]);
+        let m = spa(t.clone());
+        assert_eq!((m.index.position(1), m.index.position(2)), (0, 0));
+        let got = m.search(&q, &SearchBudget::unlimited());
+        let want = bruteforce::enumerate(&q, &t, &SearchBudget::unlimited());
+        assert_eq!(sorted(got.embeddings), sorted(want.embeddings));
+        assert_eq!(got.stats.nodes_expanded, 2, "the hub, then vertex 1 only");
     }
 
     #[test]
@@ -923,8 +1002,7 @@ mod tests {
         let m = spa(t);
         let q =
             graph_from_parts(&[0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
-        let cands: Vec<Vec<NodeId>> = vec![vec![0, 1]; 6];
-        let order = m.path_order(&q, &cands);
+        let order = m.path_order(&q, &[2; 6]);
         let mut sorted_order = order.clone();
         sorted_order.sort_unstable();
         assert_eq!(sorted_order, vec![0, 1, 2, 3, 4, 5]);
@@ -935,8 +1013,7 @@ mod tests {
         let t = graph_from_parts(&[0], &[]);
         let m = spa(t);
         let q = graph_from_parts(&[0, 0, 0], &[(0, 1)]); // 2 isolated
-        let cands: Vec<Vec<NodeId>> = vec![vec![0], vec![0], vec![0]];
-        let order = m.path_order(&q, &cands);
+        let order = m.path_order(&q, &[1; 3]);
         assert_eq!(order.len(), 3);
         assert_eq!(order[2], 2, "isolated vertex should come last");
     }

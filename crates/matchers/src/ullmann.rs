@@ -90,7 +90,7 @@ impl Planner for Ullmann {
             .map(|q| {
                 let cands = view.candidates(query.label(q as NodeId));
                 let row = cands.iter().copied().filter(|&t| m.get(q, t as usize)).collect();
-                Step::new(q as NodeId, Source::Domain, Cow::Owned(row))
+                Step::new(q as NodeId, Source::Domain(Cow::Owned(row)))
             })
             .collect();
         Ok(Plan::new(query, steps, ()))

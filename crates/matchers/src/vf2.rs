@@ -28,7 +28,6 @@ use crate::scratch;
 use crate::slice::SliceSetup;
 use psi_delta::GraphView;
 use psi_graph::{Graph, NodeId, TargetIndex};
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,9 +112,9 @@ impl Planner for Vf2Planner {
             let qv = v as NodeId;
             let label = query.label(qv);
             let step = if anchored {
-                Step::new(qv, Source::SmallestNeighbor, Cow::Borrowed(&[]))
+                Step::new(qv, Source::SmallestNeighbor)
             } else {
-                Step::new(qv, Source::Domain, label_domain(view, label))
+                Step::new(qv, Source::Domain(label_domain(view, label)))
             };
             steps.push(Step { label: Some(label), ..step });
             let unmatched = query.neighbors(qv).iter().filter(|&&qn| !matched[qn as usize]);
