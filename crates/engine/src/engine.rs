@@ -390,30 +390,40 @@ pub(crate) struct ServeCore {
     pub(crate) config: EngineConfig,
 }
 
+/// Why [`ServeCore::consult_predictor`] gave no ranking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unranked {
+    /// No caller needs one: the fast heat is disabled and races are
+    /// unstaged.
+    NotAsked,
+    /// The predictor is still inside its training phase.
+    Untrained,
+}
+
 impl ServeCore {
     /// The predictor's ranked entrant field and leader vote share for
-    /// this query, or `None` when no caller needs it (fast heat disabled
-    /// *and* races unstaged) or the predictor is still inside its
-    /// training phase — pruning or predicting on no evidence would
+    /// this query, or why there is none: no caller needs it (fast heat
+    /// disabled *and* races unstaged), or the predictor is still inside
+    /// its training phase — pruning or predicting on no evidence would
     /// forfeit the race's worst-case insurance for nothing.
     pub(crate) fn consult_predictor(
         &self,
         features: &QueryFeatures,
         variants: usize,
-    ) -> Option<(Vec<usize>, f64)> {
+    ) -> Result<(Vec<usize>, f64), Unranked> {
         let fast_path = self.config.predictor_confidence <= 1.0;
         // Adaptive picks its heat size *from* the ranking, so it always
         // wants one when the predictor is trained.
         let staged =
             matches!(self.config.race_strategy, RaceStrategy::Adaptive { .. }) && variants > 1;
         if !fast_path && !staged {
-            return None;
+            return Err(Unranked::NotAsked);
         }
         let predictor = self.predictor.lock().expect("predictor lock");
         if predictor.observations() < self.config.predictor_min_observations {
-            return None;
+            return Err(Unranked::Untrained);
         }
-        Some(predictor.rank_with_vote_share(features, variants))
+        Ok(predictor.rank_with_vote_share(features, variants))
     }
 
     /// Stores `answer` in the cache (no-op when caching is disabled),

@@ -64,7 +64,7 @@ type Metric = (&'static str, &'static str, &'static str, Kind, fn(&GraphMetricsS
 
 /// The one metric table behind [`MetricsExporter::render_json`] and
 /// [`MetricsExporter::render_prometheus`], in JSON key order.
-const METRICS: [Metric; 33] = [
+const METRICS: [Metric; 37] = [
     ("queries", "psi_queries_total", "Queries accepted", Counter, |g| Count(g.stats.queries)),
     ("cache_hits", "psi_cache_hits_total", "Result-cache hits", Counter, |g| {
         Count(g.stats.cache_hits)
@@ -87,6 +87,34 @@ const METRICS: [Metric; 33] = [
         "Fast heats that came back inconclusive",
         Counter,
         |g| Count(g.stats.fast_path_fallbacks),
+    ),
+    (
+        "fallbacks_inconclusive",
+        "psi_fast_path_fallbacks_by_cause_total{cause=\"inconclusive\"}",
+        "Fast heats that launched their reserve, by cause",
+        Counter,
+        |g| Count(g.stats.fallbacks_inconclusive),
+    ),
+    (
+        "fallbacks_deadline",
+        "psi_fast_path_fallbacks_by_cause_total{cause=\"deadline\"}",
+        "Fast heats that launched their reserve, by cause",
+        Counter,
+        |g| Count(g.stats.fallbacks_deadline),
+    ),
+    (
+        "races_unconfident",
+        "psi_raced_misses_total{cause=\"unconfident\"}",
+        "Cache misses planned as a race rather than a fast heat, by cause",
+        Counter,
+        |g| Count(g.stats.races_unconfident),
+    ),
+    (
+        "races_untrained",
+        "psi_raced_misses_total{cause=\"untrained\"}",
+        "Cache misses planned as a race rather than a fast heat, by cause",
+        Counter,
+        |g| Count(g.stats.races_untrained),
     ),
     (
         "cancelled_variants",

@@ -40,7 +40,7 @@
 
 use crate::admission::{DeferredInner, DeferredLaunch, OwnedPermit};
 use crate::cache::{CachedAnswer, QueryKey};
-use crate::engine::{EngineResponse, RaceStrategy, ServeCore, ServePath};
+use crate::engine::{EngineResponse, RaceStrategy, ServeCore, ServePath, Unranked};
 use crate::pool::WorkerPool;
 use crate::scheduler::{plan_race, RacePlan, SchedulerInputs};
 use crate::submit::CompletionSlot;
@@ -49,7 +49,7 @@ use psi_core::predictor::QueryFeatures;
 use psi_core::{PreparedEntrant, RaceBudget, RaceObserver, RaceState, Variant, VariantResult};
 use psi_matchers::{MatchResult, SliceCoordinator, SliceTaskSummary, StopReason};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,7 +96,10 @@ pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
     let n = entrants.len();
     let Some(pool) = d.pool.upgrade().filter(|_| n > 0) else { return };
     let features = QueryFeatures::extract(&d.query, d.core.runner.label_stats());
-    let ranking = d.core.consult_predictor(&features, n);
+    let consulted = d.core.consult_predictor(&features, n);
+    let untrained = consulted == Err(Unranked::Untrained);
+    let ranking = consulted.ok();
+    let ranked = ranking.is_some();
     let core = &d.core;
 
     // The one plan decision. A confident prediction is a fast heat: the
@@ -106,7 +109,9 @@ pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
     // past its observation floor); every EXPLORATION_PERIODth would-be
     // staged race runs the full field instead, so contested evidence
     // keeps flowing and a drifted ranking cannot entrench itself behind
-    // uncontested heat wins.
+    // uncontested heat wins. A full race launches best-ranked first
+    // when there is a ranking: with more entrants than idle workers, the
+    // launch order decides which entrants run first.
     let confidence = core.config.predictor_confidence;
     let (plan, fast, escalate_after) = match (ranking, core.config.race_strategy) {
         (Some((order, share)), _) if confidence <= 1.0 && share >= confidence => {
@@ -133,10 +138,18 @@ pub(crate) fn prepare_and_launch(mut launch: DeferredLaunch) {
             });
             (plan, false, escalate_after)
         }
-        (_, RaceStrategy::Full) => {
-            (RacePlan { order: (0..n).collect(), heat: n, slices: 1 }, false, 0.0)
+        (ranking, RaceStrategy::Full) => {
+            let order = ranking.map_or_else(|| (0..n).collect(), |(order, _)| order);
+            (RacePlan { order, heat: n, slices: 1 }, false, 0.0)
         }
     };
+    // Why a miss with a predictor to ask races instead of running a fast
+    // heat.
+    if !fast && (untrained || ranked) {
+        let cause =
+            if untrained { &core.stats.races_untrained } else { &core.stats.races_unconfident };
+        cause.fetch_add(1, Ordering::Relaxed);
+    }
     let RacePlan { order, heat: k, slices } = plan;
     let staged = k < n && !fast;
     if staged {
@@ -481,7 +494,8 @@ impl RaceFlight {
             {
                 // The heat drained inconclusive: escalate now rather than
                 // waiting out the stage deadline.
-                action = FlightAction::Escalate(self.take_reserve(&mut inner));
+                let cause = &self.core.stats.fallbacks_inconclusive;
+                action = FlightAction::Escalate(self.take_reserve(&mut inner, cause));
             }
             if matches!(action, FlightAction::Nothing) && Self::ready_to_finalize(&mut inner) {
                 action = FlightAction::Finalize;
@@ -513,8 +527,15 @@ impl RaceFlight {
     }
 
     /// Moves the reserve out for launching; the caller escalates outside
-    /// the lock.
-    fn take_reserve(&self, inner: &mut FlightInner) -> Vec<(usize, PreparedEntrant)> {
+    /// the lock. A fast heat counts the escalation under `cause`.
+    fn take_reserve(
+        &self,
+        inner: &mut FlightInner,
+        cause: &AtomicU64,
+    ) -> Vec<(usize, PreparedEntrant)> {
+        if self.fast {
+            cause.fetch_add(1, Ordering::Relaxed);
+        }
         let reserve = std::mem::take(&mut inner.reserve);
         inner.launched += reserve.len();
         reserve
@@ -594,7 +615,10 @@ impl RaceFlight {
                     // started; no escalation can fire before then.
                     None => (FlightAction::Nothing, Some(now + UNTIMED_STAGE_WINDOW)),
                     Some(deadline) if now < deadline => (FlightAction::Nothing, Some(deadline)),
-                    Some(_) => (FlightAction::Escalate(self.take_reserve(&mut inner)), None),
+                    Some(_) => {
+                        let cause = &self.core.stats.fallbacks_deadline;
+                        (FlightAction::Escalate(self.take_reserve(&mut inner, cause)), None)
+                    }
                 }
             }
         };

@@ -822,6 +822,105 @@ mod tests {
         let stats = multi.graph_stats(id).unwrap();
         assert_eq!((stats.fast_paths, stats.fast_path_fallbacks), (0, 1));
         assert_eq!(stats.inconclusive, 0);
+        assert_eq!((stats.fallbacks_deadline, stats.fallbacks_inconclusive), (1, 0));
+    }
+
+    // ---- Why a miss raced ----
+
+    /// A two-entrant engine over a 2000-node one-label ring whose
+    /// predictor has seen `winners` for `query`'s features, with the given
+    /// observation floor, confidence and race budget; plus `query`, a
+    /// 12-node path that Ullmann (entrant 0) cannot finish in seconds and
+    /// GraphQL (entrant 1) embeds at once (see
+    /// `a_stuck_fast_heat_leader_launches_its_reserve`).
+    fn taught_ring(
+        winners: &[usize],
+        min_observations: usize,
+        confidence: f64,
+        budget: RaceBudget,
+    ) -> (MultiEngine, GraphId, Graph) {
+        use psi_core::predictor::QueryFeatures;
+        use psi_core::Variant;
+        use psi_graph::graph::graph_from_parts;
+        use psi_matchers::Algorithm;
+        use psi_rewrite::Rewriting;
+
+        let n = 2000u32;
+        let ring: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let stored = graph_from_parts(&vec![0; n as usize], &ring);
+        let walk = [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11];
+        let path: Vec<(u32, u32)> = walk.windows(2).map(|w| (w[0], w[1])).collect();
+        let query = graph_from_parts(&[0; 12], &path);
+        let runner = PsiRunner::new(
+            Arc::new(stored),
+            PsiConfig::new(vec![
+                Variant::new(Algorithm::Ullmann, Rewriting::Orig),
+                Variant::new(Algorithm::GraphQl, Rewriting::Orig),
+            ]),
+        );
+        let multi = MultiEngine::new(MultiEngineConfig {
+            workers: 2,
+            max_concurrent_races: 1,
+            tenant: EngineConfig {
+                cache_capacity: 0,
+                predictor_min_observations: min_observations,
+                predictor_confidence: confidence,
+                default_budget: budget,
+                ..EngineConfig::default()
+            },
+        });
+        let id = multi.register("ring", runner).unwrap();
+        {
+            let tenant = multi.registry.tenant(id).unwrap();
+            let features = QueryFeatures::extract(&query, tenant.core.runner.label_stats());
+            let mut predictor = tenant.core.predictor.lock().unwrap();
+            for &w in winners {
+                predictor.observe(features, w);
+            }
+        }
+        (multi, id, query)
+    }
+
+    /// A fast heat whose leader times out inside the stage window falls
+    /// back as inconclusive, not on the deadline.
+    #[test]
+    fn an_inconclusive_fast_heat_leader_counts_its_fallback() {
+        let budget = RaceBudget::decision().timeout(std::time::Duration::from_millis(2));
+        let (multi, id, query) = taught_ring(&[0; 4], 1, 0.6, budget);
+        let r = multi.submit(id, &query).unwrap();
+        assert!(!r.conclusive, "both entrants outlive a 2 ms budget on this ring");
+        let stats = multi.graph_stats(id).unwrap();
+        assert_eq!(stats.fast_path_fallbacks, 1);
+        assert_eq!((stats.fallbacks_inconclusive, stats.fallbacks_deadline), (1, 0));
+        assert_eq!((stats.races_unconfident, stats.races_untrained), (0, 0));
+    }
+
+    /// A ranking whose leader holds 2 of the 3 nearest votes, under a
+    /// 0.9 confidence, races the full field.
+    #[test]
+    fn an_unconfident_ranking_counts_its_race() {
+        let (multi, id, query) = taught_ring(&[1, 1, 0], 1, 0.9, RaceBudget::decision());
+        assert!(multi.submit(id, &query).unwrap().conclusive);
+        let stats = multi.graph_stats(id).unwrap();
+        assert_eq!((stats.races, stats.fast_paths), (1, 0));
+        assert_eq!((stats.races_unconfident, stats.races_untrained), (1, 0));
+        assert_eq!((stats.fallbacks_inconclusive, stats.fallbacks_deadline), (0, 0));
+    }
+
+    /// A predictor short of its observation floor gives no ranking, so the
+    /// miss races and counts as untrained; a trained, confident one does
+    /// not race at all.
+    #[test]
+    fn an_untrained_predictor_counts_its_race() {
+        let (multi, id, query) = taught_ring(&[1, 1], 3, 0.6, RaceBudget::decision());
+        assert!(multi.submit(id, &query).unwrap().conclusive);
+        let stats = multi.graph_stats(id).unwrap();
+        assert_eq!((stats.races_untrained, stats.races_unconfident), (1, 0));
+        let (multi, id, query) = taught_ring(&[1, 1, 1], 3, 0.6, RaceBudget::decision());
+        assert!(multi.submit(id, &query).unwrap().conclusive);
+        let stats = multi.graph_stats(id).unwrap();
+        assert_eq!((stats.fast_paths, stats.races), (1, 0));
+        assert_eq!((stats.races_untrained, stats.races_unconfident), (0, 0));
     }
 
     #[test]

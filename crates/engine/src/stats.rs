@@ -268,6 +268,16 @@ pub(crate) struct StatsCollector {
     pub races: AtomicU64,
     pub fast_paths: AtomicU64,
     pub fast_path_fallbacks: AtomicU64,
+    /// Fast heats whose leader finished inconclusive, launching the reserve.
+    pub fallbacks_inconclusive: AtomicU64,
+    /// Fast heats whose leader outlived the stage deadline, launching the
+    /// reserve.
+    pub fallbacks_deadline: AtomicU64,
+    /// Misses raced because the ranking's leader share was under
+    /// `predictor_confidence`.
+    pub races_unconfident: AtomicU64,
+    /// Misses raced because the predictor had too few observations.
+    pub races_untrained: AtomicU64,
     pub cancelled_variants: AtomicU64,
     pub busy_rejections: AtomicU64,
     pub queue_full_rejections: AtomicU64,
@@ -329,6 +339,10 @@ impl StatsCollector {
             races: AtomicU64::new(0),
             fast_paths: AtomicU64::new(0),
             fast_path_fallbacks: AtomicU64::new(0),
+            fallbacks_inconclusive: AtomicU64::new(0),
+            fallbacks_deadline: AtomicU64::new(0),
+            races_unconfident: AtomicU64::new(0),
+            races_untrained: AtomicU64::new(0),
             cancelled_variants: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             queue_full_rejections: AtomicU64::new(0),
@@ -382,6 +396,10 @@ impl StatsCollector {
         add(&self.races, &other.races);
         add(&self.fast_paths, &other.fast_paths);
         add(&self.fast_path_fallbacks, &other.fast_path_fallbacks);
+        add(&self.fallbacks_inconclusive, &other.fallbacks_inconclusive);
+        add(&self.fallbacks_deadline, &other.fallbacks_deadline);
+        add(&self.races_unconfident, &other.races_unconfident);
+        add(&self.races_untrained, &other.races_untrained);
         add(&self.cancelled_variants, &other.cancelled_variants);
         add(&self.busy_rejections, &other.busy_rejections);
         add(&self.queue_full_rejections, &other.queue_full_rejections);
@@ -442,6 +460,10 @@ impl StatsCollector {
             races: self.races.load(Ordering::Relaxed),
             fast_paths: self.fast_paths.load(Ordering::Relaxed),
             fast_path_fallbacks: self.fast_path_fallbacks.load(Ordering::Relaxed),
+            fallbacks_inconclusive: self.fallbacks_inconclusive.load(Ordering::Relaxed),
+            fallbacks_deadline: self.fallbacks_deadline.load(Ordering::Relaxed),
+            races_unconfident: self.races_unconfident.load(Ordering::Relaxed),
+            races_untrained: self.races_untrained.load(Ordering::Relaxed),
             cancelled_variants: self.cancelled_variants.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             queue_full_rejections: self.queue_full_rejections.load(Ordering::Relaxed),
@@ -503,6 +525,20 @@ pub struct EngineStats {
     /// Fast heats that came back inconclusive. One that escalated its
     /// reserve is also counted in `races`.
     pub fast_path_fallbacks: u64,
+    /// Fast heats that escalated because their leader finished
+    /// inconclusive (part of `fast_path_fallbacks`).
+    pub fallbacks_inconclusive: u64,
+    /// Fast heats that escalated because their leader was still running
+    /// one stage window after it started (part of `fast_path_fallbacks`).
+    pub fallbacks_deadline: u64,
+    /// Cache misses planned as a race, not a fast heat, because the
+    /// predictor's leader had a vote share under
+    /// [`crate::EngineConfig::predictor_confidence`].
+    pub races_unconfident: u64,
+    /// Cache misses planned as a race because the predictor had fewer
+    /// than [`crate::EngineConfig::predictor_min_observations`]
+    /// observations.
+    pub races_untrained: u64,
     /// Losing race entrants observed as cooperatively cancelled — the Ψ
     /// "kill" count.
     pub cancelled_variants: u64,

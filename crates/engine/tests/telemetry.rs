@@ -376,6 +376,13 @@ fn prometheus_rendering_is_well_formed() {
         ("races", "psi_races_total"),
         ("fast_paths", "psi_fast_paths_total"),
         ("fast_path_fallbacks", "psi_fast_path_fallbacks_total"),
+        (
+            "fallbacks_inconclusive",
+            "psi_fast_path_fallbacks_by_cause_total{cause=\"inconclusive\"}",
+        ),
+        ("fallbacks_deadline", "psi_fast_path_fallbacks_by_cause_total{cause=\"deadline\"}"),
+        ("races_unconfident", "psi_raced_misses_total{cause=\"unconfident\"}"),
+        ("races_untrained", "psi_raced_misses_total{cause=\"untrained\"}"),
         ("cancelled_variants", "psi_cancelled_variants_total"),
         ("busy_rejections", "psi_busy_rejections_total"),
         ("queue_full_rejections", "psi_queue_full_total"),

@@ -597,9 +597,9 @@ impl TargetIndex {
         &self,
         query: &Graph,
         u: NodeId,
-        tick: impl FnMut() -> Result<(), E>,
+        tick_n: impl FnMut(u32) -> Result<(), E>,
     ) -> Result<Vec<NodeId>, E> {
-        let bits = self.rule_one_bits(query, u, tick)?;
+        let bits = self.rule_one_bits(query, u, tick_n)?;
         Ok(decode_positions(&bits, self.candidates(query.label(u))))
     }
 
@@ -611,16 +611,17 @@ impl TargetIndex {
     /// The answer depends only on `u`'s label and multiset (the degree
     /// of a vertex of a simple graph is its multiset's size), so it is
     /// memoized under that key: a seen key is answered with the memo's
-    /// own bitset, shared, without scanning the list. A miss scans,
-    /// calling `tick` once per scanned vertex; an `Err` from `tick` aborts
-    /// the scan and stores nothing. The memo is bounded by
+    /// own bitset, shared, without scanning the list. A miss scans the
+    /// list 64 vertices at a time, calling `tick_n(k)` before each chunk
+    /// of `k`, so the calls add up to one per scanned vertex; an `Err`
+    /// from `tick_n` aborts the scan and stores nothing. The memo is bounded by
     /// [`CANDIDATE_MEMO_MAX_BYTES`] and clears when an insert would cross
     /// it.
     pub fn rule_one_bits<E>(
         &self,
         query: &Graph,
         u: NodeId,
-        mut tick: impl FnMut() -> Result<(), E>,
+        mut tick_n: impl FnMut(u32) -> Result<(), E>,
     ) -> Result<Arc<[u64]>, E> {
         let label = query.label(u);
         let mut key = Vec::with_capacity(query.degree(u) + 1);
@@ -640,11 +641,13 @@ impl TargetIndex {
         let mask = Self::mask_of(sig);
         let list = self.candidates(label);
         let mut bits = vec![0u64; list.len().div_ceil(64)];
-        for (i, &v) in list.iter().enumerate() {
-            tick()?;
-            let fits =
-                rule_one_fits(sig, mask, self.degree(v), self.label_mask(v), self.signature(v));
-            bits[i / 64] |= u64::from(fits) << (i % 64);
+        for (chunk, word) in list.chunks(64).zip(&mut bits) {
+            tick_n(chunk.len() as u32)?;
+            for (b, &v) in chunk.iter().enumerate() {
+                let fits =
+                    rule_one_fits(sig, mask, self.degree(v), self.label_mask(v), self.signature(v));
+                *word |= u64::from(fits) << b;
+            }
         }
         let bits: Arc<[u64]> = bits.into();
         self.lock_memo().insert(key.into_boxed_slice(), Arc::clone(&bits));
@@ -727,7 +730,7 @@ mod tests {
     }
 
     fn rule_one(ix: &TargetIndex, query: &Graph, u: NodeId) -> Vec<NodeId> {
-        ix.rule_one_candidates(query, u, || Ok::<(), ()>(())).unwrap()
+        ix.rule_one_candidates(query, u, |_| Ok::<(), ()>(())).unwrap()
     }
 
     /// Rule 1 by label-list scan with per-label neighbour counts: the
@@ -789,7 +792,7 @@ mod tests {
         assert_eq!(tight.bytes, 2 * 4 + 8 + MEMO_ENTRY_OVERHEAD);
         // An aborted scan counts its miss but stores nothing.
         let q3 = graph_from_parts(&[2, 3], &[(0, 1)]);
-        assert_eq!(ix.rule_one_candidates(&q3, 0, || Err("stop")), Err("stop"));
+        assert_eq!(ix.rule_one_candidates(&q3, 0, |_| Err("stop")), Err("stop"));
         assert_eq!(ix.candidate_memo_stats().misses, 4);
         assert_eq!(ix.candidate_memo_stats().bytes, tight.bytes);
         // Releasing drops every entry and keeps the counters.

@@ -203,6 +203,30 @@ impl BudgetClock<'_> {
     }
 }
 
+/// Checks a scan that advances `clock` by `len` ticks in batches: on a
+/// clock whose token is cancelled, started at each of several counts,
+/// `scan` (returning whether it stopped) must stop exactly when `len`
+/// single ticks from the same count would have, and otherwise leave the
+/// same count behind.
+#[cfg(test)]
+pub(crate) fn assert_scan_ticks_as_single_ticks(
+    len: u32,
+    mut scan: impl FnMut(&mut BudgetClock<'_>) -> bool,
+) {
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = SearchBudget::default().cancellable(token);
+    for start in [0, 1, 200, 254, 255, 256, u32::MAX - 3] {
+        let (mut batch, mut single) = (budget.start(), budget.start());
+        (batch.ticks, single.ticks) = (start, start);
+        let stopped = (0..len).fold(false, |s, _| single.tick().is_some() || s);
+        assert_eq!(scan(&mut batch), stopped, "start {start} len {len}");
+        if !stopped {
+            assert_eq!(batch.ticks, single.ticks, "start {start} len {len}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -84,7 +84,8 @@ impl GraphQl {
     /// which scans the label list only for a label and neighbour-label
     /// multiset it has not seen. An overlay changes degrees and
     /// signatures, so there the label list is scanned through the view.
-    /// Scans tick the budget clock so racing cancellation reaches even
+    /// Scans advance the budget clock once per scanned vertex, 64 at a
+    /// time ([`BudgetClock::tick_n`]), so racing cancellation reaches even
     /// the pre-search phase promptly.
     fn initial_candidates(
         &self,
@@ -92,26 +93,29 @@ impl GraphQl {
         view: GraphView<'_>,
         clock: &mut BudgetClock<'_>,
     ) -> Result<Vec<Vec<NodeId>>, StopReason> {
-        let mut tick = || clock.tick().map_or(Ok(()), Err);
+        let mut tick_n = |n| clock.tick_n(n).map_or(Ok(()), Err);
         if let Some(index) = view.base_index() {
-            return query.nodes().map(|u| index.rule_one_candidates(query, u, &mut tick)).collect();
+            return query
+                .nodes()
+                .map(|u| index.rule_one_candidates(query, u, &mut tick_n))
+                .collect();
         }
         let mut out = Vec::with_capacity(query.node_count());
         for u in query.nodes() {
             let qsig = signature(query, u);
             let qmask = TargetIndex::mask_of(&qsig);
             let mut cands = Vec::new();
-            for &v in view.candidates(query.label(u)) {
-                tick()?;
-                if rule_one_fits(
-                    &qsig,
-                    qmask,
-                    view.degree(v),
-                    view.label_mask(v),
-                    view.signature(v),
-                ) {
-                    cands.push(v);
-                }
+            for chunk in view.candidates(query.label(u)).chunks(64) {
+                tick_n(chunk.len() as u32)?;
+                cands.extend(chunk.iter().copied().filter(|&v| {
+                    rule_one_fits(
+                        &qsig,
+                        qmask,
+                        view.degree(v),
+                        view.label_mask(v),
+                        view.signature(v),
+                    )
+                }));
             }
             out.push(cands);
         }
@@ -327,8 +331,10 @@ impl Planner for GraphQl {
 mod tests {
     use super::*;
     use crate::bruteforce;
+    use crate::budget::assert_scan_ticks_as_single_ticks;
     use crate::matcher::{is_valid_embedding, Embedding};
     use proptest::prelude::*;
+    use psi_delta::{DeltaOverlay, UpdateOp};
     use psi_graph::generate::{random_connected_graph, LabelDist};
     use psi_graph::graph::graph_from_parts;
     use rand::SeedableRng;
@@ -379,6 +385,29 @@ mod tests {
             let mut reused = Kuhn::default();
             for case in cases.iter().chain(&long_first) {
                 prop_assert_eq!(verdict(&mut reused, case), verdict(&mut Kuhn::default(), case));
+            }
+        }
+    }
+
+    /// Both rule-1 scans, the index memo's miss and the overlay view's,
+    /// advance the clock 64 vertices at a time and stop exactly when one
+    /// tick per scanned vertex would have.
+    #[test]
+    fn rule_one_scans_tick_as_one_tick_per_vertex_would() {
+        let q = graph_from_parts(&[0], &[]);
+        for len in [1, 63, 64, 65, 200, 256, 300] {
+            let t = graph_from_parts(&vec![0; len], &[]);
+            let ops = [UpdateOp::AddNode { label: 1 }];
+            let index = Arc::new(TargetIndex::build(Arc::new(t.clone())));
+            let overlay = DeltaOverlay::build(&t, Some(&index), &ops).unwrap();
+            for overlaid in [false, true] {
+                assert_scan_ticks_as_single_ticks(len as u32, |clock| {
+                    // A fresh index per scan, so the memo misses.
+                    let m = gql(t.clone());
+                    let base = GraphView::of_index(&m.index);
+                    let view = if overlaid { base.with_overlay(Some(&overlay)) } else { base };
+                    m.initial_candidates(&q, view, clock).is_err()
+                });
             }
         }
     }

@@ -176,3 +176,75 @@ fn full_race_answers_like_bruteforce_on_every_route() {
 fn adaptive_racing_answers_like_bruteforce_on_every_route() {
     check_against_bruteforce(RaceStrategy::Adaptive { max_slices: 2, escalate_after: 0.5 });
 }
+
+/// A full race launches its entrants best-ranked first. The predictor's
+/// state comes from a snapshot plus hand-written WAL samples for the
+/// query's features: entrant 1 won twice, entrant 0 once, so the ranking
+/// is [1, 0] with a 2/3 leader share, under the 0.9 a fast heat needs. On
+/// one worker the entrants run in launch order, so the first entrant to
+/// start is the ranked leader, not the first-listed entrant.
+#[test]
+fn a_full_race_starts_its_ranked_leader_first() {
+    use psi::core::predictor::QueryFeatures;
+    use psi::matchers::Algorithm;
+    use psi::store::{Wal, WalRecord};
+
+    let stored = stored_graph();
+    let query = grown_query(&stored, 4, 77);
+    let config = || MultiEngineConfig {
+        workers: 1,
+        max_concurrent_races: 1,
+        tenant: EngineConfig {
+            cache_capacity: 0,
+            predictor_k: 3,
+            predictor_min_observations: 3,
+            predictor_confidence: 0.9,
+            race_strategy: RaceStrategy::Full,
+            default_budget: RaceBudget::matching(),
+            ..EngineConfig::default()
+        },
+    };
+    let runner = PsiRunner::new(
+        Arc::new(stored.clone()),
+        PsiConfig::new(vec![
+            Variant::new(Algorithm::Ullmann, Rewriting::Orig),
+            Variant::new(Algorithm::GraphQl, Rewriting::Orig),
+        ]),
+    );
+    let features = QueryFeatures::extract(&query, runner.label_stats());
+    let dir = std::env::temp_dir().join(format!("psi-ranked-launch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let saved = {
+        let untrained = MultiEngine::new(config());
+        let id = untrained.register("ranked", runner).unwrap();
+        untrained.save_graph(id, &dir).unwrap()
+    };
+    let (mut wal, _) = Wal::open(&saved.wal_path).unwrap();
+    for winner in [1, 1, 0] {
+        wal.append(&WalRecord::Sample { features, winner }).unwrap();
+    }
+    drop(wal);
+
+    let engine = MultiEngine::new(config());
+    let id = engine.load_graph(&saved.snapshot_path).unwrap().graph;
+    let r = engine.submit(id, &query).unwrap();
+    let started: Vec<u32> = engine
+        .drain_trace()
+        .into_iter()
+        .filter_map(|(_, rec)| match rec.event {
+            TraceEvent::EntrantStarted { entrant, .. } => Some(entrant),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(started.first(), Some(&1), "the ranked leader starts first: {started:?}");
+    let stats = engine.stats();
+    assert_eq!((r.path, stats.races_unconfident), (ServePath::Race, 1));
+    let want = bruteforce::enumerate(&query, &stored, &SearchBudget::unlimited());
+    assert!(r.conclusive && want.num_matches < 1000, "the answer is the whole embedding set");
+    let mut got = r.answer.embeddings.clone();
+    let mut want = want.embeddings;
+    got.sort();
+    want.sort();
+    assert_eq!(got, want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
